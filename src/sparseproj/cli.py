@@ -65,9 +65,12 @@ def _parse_lambda(value: str) -> float | str:
 
 def _float_list(value: str) -> list[float]:
     try:
-        return [float(tok) for tok in value.split(",") if tok.strip()]
+        values = [float(tok) for tok in value.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {value!r}")
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one number, got {value!r}")
+    return values
 
 
 def cmd_fit(args) -> int:

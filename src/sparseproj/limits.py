@@ -15,17 +15,22 @@ the LASSO estimate, same scaling) converges given the data to
 
 limiting_coverage_mc estimates the probability, over Delta, that the
 conditional T*-mass of the credible ball around xi reaches a given level,
-which is exactly the asymptotic coverage the calibrated level controls.
+which is exactly the asymptotic coverage the calibrated level controls.  It
+takes several norms at once: each outer draw of Delta solves xi and its
+inner T* batch once and counts the hits of every norm on them, with the
+square-root factors of C computed once per call.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SparseProjError
 from .projection import _cd_shared
-from .regions import minkowski_norm
+from .regions import minkowski_norms
 from .types import NormSelector
 
 _SNAP = 1e-12  # float dust below this is treated as an exact zero
@@ -45,6 +50,8 @@ class LimitSpec:
     def __post_init__(self):
         C = np.array(self.C, dtype=float, copy=True)
         signs = np.array(self.theta0_signs, dtype=float, copy=True).ravel()
+        if signs.size == 0:
+            raise ValueError("theta0_signs must name at least one coordinate")
         if C.ndim != 2 or C.shape[0] != C.shape[1] or C.shape[0] != signs.shape[0]:
             raise ValueError("C must be p x p matching theta0_signs")
         if float(np.abs(C - C.T).max()) > 1e-10 * max(1.0, float(np.abs(C).max())):
@@ -124,62 +131,67 @@ def sample_t_star(spec: LimitSpec, delta: np.ndarray, seed: int,
     return _solve_limit_batch(spec, W @ spec.C)
 
 
-def _coverage_counts(spec: LimitSpec, selector: NormSelector, level: float,
-                     outer_index: int, inner: int, seed: int) -> int:
-    """1 if the conditional credible-ball mass at this outer draw is <= level."""
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(outer_index))))
-    delta = rng.standard_normal(spec.p)
-    Chalf, Cinvhalf = _sqrt_factors(spec.C)
-    xi = _solve_limit_batch(spec, (spec.sigma0 * (Chalf @ delta)).reshape(1, -1))[0]
-    W = spec.sigma0 * (delta + rng.standard_normal((inner, spec.p))) @ Cinvhalf
-    T = _solve_limit_batch(spec, W @ spec.C)
-    r0 = minkowski_norm(xi, selector)
-    dist = _norms_batch(T - xi, selector)
-    q = int(np.count_nonzero(dist <= r0))  # conditional mass, in counts
-    return 1 if q <= level * inner else 0
+def _coverage_hits(spec: LimitSpec, selectors: tuple[NormSelector, ...],
+                   level: float, outer_index: int, inner: int, seed: int,
+                   factors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Per selector, 1 if the conditional credible-ball mass at this outer
+    draw is <= level.  xi and the inner T* batch are solved once and shared."""
+    try:
+        rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(outer_index))))
+        delta = rng.standard_normal(spec.p)
+        Chalf, Cinvhalf = factors
+        xi = _solve_limit_batch(spec, (spec.sigma0 * (Chalf @ delta)).reshape(1, -1))[0]
+        W = spec.sigma0 * (delta + rng.standard_normal((inner, spec.p))) @ Cinvhalf
+        T = _solve_limit_batch(spec, W @ spec.C)
+    except SparseProjError as exc:
+        raise type(exc)(f"outer draw {outer_index} (lambda0={spec.lambda0:g}, "
+                        f"seed={seed}): {exc}") from exc
+    D = T - xi
+    hits = np.empty(len(selectors), dtype=np.int64)
+    for k, selector in enumerate(selectors):
+        r0 = minkowski_norms(xi, selector)
+        q = np.count_nonzero(minkowski_norms(D, selector) <= r0)  # mass, in counts
+        hits[k] = q <= level * inner
+    return hits
 
 
-def _norms_batch(M: np.ndarray, selector: NormSelector) -> np.ndarray:
-    if selector.kind == "max":
-        return np.abs(M).max(axis=1)
-    if selector.kind == "euclidean":
-        return np.sqrt((M * M).sum(axis=1))
-    if selector.kind == "l1":
-        return np.abs(M).sum(axis=1)
-    if selector.kind == "component":
-        return np.abs(M[:, selector.index])
-    return np.abs(M[:, list(selector.indices)]).max(axis=1)
-
-
-def limiting_coverage_mc(spec: LimitSpec, selector: NormSelector, level: float,
-                         outer: int, inner: int, seed: int,
-                         workers: int = 1) -> float:
-    """Estimate the limiting coverage bound by nested Monte Carlo.
+def limiting_coverage_mc(spec: LimitSpec, selectors: Sequence[NormSelector],
+                         level: float, outer: int, inner: int, seed: int,
+                         workers: int = 1) -> np.ndarray:
+    """Estimate the limiting coverage bound by nested Monte Carlo, once per
+    selector, in one pass.
 
     For each of `outer` draws of Delta, the conditional probability
     q(Delta) = P(||T* - xi|| <= ||xi|| | Delta) is estimated from `inner`
-    draws of W*, and the returned value is the fraction of Delta draws with
-    q(Delta) <= level.  Each outer draw owns an RNG stream keyed by
-    (seed, outer index), so the result is identical for any worker count.
+    draws of W*, and entry k of the returned array is the fraction of Delta
+    draws with q(Delta) <= level in the norm of selectors[k].  Every selector
+    reads the same xi and T* draws, so each outer draw costs one solve
+    whatever the number of selectors.  Each outer draw owns an RNG stream
+    keyed by (seed, outer index), so the result is identical for any worker
+    count, and each entry equals a single-selector call.
     """
+    selectors = tuple(selectors)
     if outer < 100 or inner < 100:
         raise ValueError("outer and inner must each be at least 100")
     if not 0.0 < level < 1.0:
         raise ValueError("level must lie in (0, 1)")
-    indices = range(outer)
+    factors = _sqrt_factors(spec.C)
+    args = [(spec, selectors, level, i, inner, seed, factors) for i in range(outer)]
+    hits = np.zeros(len(selectors), dtype=np.int64)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        args = [(spec, selector, level, i, inner, seed) for i in indices]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(_coverage_counts_star, args, chunksize=max(1, outer // (8 * workers))))
+            for h in pool.map(_coverage_hits_star, args,
+                              chunksize=max(1, outer // (8 * workers))):
+                hits += h
     else:
-        hits = sum(_coverage_counts(spec, selector, level, i, inner, seed)
-                   for i in indices)
-    return float(hits / outer)
+        for a in args:
+            hits += _coverage_hits(*a)
+    return hits / outer
 
 
-def _coverage_counts_star(args) -> int:
-    return _coverage_counts(*args)
+def _coverage_hits_star(args) -> np.ndarray:
+    return _coverage_hits(*args)
 
 
 def zero_mass_probability(spec: LimitSpec, delta: np.ndarray, inner: int,
@@ -212,10 +224,10 @@ def limitcheck_rows(spec_builder, lambdas, target: float, outer: int, inner: int
     for lam in lambdas:
         spec = spec_builder(lam)
         res = solve_gamma(CalibrationQuery(lambda0=lam, target=target))
-        for j in range(spec.p):
-            est = limiting_coverage_mc(spec, NormSelector.component(j),
-                                       res.gamma_level, outer, inner,
-                                       seed, workers=workers)
+        estimates = limiting_coverage_mc(
+            spec, [NormSelector.component(j) for j in range(spec.p)],
+            res.gamma_level, outer, inner, seed, workers=workers)
+        for j, est in enumerate(estimates.tolist()):
             is_noise = spec.theta0_signs[j] == 0
             rows.append({
                 "lambda0": lam,

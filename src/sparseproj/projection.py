@@ -112,6 +112,15 @@ def _kkt_batch(Q: np.ndarray, B: np.ndarray, lam: float, signs: np.ndarray,
     return viol.max(axis=1)
 
 
+def _worst_rows(kkt: np.ndarray, tol: float, label: str, limit: int = 5) -> str:
+    """How many rows of a batch are still above tol, and the worst few of
+    them with their KKT residuals."""
+    bad = np.flatnonzero(~(kkt <= tol))  # NaN counts as unconverged
+    worst = bad[np.argsort(-kkt[bad], kind="stable")][:limit]
+    listed = ", ".join(f"{label} {i} ({kkt[i]:.3e})" for i in worst)
+    return f"{bad.size} of {kkt.size} {label}s above tol, worst: {listed}"
+
+
 def _cd_shared(Q: np.ndarray, B: np.ndarray, lam: float, signs: np.ndarray,
                U0: np.ndarray, tol: float, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
     """Cyclic coordinate descent on a batch of problems sharing Q.
@@ -138,7 +147,7 @@ def _cd_shared(Q: np.ndarray, B: np.ndarray, lam: float, signs: np.ndarray,
             return U, kkt
     raise NoConvergence(
         f"coordinate descent: residual {kkt.max():.3e} > tol {tol:.1e} "
-        f"after {max_sweeps} sweeps"
+        f"after {max_sweeps} sweeps; {_worst_rows(kkt, tol, 'row')}"
     )
 
 
@@ -165,7 +174,8 @@ def _cd_multi(Qs: np.ndarray, Bs: np.ndarray, lam: float, U0: np.ndarray,
         kkt = np.where(U != 0.0, active, inactive).max(axis=1)
         if kkt.max() <= tol:
             return U
-    raise NoConvergence(f"CV path: residual {kkt.max():.3e} > tol {tol:.1e}")
+    raise NoConvergence(f"CV path: residual {kkt.max():.3e} > tol {tol:.1e}; "
+                        f"{_worst_rows(kkt, tol, 'fold')}")
 
 
 def solve_quad_l1(problem: QuadL1Problem,

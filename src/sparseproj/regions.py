@@ -63,41 +63,33 @@ class ProjectedSample:
         return self.draws.shape[1]
 
 
+def minkowski_norms(M: np.ndarray, selector: NormSelector) -> np.ndarray:
+    """Evaluate the selected norm over the last axis of M, for any leading
+    shape; a single vector gives a 0-d result."""
+    p = M.shape[-1]
+    if selector.kind == "max":
+        return np.abs(M).max(axis=-1)
+    if selector.kind == "euclidean":
+        return np.sqrt((M * M).sum(axis=-1))
+    if selector.kind == "l1":
+        return np.abs(M).sum(axis=-1)
+    if selector.kind == "component":
+        if selector.index >= p:
+            raise ValueError(f"component {selector.index} out of range for p = {p}")
+        return np.abs(M[..., selector.index])
+    idx = list(selector.indices)
+    if max(idx) >= p:
+        raise ValueError(f"rectangle indices {idx} out of range for p = {p}")
+    return np.abs(M[..., idx]).max(axis=-1)
+
+
 def minkowski_norm(x: np.ndarray, selector: NormSelector) -> float:
     """Evaluate the selected norm at a single vector."""
-    x = np.asarray(x, dtype=float).ravel()
-    if selector.kind == "max":
-        return float(np.abs(x).max())
-    if selector.kind == "euclidean":
-        return float(np.sqrt(x @ x))
-    if selector.kind == "l1":
-        return float(np.abs(x).sum())
-    if selector.kind == "component":
-        if selector.index >= x.shape[0]:
-            raise ValueError(f"component {selector.index} out of range for p = {x.shape[0]}")
-        return float(abs(x[selector.index]))
-    idx = list(selector.indices)
-    if max(idx) >= x.shape[0]:
-        raise ValueError(f"rectangle indices {idx} out of range for p = {x.shape[0]}")
-    return float(np.abs(x[idx]).max())
+    return float(minkowski_norms(np.asarray(x, dtype=float).ravel(), selector))
 
 
 def _distances(sample: ProjectedSample, selector: NormSelector) -> np.ndarray:
-    diff = math.sqrt(sample.n) * (sample.draws - sample.center)
-    if selector.kind == "max":
-        return np.abs(diff).max(axis=1)
-    if selector.kind == "euclidean":
-        return np.sqrt((diff * diff).sum(axis=1))
-    if selector.kind == "l1":
-        return np.abs(diff).sum(axis=1)
-    if selector.kind == "component":
-        if selector.index >= sample.p:
-            raise ValueError(f"component {selector.index} out of range for p = {sample.p}")
-        return np.abs(diff[:, selector.index])
-    idx = list(selector.indices)
-    if max(idx) >= sample.p:
-        raise ValueError(f"rectangle indices {idx} out of range for p = {sample.p}")
-    return np.abs(diff[:, idx]).max(axis=1)
+    return minkowski_norms(math.sqrt(sample.n) * (sample.draws - sample.center), selector)
 
 
 def radius_quantile(sample: ProjectedSample, selector: NormSelector,

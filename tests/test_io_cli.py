@@ -382,6 +382,19 @@ def test_cli_simulate_default_signals_and_sweep(tmp_path):
     assert lines[1].split(",")[0] == "0"
 
 
+@pytest.mark.parametrize("argv", [
+    ["limitcheck", "--signs", ""],
+    ["limitcheck", "--lambda0", ""],
+    ["table", "--lambdas", ""],
+])
+def test_cli_rejects_empty_number_list(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage" in err and "expected at least one number" in err
+
+
 def test_cli_limitcheck_layout(tmp_path):
     out = tmp_path / "limit.csv"
     code = main(["limitcheck", "--lambda0", "0.5", "--signs", "1,0",

@@ -18,6 +18,7 @@ from sparseproj.limits import (
     sample_xi,
     zero_mass_probability,
 )
+from sparseproj.errors import NoConvergence
 from sparseproj.types import NormSelector
 
 
@@ -169,8 +170,8 @@ def test_coverage_signal_component():
     lam = 1.0
     level = solve_gamma(CalibrationQuery(lambda0=lam, target=0.95)).gamma_level
     spec = eye_spec([1.0], lambda0=lam)
-    est = limiting_coverage_mc(spec, NormSelector.component(0), level,
-                               outer=600, inner=800, seed=2)
+    est = limiting_coverage_mc(spec, [NormSelector.component(0)], level,
+                               outer=600, inner=800, seed=2)[0]
     se = np.sqrt(0.95 * 0.05 / 600)
     assert abs(est - 0.95) <= 3 * se
 
@@ -179,8 +180,8 @@ def test_coverage_noise_component_dominates():
     lam = 1.0
     res = solve_gamma(CalibrationQuery(lambda0=lam, target=0.95))
     spec = eye_spec([0.0], lambda0=lam)
-    est = limiting_coverage_mc(spec, NormSelector.component(0), res.gamma_level,
-                               outer=600, inner=800, seed=3)
+    est = limiting_coverage_mc(spec, [NormSelector.component(0)], res.gamma_level,
+                               outer=600, inner=800, seed=3)[0]
     expected = res.psi0_at_gamma
     se = np.sqrt(expected * (1.0 - expected) / 600)
     assert est >= 0.95
@@ -191,8 +192,8 @@ def test_coverage_bvm_case_equals_level():
     spec2 = LimitSpec(C=np.eye(2), sigma0=1.0, lambda0=0.0,
                       theta0_signs=np.array([1.0, 0.0]))
     for selector in (NormSelector.component(0), NormSelector.euclidean()):
-        est = limiting_coverage_mc(spec2, selector, 0.9, outer=600, inner=800,
-                                   seed=4)
+        est = limiting_coverage_mc(spec2, [selector], 0.9, outer=600, inner=800,
+                                   seed=4)[0]
         se = np.sqrt(0.9 * 0.1 / 600)
         assert abs(est - 0.9) <= 3 * se
 
@@ -200,31 +201,57 @@ def test_coverage_bvm_case_equals_level():
 def test_coverage_validation():
     spec = eye_spec([1.0])
     with pytest.raises(ValueError):
-        limiting_coverage_mc(spec, NormSelector.component(0), 0.9, outer=50,
-                             inner=100, seed=0)
+        limiting_coverage_mc(spec, [NormSelector.component(0)], 0.9, outer=50,
+                             inner=100, seed=0)[0]
     with pytest.raises(ValueError):
-        limiting_coverage_mc(spec, NormSelector.component(0), 0.9, outer=100,
-                             inner=99, seed=0)
+        limiting_coverage_mc(spec, [NormSelector.component(0)], 0.9, outer=100,
+                             inner=99, seed=0)[0]
     with pytest.raises(ValueError):
-        limiting_coverage_mc(spec, NormSelector.component(0), 1.0, outer=100,
-                             inner=100, seed=0)
+        limiting_coverage_mc(spec, [NormSelector.component(0)], 1.0, outer=100,
+                             inner=100, seed=0)[0]
 
 
 def test_coverage_worker_count_invariant():
     spec = eye_spec([1.0, 0.0], lambda0=0.5)
     sel = NormSelector.component(1)
-    one = limiting_coverage_mc(spec, sel, 0.93, outer=100, inner=100, seed=7)
-    two = limiting_coverage_mc(spec, sel, 0.93, outer=100, inner=100, seed=7,
-                               workers=2)
+    one = limiting_coverage_mc(spec, [sel], 0.93, outer=100, inner=100, seed=7)[0]
+    two = limiting_coverage_mc(spec, [sel], 0.93, outer=100, inner=100, seed=7,
+                               workers=2)[0]
     assert one == two
 
 
 def test_coverage_deterministic():
     spec = eye_spec([1.0], lambda0=0.8)
     sel = NormSelector.component(0)
-    a = limiting_coverage_mc(spec, sel, 0.95, outer=100, inner=100, seed=11)
-    b = limiting_coverage_mc(spec, sel, 0.95, outer=100, inner=100, seed=11)
+    a = limiting_coverage_mc(spec, [sel], 0.95, outer=100, inner=100, seed=11)[0]
+    b = limiting_coverage_mc(spec, [sel], 0.95, outer=100, inner=100, seed=11)[0]
     assert a == b
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_coverage_shared_pass_equals_single_selector_calls(workers):
+    spec = eye_spec([1.0, -1.0, 0.0], lambda0=0.7)
+    selectors = [NormSelector.component(2), NormSelector.euclidean(),
+                 NormSelector.component(0)]
+    shared = limiting_coverage_mc(spec, selectors, 0.9, outer=100, inner=100,
+                                  seed=13, workers=workers)
+    assert shared.shape == (3,)
+    for k, sel in enumerate(selectors):
+        single = limiting_coverage_mc(spec, [sel], 0.9, outer=100, inner=100,
+                                      seed=13)
+        assert shared[k] == single[0]
+
+
+def test_coverage_failure_names_outer_draw(monkeypatch):
+    def fail(*args, **kwargs):
+        raise NoConvergence("residual 1.0e-03 > tol 1.0e-10")
+
+    monkeypatch.setattr("sparseproj.limits._cd_shared", fail)
+    spec = eye_spec([1.0, 0.0], lambda0=0.5)
+    with pytest.raises(NoConvergence,
+                       match=r"outer draw 0 \(lambda0=0.5, seed=21\): residual"):
+        limiting_coverage_mc(spec, [NormSelector.component(0)], 0.9, outer=100,
+                             inner=100, seed=21)
 
 
 # --- zero_mass_probability ---------------------------------------------------
@@ -285,3 +312,16 @@ def test_limitcheck_rows_layout():
         assert row["mc_se"] == pytest.approx(np.sqrt(est * (1 - est) / 100))
     assert sig["analytic"] == res.psi_at_gamma
     assert noi["analytic"] == res.psi0_at_gamma
+
+
+def test_limitcheck_rows_rng_stream_pinned():
+    # The RNG-stream contract: outer draw i reads the (seed, i) stream, delta
+    # first and then the inner W* draws, so these estimates never move when
+    # the Monte-Carlo pass is restructured.
+    def builder(lam):
+        return eye_spec([1.0, -1.0, 0.0], lambda0=lam)
+
+    rows = limitcheck_rows(builder, [0.5, 1.0, 2.0], target=0.95, outer=100,
+                           inner=100, seed=0)
+    assert [row["estimate"] for row in rows] == [
+        0.91, 0.96, 0.95, 0.92, 0.97, 0.97, 0.93, 0.96, 1.0]

@@ -113,6 +113,16 @@ def test_project_draws_rejects_nonpositive_lambda():
         project_draws(ds, np.ones((2, 2)), 0.0)
 
 
+def test_project_draws_no_convergence_names_rows():
+    rng = np.random.default_rng(2)
+    X = rng.standard_normal((30, 4))
+    X[:, 1] = X[:, 0] + 0.1 * X[:, 1]  # correlated columns need many sweeps
+    ds = validate_dataset(X, rng.standard_normal(30))
+    thetas = rng.standard_normal((12, 4))
+    with pytest.raises(NoConvergence, match=r"of 12 rows above tol, worst: row \d+ \("):
+        project_draws(ds, thetas, 0.05, SolverSettings(max_sweeps=1))
+
+
 # --- solve_quad_l1 -----------------------------------------------------------
 
 def test_scalar_unsigned_inside_band_is_zero():
