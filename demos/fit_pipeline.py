@@ -3,9 +3,10 @@ End-to-end sparse projection fit
 ================================
 
 Simulate a small regression, write it to CSV, load it back through the
-streaming reader, and walk the full pipeline by hand: conjugate posterior,
-l1 projection of every draw, credible intervals, and posterior model
-probabilities.  The `sparseproj fit` subcommand wraps exactly these steps.
+block-wise CSV reader, and walk the full pipeline by hand: conjugate
+posterior, l1 projection of every draw, per-coordinate calibration, credible
+intervals, and posterior model probabilities.  The `sparseproj fit`
+subcommand runs the same steps.
 """
 
 import math
@@ -34,7 +35,8 @@ with open(csv_path, "w") as f:
     for i in range(n):
         f.write(",".join(repr(float(v)) for v in X[i]) + f",{float(Y[i])!r}\n")
 
-# 2. load through the chunked reader; it rebuilds the Gram matrix in passes
+# 2. load the CSV: numpy's C parser reads it in blocks of rows, and the Gram
+#    accumulator's sums over row chunks are checked against the dataset's Gram
 ds, names = dataset_from_csv(csv_path, response="y")
 print(f"loaded {ds.n} rows, predictors {names}")
 
@@ -48,22 +50,24 @@ center = fit_lasso(ds, lam)
 U, kkt = project_draws(ds, thetas, lam, warm=center)
 print(f"projected 4000 draws, max KKT residual {kkt.max():.2e}")
 
-# 5. calibrate the working level so intervals attain 0.95 coverage:
-#    the limit penalty is lambda_n * sqrt(n)
+# 5. calibrate each coordinate's working level so its interval attains 0.95
+#    coverage: the limit penalty is lambda_n * sqrt(n), and coordinate j's
+#    limiting Gram diagonal c_j is estimated by C_n[j, j]
 lam0 = lam * math.sqrt(ds.n)
 resid = ds.Y - ds.X @ fact.ridge_mean
 sigma_hat = math.sqrt(float(resid @ resid) / ds.n)
-level = solve_gamma(CalibrationQuery(lambda0=lam0, target=0.95,
-                                     sigma0=sigma_hat)).gamma_level
-print(f"lambda0 = {lam0:.3f}, sigma_hat = {sigma_hat:.3f}, "
-      f"calibrated level = {level:.4f}")
+levels = [solve_gamma(CalibrationQuery(lambda0=lam0, target=0.95,
+                                       c_j=float(ds.gram[j, j]),
+                                       sigma0=sigma_hat)).gamma_level
+          for j in range(ds.p)]
+print(f"lambda0 = {lam0:.3f}, sigma_hat = {sigma_hat:.3f}")
 
 # 6. componentwise credible intervals around the LASSO center
-sample = ProjectedSample(draws=U, center=center, n=ds.n, level=level)
-print("\n component   truth   estimate   interval")
+sample = ProjectedSample(draws=U, center=center, n=ds.n, level=levels[0])
+print("\n component   truth   estimate   level    interval")
 for j in range(p):
-    lo, hi = component_interval(sample, j)
-    print(f"  {names[j]:<8} {theta_true[j]:>6.2f} {center[j]:>9.3f}   "
+    lo, hi = component_interval(sample, j, level=levels[j])
+    print(f"  {names[j]:<8} {theta_true[j]:>6.2f} {center[j]:>9.3f}   {levels[j]:.4f}  "
           f"[{lo:>7.3f}, {hi:>7.3f}]")
 
 # 7. which supports does the projected posterior visit?

@@ -1,6 +1,17 @@
 """File formats and chunked ingestion: CSV reading, Gram accumulation, and
 JSON round-trips for the core value types.
 
+CSV files are UTF-8 with one header row, read by the csv module; header
+names are stripped of whitespace and must be distinct.  The data lines are
+handed to numpy's C parser (np.loadtxt) in blocks of rows and the blocks are
+concatenated.  A cell is a decimal or exponent float literal, optionally
+padded with whitespace or wrapped in double quotes; forms that Python's
+float() also takes, such as 1_000 or non-ASCII digits, are non-numeric here.
+Lines holding only a line ending are skipped.  Errors name the file line:
+CsvFormatError for a ragged row or a non-numeric cell (found by re-parsing
+the failing block line by line with the same parser), and NonFiniteInput,
+with the column, for a cell that parses to NaN or infinity (nan, inf, 1e400).
+
 The Gram accumulator keeps only X'X, X'Y, Y'Y and the row count, which is
 all the fitting pipeline needs, so chunks of any size (from any number of
 machines) can be summed and merged in any grouping.
@@ -9,18 +20,24 @@ machines) can be summed and merged in any grouping.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, SparseProjError
+from .errors import DimensionMismatch, NonFiniteInput, SparseProjError
 from .types import (CredibleRegion, Dataset, FitConfig, NormSelector, PosteriorDraw,
                     PriorConfig, SparseDraw, validate_dataset)
 
 
 class CsvFormatError(SparseProjError):
     """Malformed CSV input: ragged row, non-numeric cell, or bad header."""
+
+
+# Data lines handed to the parser at a time: big enough that the per-call
+# overhead vanishes, small enough that the block's line strings stay a few MB.
+_BLOCK_LINES = 1024
 
 
 @dataclass(frozen=True)
@@ -85,8 +102,10 @@ def read_csv(path: str, response: str,
     """Read a UTF-8 CSV with a header row into (X, Y, predictor_names).
 
     The named response column becomes Y; every other column is a predictor,
-    in header order.  No intercept column is added.  Ragged rows and
-    non-numeric cells are rejected with the offending row number.
+    in header order.  No intercept column is added.  Header names must be
+    distinct after stripping whitespace.  Data lines are parsed in blocks of
+    _BLOCK_LINES by numpy's C parser; blank lines are skipped.  A ragged row,
+    a non-numeric cell or a NaN/infinite value is rejected with its file line.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -95,24 +114,13 @@ def read_csv(path: str, response: str,
         except StopIteration:
             raise CsvFormatError(f"{path}: empty file, header row required") from None
         header = [h.strip() for h in header]
+        dupes = sorted({h for h in header if header.count(h) > 1})
+        if dupes:
+            raise CsvFormatError(f"{path}: duplicate column names {dupes} in header")
         if response not in header:
             raise CsvFormatError(f"{path}: response column {response!r} not in header {header}")
-        y_col = header.index(response)
-        width = len(header)
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != width:
-                raise CsvFormatError(f"{path}, row {lineno}: expected {width} cells, got {len(row)}")
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                bad = next(c for c in row if not _is_number(c))
-                raise CsvFormatError(f"{path}, row {lineno}: non-numeric cell {bad!r}") from None
-    if not rows:
-        raise CsvFormatError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
+        data = _read_rows(fh, path, header, first_line=reader.line_num + 1)
+    y_col = header.index(response)
     Y = data[:, y_col]
     X = np.delete(data, y_col, axis=1)
     names = [h for i, h in enumerate(header) if i != y_col]
@@ -126,12 +134,69 @@ def read_csv(path: str, response: str,
     return X, Y, names
 
 
-def _is_number(cell: str) -> bool:
+def _is_blank(line: str) -> bool:
+    return not line.rstrip("\r\n")
+
+
+def _loadtxt(lines: list[str], **kwargs) -> np.ndarray:
+    return np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2, **kwargs)
+
+
+def _read_rows(fh, path: str, header: list[str], first_line: int) -> np.ndarray:
+    """Parse the lines left in fh block by block into one (rows, width) array.
+
+    first_line is the file line number of the next line in fh; errors name
+    file lines, counting the blank ones.
+    """
+    blocks = []
+    lineno = first_line
+    while lines := list(itertools.islice(fh, _BLOCK_LINES)):
+        # an all-blank block would make the parser warn about missing data
+        if not all(map(_is_blank, lines)):
+            blocks.append(_parse_block(lines, path, header, lineno))
+        lineno += len(lines)
+    if not blocks:
+        raise CsvFormatError(f"{path}: no data rows")
+    return np.concatenate(blocks)
+
+
+def _parse_block(lines: list[str], path: str, header: list[str], lineno: int) -> np.ndarray:
+    """Parse one block whose first line is file line lineno; checks the width
+    against the header and that every value is finite."""
     try:
-        float(cell)
-        return True
+        block = _loadtxt(lines, dtype=float)
     except ValueError:
-        return False
+        block = None
+    # the parser takes its width from the block's first row
+    if block is None or block.shape[1] != len(header):
+        raise _first_bad_line(lines, path, len(header), lineno)
+    finite = np.isfinite(block)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        data_lines = [i for i, line in enumerate(lines) if not _is_blank(line)]
+        i = data_lines[row]
+        cell = str(_loadtxt(lines[i:i + 1], dtype=str)[0, col])
+        raise NonFiniteInput(f"{path}, row {lineno + i}: non-finite cell {cell!r} "
+                             f"in column {header[col]!r}")
+    return block
+
+
+def _first_bad_line(lines: list[str], path: str, width: int, lineno: int) -> CsvFormatError:
+    """Re-parse a rejected block one line at a time with the same parser and
+    describe the first line it rejects."""
+    for i, line in enumerate(lines):
+        if _is_blank(line):
+            continue
+        cells = _loadtxt([line], dtype=str)[0].tolist()
+        if len(cells) != width:
+            return CsvFormatError(f"{path}, row {lineno + i}: expected {width} cells, got {len(cells)}")
+        for col, cell in enumerate(cells):
+            try:
+                _loadtxt([line], dtype=float, usecols=col)
+            except ValueError:
+                return CsvFormatError(f"{path}, row {lineno + i}: non-numeric cell {cell!r}")
+    return CsvFormatError(f"{path}, rows {lineno}-{lineno + len(lines) - 1}: "
+                          "rejected by the CSV parser")
 
 
 def dataset_from_csv(path: str, response: str, standardize: bool = False,

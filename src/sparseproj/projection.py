@@ -272,6 +272,34 @@ def default_lambda_grid(dataset: Dataset, num: int = 100) -> np.ndarray:
     return np.geomspace(lam_max, lam_max * 1e-3, num=num)
 
 
+def _fold_statistics(dataset: Dataset, folds: int,
+                     seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Held-out cross products of the seeded CV folds.
+
+    The rows are split by a seeded permutation into `folds` near-equal
+    folds.  Returns (G, c, sizes, yy): G[k] = X_k'X_k and c[k] = X_k'Y_k over
+    the rows of fold k, sizes[k] its row count, and yy the sum of Y_k'Y_k
+    over all folds.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x5CF0)))
+    chunks = np.array_split(rng.permutation(dataset.n), folds)
+    G = np.empty((folds, dataset.p, dataset.p))
+    c = np.empty((folds, dataset.p))
+    yy = 0.0
+    for k, test_idx in enumerate(chunks):
+        Xt, Yt = dataset.X[test_idx], dataset.Y[test_idx]
+        G[k] = Xt.T @ Xt
+        c[k] = Xt.T @ Yt
+        yy += float(Yt @ Yt)
+    return G, c, np.array([idx.size for idx in chunks]), yy
+
+
+def _held_out_error(U: np.ndarray, G: np.ndarray, c: np.ndarray, yy: float) -> float:
+    """Pooled held-out squared error sum_k ||Y_k - X_k U_k||^2 of the fold
+    solutions U (K, p), from the fold statistics alone in O(K p^2)."""
+    return yy + float(np.einsum("kp,kp->", U, np.einsum("kpq,kq->kp", G, U) - 2.0 * c))
+
+
 def cross_validate_lambda(dataset: Dataset, grid: np.ndarray | None = None,
                           folds: int = 10, seed: int = 0,
                           settings: SolverSettings = SolverSettings()) -> float:
@@ -280,6 +308,13 @@ def cross_validate_lambda(dataset: Dataset, grid: np.ndarray | None = None,
     Folds come from a seeded permutation of the rows.  The error for a grid
     value pools squared residuals on held-out rows over all folds; ties are
     broken toward the larger penalty.  Raises InsufficientData if n < folds.
+
+    Each fold is fitted on the Gram statistics of the other folds, and its
+    held-out error comes from the identity
+
+        ||Y_k - X_k u||^2 = Y_k'Y_k - 2 u'X_k'Y_k + u'X_k'X_k u,
+
+    so scoring a grid value costs O(K p^2) rather than a pass over the rows.
     """
     if folds < 2:
         raise ValueError("folds must be at least 2")
@@ -295,29 +330,16 @@ def cross_validate_lambda(dataset: Dataset, grid: np.ndarray | None = None,
     order = np.argsort(-grid)  # solve large to small so warm starts carry over
     lam_desc = grid[order]
 
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x5CF0)))
-    perm = rng.permutation(dataset.n)
-    chunks = np.array_split(perm, folds)
-    X, Y, n = dataset.X, dataset.Y, dataset.n
-    xtx_full = dataset.gram * n
-    xty_full = dataset.xty * n
-
-    Qs, Bs, tests = [], [], []
-    for test_idx in chunks:
-        Xt, Yt = X[test_idx], Y[test_idx]
-        n_tr = n - len(test_idx)
-        Qs.append((xtx_full - Xt.T @ Xt) / n_tr)
-        Bs.append((xty_full - Xt.T @ Yt) / n_tr)
-        tests.append((Xt, Yt))
-    Qs = np.stack(Qs)
-    Bs = np.stack(Bs)
+    G, c, sizes, yy = _fold_statistics(dataset, folds, seed)
+    n_tr = dataset.n - sizes
+    Qs = (dataset.gram * dataset.n - G) / n_tr[:, None, None]
+    Bs = (dataset.xty * dataset.n - c) / n_tr[:, None]
 
     errs = np.zeros(lam_desc.size)
     U = np.zeros((folds, dataset.p))
     for g, lam in enumerate(lam_desc):
         U = _cd_multi(Qs, Bs, float(lam), U, settings.tol, settings.max_sweeps)
-        errs[g] = sum(float(np.sum((Yt - Xt @ U[k]) ** 2))
-                      for k, (Xt, Yt) in enumerate(tests))
+        errs[g] = _held_out_error(U, G, c, yy)
     best = errs.min()
     winners = lam_desc[errs <= best]
     return float(winners.max())

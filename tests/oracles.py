@@ -7,7 +7,8 @@ ones.  Nothing here goes through the package's coordinate descent: the three
 routes are exhaustive grid search (p = 2), exact sign-pattern enumeration
 (any small p), and proximal gradient with momentum.  They exist so solver
 tests compare against arithmetic that cannot share a bug with the code under
-test.
+test.  cv_errors_reference scores cross-validation fold solutions from the
+held-out rows themselves.
 """
 
 import itertools
@@ -120,3 +121,9 @@ def random_spd(rng, p, cond_cap=50.0):
     Q = A @ A.T / p
     floor = float(np.linalg.eigvalsh(Q).max()) / cond_cap
     return Q + floor * np.eye(p)
+
+
+def cv_errors_reference(X, Y, chunks, U):
+    """Pooled held-out squared error sum_k ||Y_k - X_k U_k||^2 computed from
+    the rows: chunks[k] indexes the rows of fold k and U[k] is its solution."""
+    return sum(float(np.sum((Y[idx] - X[idx] @ U[k]) ** 2)) for k, idx in enumerate(chunks))

@@ -8,12 +8,16 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hyp_settings, strategies as st
 
 import sparseproj
+from sparseproj import dataio
 from sparseproj.calibration import CalibrationQuery, solve_gamma
 from sparseproj.cli import main
 from sparseproj.dataio import (
@@ -26,7 +30,7 @@ from sparseproj.dataio import (
     read_csv,
     to_jsonable,
 )
-from sparseproj.errors import DimensionMismatch
+from sparseproj.errors import DimensionMismatch, NonFiniteInput
 from sparseproj.posterior import factorize
 from sparseproj.projection import cross_validate_lambda
 from sparseproj.types import (
@@ -172,6 +176,83 @@ def test_read_csv_skips_blank_lines(tmp_path):
     path.write_text("a,y\n1,2\n\n3,4\n", encoding="utf-8")
     X, Y, _ = read_csv(str(path), "y")
     assert X.shape == (2, 1)
+
+
+def test_read_csv_rejects_duplicate_header_names(tmp_path):
+    path = tmp_path / "dupes.csv"
+    path.write_text("y,a, y,b,a\n1,2,3,4,5\n", encoding="utf-8")
+    with pytest.raises(CsvFormatError, match=r"duplicate column names \['a', 'y'\]"):
+        read_csv(str(path), "y")
+
+
+def test_read_csv_names_non_finite_cell(tmp_path, capsys):
+    path = tmp_path / "inf.csv"
+    path.write_text("a,b,y\n1,2,3\n\n4,1e400,6\n7,nan,9\n", encoding="utf-8")
+    with pytest.raises(NonFiniteInput, match=r"row 4: non-finite cell '1e400' in column 'b'"):
+        read_csv(str(path), "y")
+    assert main(["fit", "--data", str(path), "--response", "y", "--level", "0.9",
+                 "--lambda", "1"]) == 1
+    assert "row 4: non-finite cell '1e400'" in capsys.readouterr().err
+
+
+def _rows_past_first_block(bad_line):
+    """A file whose first parser block is clean: header, then blank lines
+    that straddle the block boundary, then data with bad_line last."""
+    block = dataio._BLOCK_LINES
+    lines = ["a,b,y"] + [f"{i},{i}.5,-{i}" for i in range(block - 2)]
+    lines += ["", "", "", "1,2,3", bad_line]
+    return "\n".join(lines) + "\n", len(lines)
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("1,2", "expected 3 cells, got 2"),
+    ("1,2,3,4", "expected 3 cells, got 4"),
+    ("1,x2,3", "non-numeric cell 'x2'"),
+    ("1,2,1_000", "non-numeric cell '1_000'"),
+    ("   ", "expected 3 cells, got 1"),
+])
+def test_read_csv_error_names_file_line_after_first_block(tmp_path, bad_line, message):
+    text, bad_lineno = _rows_past_first_block(bad_line)
+    assert bad_lineno > dataio._BLOCK_LINES + 2
+    path = tmp_path / "late.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(CsvFormatError, match=f"row {bad_lineno}: {message}"):
+        read_csv(str(path), "y")
+
+
+def test_read_csv_accepted_cell_syntax(tmp_path):
+    path = tmp_path / "syntax.csv"
+    path.write_bytes(b'a, y\r\n"1.5", 2 \r\n\r\n\t-3e-1,"+4."\r\n')
+    X, Y, names = read_csv(str(path), "y")
+    assert names == ["a"]
+    np.testing.assert_array_equal(X, [[1.5], [-0.3]])
+    np.testing.assert_array_equal(Y, [2.0, 4.0])
+    blank = tmp_path / "blank.csv"
+    blank.write_text("a,y\n\n\r\n\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the parser never sees an all-blank block
+        with pytest.raises(CsvFormatError, match="no data rows"):
+            read_csv(str(blank), "y")
+
+
+@hyp_settings(max_examples=60, deadline=None)
+@given(block=st.integers(1, 5),
+       data=st.integers(1, 12).flatmap(lambda n: st.lists(
+           st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+           min_size=n, max_size=n)),
+       blanks=st.lists(st.integers(0, 12), max_size=4))
+def test_read_csv_matches_float_per_cell(tmp_path_factory, block, data, blanks):
+    lines = [",".join(repr(v) for v in row) for row in data]
+    for at in sorted(blanks, reverse=True):
+        lines.insert(min(at, len(lines)), "")
+    text = "a,y,b\n" + "\n".join(lines) + "\n"
+    path = tmp_path_factory.mktemp("prop") / "p.csv"
+    path.write_text(text, encoding="utf-8")
+    ref = np.array([[float(c) for c in line.split(",")] for line in lines if line])
+    with mock.patch.object(dataio, "_BLOCK_LINES", block):
+        X, Y, _ = read_csv(str(path), "y")
+    np.testing.assert_array_equal(X.view(np.uint64), ref[:, [0, 2]].view(np.uint64))
+    np.testing.assert_array_equal(Y.view(np.uint64), ref[:, 1].view(np.uint64))
 
 
 def test_read_csv_standardize(tmp_path):

@@ -9,10 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from oracles import enumerate_min, grid_min_2d, objective, prox_gradient_min, random_spd
+from oracles import (cv_errors_reference, enumerate_min, grid_min_2d, objective,
+                     prox_gradient_min, random_spd)
 from sparseproj.errors import DegenerateDiagonal, InsufficientData, NoConvergence
 from sparseproj.projection import (
     QuadL1Problem,
+    _cd_multi,
+    _fold_statistics,
+    _held_out_error,
     SolverSettings,
     cross_validate_lambda,
     default_lambda_grid,
@@ -393,6 +397,73 @@ def test_cv_tie_breaks_to_larger_lambda():
     ds = validate_dataset(X, rng.standard_normal(30))
     lam = cross_validate_lambda(ds, grid=np.array([0.2, 0.2]), folds=5)
     assert lam == 0.2
+
+
+def reference_folds(n, folds, seed):
+    # the fold assignment cross-validation has always used
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5CF0)))
+    return np.array_split(rng.permutation(n), folds)
+
+
+def cv_dataset(case, seed):
+    # 40 x 4; "duplicate_rows" holds every row twice
+    rng = np.random.default_rng(seed)
+    if case == "duplicate_rows":
+        X = np.tile(rng.standard_normal((20, 4)), (2, 1))
+    else:
+        X = rng.standard_normal((40, 4))
+    Y = X @ np.array([1.5, 0.0, -0.7, 0.0])
+    if case in ("noisy", "duplicate_rows"):
+        Y = Y + 0.8 * rng.standard_normal(40)
+    if case == "zero_response":
+        Y = np.zeros(40)
+    return validate_dataset(X, Y)
+
+
+CV_CASES = [(case, s) for case in ("noisy", "duplicate_rows", "exact_fit") for s in range(6)] \
+    + [("zero_response", 0), ("noisy", 100)]
+
+
+@pytest.mark.parametrize("case, seed", CV_CASES[::3])
+def test_cv_gram_errors_match_direct_residuals(case, seed):
+    ds = cv_dataset(case, seed)
+    folds = 5 + seed % 6
+    G, c, sizes, yy = _fold_statistics(ds, folds, seed)
+    chunks = reference_folds(ds.n, folds, seed)
+    assert sizes.tolist() == [idx.size for idx in chunks]
+    total = float(ds.Y @ ds.Y)
+    assert yy == pytest.approx(total, rel=1e-12, abs=0.0)
+    rng = np.random.default_rng(seed)
+    Qs = (ds.gram * ds.n - G) / (ds.n - sizes)[:, None, None]
+    Bs = (ds.xty * ds.n - c) / (ds.n - sizes)[:, None]
+    lam = 0.1 * float(np.abs(Bs).max()) + 1e-3  # leaves some coordinates active
+    fitted = _cd_multi(Qs, Bs, lam, np.zeros((folds, ds.p)), 1e-10, 10_000)
+    for U in (fitted, rng.standard_normal((folds, ds.p)), np.zeros((folds, ds.p))):
+        direct = cv_errors_reference(ds.X, ds.Y, chunks, U)
+        # rounding scales with the larger of the cancelling terms
+        assert abs(_held_out_error(U, G, c, yy) - direct) <= 1e-10 * max(total, direct)
+
+
+@pytest.mark.parametrize("case, seed", CV_CASES)
+def test_cv_choice_matches_direct_residual_reference(case, seed):
+    # reference: exact fold solutions by sign enumeration on Grams built from
+    # the training rows, scored on the held-out rows
+    ds = cv_dataset(case, seed)
+    folds = 5 + seed % 6
+    grid = default_lambda_grid(ds, num=15)
+    chunks = reference_folds(ds.n, folds, seed)
+    errs = []
+    for lam in grid:
+        U = np.empty((folds, ds.p))
+        for k, idx in enumerate(chunks):
+            train = np.setdiff1d(np.arange(ds.n), idx)
+            Xtr, Ytr = ds.X[train], ds.Y[train]
+            U[k], _ = enumerate_min(Xtr.T @ Xtr / train.size, Xtr.T @ Ytr / train.size,
+                                    float(lam), np.zeros(ds.p))
+        errs.append(cv_errors_reference(ds.X, ds.Y, chunks, U))
+    errs = np.array(errs)
+    expected = grid[errs <= errs.min()].max()
+    assert cross_validate_lambda(ds, grid=grid, folds=folds, seed=seed) == expected
 
 
 def test_default_grid_shape():
