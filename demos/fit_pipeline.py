@@ -19,7 +19,7 @@ from sparseproj.calibration import CalibrationQuery, solve_gamma
 from sparseproj.dataio import dataset_from_csv
 from sparseproj.posterior import factorize, sample_posterior_arrays
 from sparseproj.projection import fit_lasso, project_draws
-from sparseproj.regions import ProjectedSample, component_interval, model_probabilities
+from sparseproj.regions import ProjectedSample, component_intervals, model_probabilities
 from sparseproj.types import PriorConfig
 
 # 1. simulate: three real effects, two pure noise columns
@@ -29,15 +29,16 @@ theta_true = np.array([1.2, -0.8, 0.5, 0.0, 0.0])
 X = rng.standard_normal((n, p))
 Y = X @ theta_true + rng.standard_normal(n)
 
-csv_path = Path(tempfile.mkdtemp()) / "demo.csv"
-with open(csv_path, "w") as f:
-    f.write(",".join(f"x{j}" for j in range(p)) + ",y\n")
-    for i in range(n):
-        f.write(",".join(repr(float(v)) for v in X[i]) + f",{float(Y[i])!r}\n")
+with tempfile.TemporaryDirectory() as tmp:
+    csv_path = Path(tmp) / "demo.csv"
+    with open(csv_path, "w") as f:
+        f.write(",".join(f"x{j}" for j in range(p)) + ",y\n")
+        for i in range(n):
+            f.write(",".join(repr(float(v)) for v in X[i]) + f",{float(Y[i])!r}\n")
 
-# 2. load the CSV: numpy's C parser reads it in blocks of rows, and the Gram
-#    accumulator's sums over row chunks are checked against the dataset's Gram
-ds, names = dataset_from_csv(csv_path, response="y")
+    # 2. load the CSV: numpy's C parser reads it in blocks of rows, and the Gram
+    #    accumulator's sums over row chunks are checked against the dataset's Gram
+    ds, names = dataset_from_csv(csv_path, response="y")
 print(f"loaded {ds.n} rows, predictors {names}")
 
 # 3. conjugate posterior for the dense coefficients
@@ -64,11 +65,11 @@ print(f"lambda0 = {lam0:.3f}, sigma_hat = {sigma_hat:.3f}")
 
 # 6. componentwise credible intervals around the LASSO center
 sample = ProjectedSample(draws=U, center=center, n=ds.n, level=levels[0])
+lo, hi, _ = component_intervals(sample, levels)
 print("\n component   truth   estimate   level    interval")
 for j in range(p):
-    lo, hi = component_interval(sample, j, level=levels[j])
     print(f"  {names[j]:<8} {theta_true[j]:>6.2f} {center[j]:>9.3f}   {levels[j]:.4f}  "
-          f"[{lo:>7.3f}, {hi:>7.3f}]")
+          f"[{lo[j]:>7.3f}, {hi[j]:>7.3f}]")
 
 # 7. which supports does the projected posterior visit?
 probs = model_probabilities(sample)
@@ -77,6 +78,6 @@ for support, prob in sorted(probs.items(), key=lambda kv: -kv[1])[:5]:
     label = "{" + ", ".join(names[j] for j in sorted(support)) + "}"
     print(f"  {label:<24} {prob:.3f}")
 
-print("\nCLI one-liner for the same analysis:")
-print(f"  sparseproj fit --data {csv_path} --response y "
+print("\nCLI one-liner for the same analysis of a CSV written as in step 1:")
+print(f"  sparseproj fit --data demo.csv --response y "
       f"--lambda {lam} --target 0.95 --draws 4000")

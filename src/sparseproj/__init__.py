@@ -26,7 +26,7 @@ from .projection import (QuadL1Problem, SolverSettings, cross_validate_lambda,
                          objective_value, project, project_draws,
                          solve_quad_l1)
 from .regions import (ProjectedSample, build_region, component_interval,
-                      minkowski_norm, model_probabilities, radius_quantile,
+                      component_intervals, minkowski_norm, model_probabilities, radius_quantile,
                       rectangle_levels)
 from .simulate import (CoverageReport, ReplicationRecord, Scenario, aggregate,
                        generate_data, report_to_csv, run_replication,
@@ -53,8 +53,8 @@ __all__ = [
     "QuadL1Problem", "SolverSettings", "cross_validate_lambda",
     "default_lambda_grid", "fit_lasso", "kkt_check", "objective_value",
     "project", "project_draws", "solve_quad_l1",
-    "ProjectedSample", "build_region", "component_interval", "minkowski_norm",
-    "model_probabilities", "radius_quantile", "rectangle_levels",
+    "ProjectedSample", "build_region", "component_interval",
+    "component_intervals", "minkowski_norm", "model_probabilities", "radius_quantile", "rectangle_levels",
     "CoverageReport", "ReplicationRecord", "Scenario", "aggregate",
     "generate_data", "report_to_csv", "run_replication", "run_scenario",
     "signal_vector", "sparsity_sweep", "sweep_to_csv",

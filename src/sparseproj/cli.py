@@ -26,7 +26,7 @@ from .errors import SparseProjError
 from .limits import LimitSpec, limitcheck_rows
 from .posterior import factorize, sample_posterior_arrays
 from .projection import cross_validate_lambda, fit_lasso, project_draws
-from .regions import ProjectedSample, component_interval, model_probabilities
+from .regions import ProjectedSample, component_intervals, model_probabilities
 from .simulate import (Scenario, report_to_csv, run_scenario, signal_vector,
                        sparsity_sweep, sweep_to_csv)
 from .types import PriorConfig, validate_dataset
@@ -105,14 +105,9 @@ def cmd_fit(args) -> int:
     U, kkt = project_draws(ds, thetas, lam, warm=center)
     sample = ProjectedSample(draws=U, center=center, n=ds.n, level=levels[0])
 
-    import warnings
-    intervals = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        for j in range(ds.p):
-            lo, hi = component_interval(sample, j, level=levels[j])
-            intervals.append({"name": names[j], "level": levels[j],
-                              "estimate": float(center[j]), "lo": lo, "hi": hi})
+    lo, hi, _ = component_intervals(sample, levels)
+    intervals = [{"name": names[j], "level": levels[j], "estimate": float(center[j]),
+                  "lo": float(lo[j]), "hi": float(hi[j])} for j in range(ds.p)]
 
     probs = model_probabilities(sample)
     model_probs = {",".join(str(j) for j in sorted(s)): f for s, f in

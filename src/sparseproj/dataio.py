@@ -142,6 +142,12 @@ def _loadtxt(lines: list[str], **kwargs) -> np.ndarray:
     return np.loadtxt(lines, delimiter=",", comments=None, quotechar='"', ndmin=2, **kwargs)
 
 
+def _cells(line: str) -> list[str]:
+    """The cells of one line as the parser splits them, as Python strings:
+    numpy's fixed-width str dtype would drop trailing NUL characters."""
+    return _loadtxt([line], dtype=object)[0].tolist()
+
+
 def _read_rows(fh, path: str, header: list[str], first_line: int) -> np.ndarray:
     """Parse the lines left in fh block by block into one (rows, width) array.
 
@@ -175,7 +181,7 @@ def _parse_block(lines: list[str], path: str, header: list[str], lineno: int) ->
         row, col = np.argwhere(~finite)[0]
         data_lines = [i for i, line in enumerate(lines) if not _is_blank(line)]
         i = data_lines[row]
-        cell = str(_loadtxt(lines[i:i + 1], dtype=str)[0, col])
+        cell = _cells(lines[i])[col]
         raise NonFiniteInput(f"{path}, row {lineno + i}: non-finite cell {cell!r} "
                              f"in column {header[col]!r}")
     return block
@@ -187,7 +193,7 @@ def _first_bad_line(lines: list[str], path: str, width: int, lineno: int) -> Csv
     for i, line in enumerate(lines):
         if _is_blank(line):
             continue
-        cells = _loadtxt([line], dtype=str)[0].tolist()
+        cells = _cells(line)
         if len(cells) != width:
             return CsvFormatError(f"{path}, row {lineno + i}: expected {width} cells, got {len(cells)}")
         for col, cell in enumerate(cells):

@@ -14,10 +14,15 @@ halved, accordingly before it is passed in here.
 Convergence is certified by the KKT residual (max subgradient violation),
 not by parameter change.  The descent solvers are vectorized across batches
 of right-hand sides sharing one Q, which is how posterior draws are projected.
+
+The certificate is one branch-free formula for every coordinate kind (see
+_kkt_rows), evaluated after each sweep in place, in work buffers the solver
+allocates once per call, so a sweep allocates no array of the batch's size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,21 +100,39 @@ def _soft(x: np.ndarray, t: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
+def _kkt_rows(G: np.ndarray, U: np.ndarray, lam: float, signs: np.ndarray,
+              S: np.ndarray) -> np.ndarray:
+    """Max KKT violation per row of U, given G = UQ - B.
+
+    With g = 2G and s = sign(u) on unsigned coordinates, s_j on signed ones,
+    every coordinate's violation is max(|g + lam*s| - lam*(1 - |s|), 0):
+    |g + lam*sign(u)| for an unsigned nonzero u, max(|g| - lam, 0) for an
+    unsigned zero (either sign of zero), and |g + lam*s_j| for a signed
+    coordinate.  A row holding a NaN gives NaN.  G and S, shaped like U, are
+    overwritten; only the per-row result is allocated.
+    """
+    if not math.isfinite(lam):
+        # the formula multiplies lam by s = 0, which is NaN for lam = inf
+        raise ValueError(f"penalty must be finite, got {lam}")
+    G *= 2.0
+    np.sign(U, out=S)
+    np.copyto(S, signs, where=signs != 0)
+    S *= lam
+    G += S
+    np.abs(G, out=G)
+    np.abs(S, out=S)
+    np.subtract(lam, S, out=S)  # lam*(1 - |s|), exactly, as |s| is 0 or 1
+    G -= S
+    np.maximum(G, 0.0, out=G)
+    return G.max(axis=1)
+
+
 def _kkt_batch(Q: np.ndarray, B: np.ndarray, lam: float, signs: np.ndarray,
                U: np.ndarray) -> np.ndarray:
     """Max KKT violation per row of U against the shared (Q, lam, signs)."""
-    G = 2.0 * (U @ Q - B)
-    viol = np.empty_like(U)
-    unsigned = signs == 0
-    if unsigned.any():
-        Gu, Uu = G[:, unsigned], U[:, unsigned]
-        active = np.abs(Gu + lam * np.sign(Uu))
-        inactive = np.maximum(np.abs(Gu) - lam, 0.0)
-        viol[:, unsigned] = np.where(Uu != 0.0, active, inactive)
-    if not unsigned.all():
-        sgn = ~unsigned
-        viol[:, sgn] = np.abs(G[:, sgn] + lam * signs[sgn])
-    return viol.max(axis=1)
+    G = np.matmul(U, Q)
+    G -= B
+    return _kkt_rows(G, U, lam, signs, np.empty_like(G))
 
 
 def _worst_rows(kkt: np.ndarray, tol: float, label: str, limit: int = 5) -> str:
@@ -134,6 +157,8 @@ def _cd_shared(Q: np.ndarray, B: np.ndarray, lam: float, signs: np.ndarray,
         raise DegenerateDiagonal("Q has a nonpositive diagonal entry")
     p = Q.shape[0]
     U = np.array(U0, dtype=float, copy=True)
+    G = np.empty_like(U)  # certificate buffers, reused by every sweep
+    S = np.empty_like(U)
     half = 0.5 * lam
     for _ in range(max_sweeps):
         for j in range(p):
@@ -142,7 +167,9 @@ def _cd_shared(Q: np.ndarray, B: np.ndarray, lam: float, signs: np.ndarray,
                 U[:, j] = _soft(r, half) / diag[j]
             else:
                 U[:, j] = (r - half * signs[j]) / diag[j]
-        kkt = _kkt_batch(Q, B, lam, signs, U)
+        np.matmul(U, Q, out=G)
+        G -= B
+        kkt = _kkt_rows(G, U, lam, signs, S)
         if kkt.max() <= tol:
             return U, kkt
     raise NoConvergence(
@@ -163,15 +190,14 @@ def _cd_multi(Qs: np.ndarray, Bs: np.ndarray, lam: float, U0: np.ndarray,
         raise DegenerateDiagonal("a fold Gram matrix has a nonpositive diagonal entry")
     K, p = Bs.shape
     U = np.array(U0, dtype=float, copy=True)
+    S = np.empty_like(U)
+    signs = np.zeros(p)  # every coordinate is unsigned
     half = 0.5 * lam
     for _ in range(max_sweeps):
         for j in range(p):
             r = Bs[:, j] - np.einsum("kp,kp->k", U, Qs[:, :, j]) + U[:, j] * diag[:, j]
             U[:, j] = _soft(r, half) / diag[:, j]
-        G = 2.0 * (np.einsum("kp,kpq->kq", U, Qs) - Bs)
-        active = np.abs(G + lam * np.sign(U))
-        inactive = np.maximum(np.abs(G) - lam, 0.0)
-        kkt = np.where(U != 0.0, active, inactive).max(axis=1)
+        kkt = _kkt_rows(np.einsum("kp,kpq->kq", U, Qs) - Bs, U, lam, signs, S)
         if kkt.max() <= tol:
             return U
     raise NoConvergence(f"CV path: residual {kkt.max():.3e} > tol {tol:.1e}; "

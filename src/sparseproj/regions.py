@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +93,14 @@ def _distances(sample: ProjectedSample, selector: NormSelector) -> np.ndarray:
     return minkowski_norms(math.sqrt(sample.n) * (sample.draws - sample.center), selector)
 
 
+def _rank(R: int, level: float) -> int:
+    """1-based rank of the order statistic at level among R distances."""
+    if not 0.0 < level <= 1.0:
+        raise ValueError("level must lie in (0, 1]")
+    rank = int(math.ceil(R * level - 1e-9))  # guard fp dust in R*level
+    return min(max(rank, 1), R)
+
+
 def radius_quantile(sample: ProjectedSample, selector: NormSelector,
                     level: float | None = None) -> float:
     """Smallest observed distance with empirical mass at or above level.
@@ -102,13 +111,8 @@ def radius_quantile(sample: ProjectedSample, selector: NormSelector,
     level-fraction of draws sit exactly at the center).
     """
     level = sample.level if level is None else level
-    if not 0.0 < level <= 1.0:
-        raise ValueError("level must lie in (0, 1]")
-    d = np.sort(_distances(sample, selector))
-    R = d.shape[0]
-    rank = int(math.ceil(R * level - 1e-9))  # guard fp dust in R*level
-    rank = min(max(rank, 1), R)
-    r = float(d[rank - 1])
+    rank = _rank(sample.count, level)
+    r = float(np.sort(_distances(sample, selector))[rank - 1])
     if r == 0.0:
         warnings.warn("credible radius degenerated to 0: at least a level-"
                       "fraction of draws coincide with the center", UserWarning,
@@ -125,6 +129,24 @@ def component_interval(sample: ProjectedSample, j: int,
     half = r / math.sqrt(sample.n)
     c = float(sample.center[j])
     return (c - half, c + half)
+
+
+def component_intervals(sample: ProjectedSample, levels: Sequence[float] | np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Credible intervals for all p coordinates in one pass.
+
+    levels[j] is coordinate j's level.  Returns (lo, hi, degenerate): the
+    same bounds as component_interval(sample, j, levels[j]) for every j, and
+    a mask of the coordinates whose radius is 0, in place of its warning.
+    The distances are formed and sorted once for all coordinates.
+    """
+    if len(levels) != sample.p:
+        raise ValueError(f"got {len(levels)} levels for p = {sample.p}")
+    ranks = np.array([_rank(sample.count, float(lv)) for lv in levels])
+    d = np.sort(np.abs(math.sqrt(sample.n) * (sample.draws - sample.center)), axis=0)
+    r = d[ranks - 1, np.arange(sample.p)]
+    half = r / math.sqrt(sample.n)
+    return sample.center - half, sample.center + half, r == 0.0
 
 
 def rectangle_levels(k: int, joint_level: float) -> float:

@@ -14,7 +14,6 @@ from __future__ import annotations
 import io
 import math
 import time
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -23,7 +22,7 @@ from .calibration import CalibrationQuery, solve_gamma
 from .errors import SparseProjError
 from .posterior import factorize, sample_posterior_arrays
 from .projection import cross_validate_lambda, fit_lasso, project_draws
-from .regions import ProjectedSample, component_interval
+from .regions import ProjectedSample, component_intervals
 from .types import Dataset, PriorConfig, validate_dataset
 
 DEFAULT_SIGNALS = (-2.0, -1.5, 0.5, 1.0, 2.0)
@@ -187,22 +186,14 @@ def _run_replication(scenario: Scenario, rep_index: int) -> ReplicationRecord:
     sample = ProjectedSample(draws=U, center=center, n=ds.n,
                              level=scenario.target_coverage)
 
-    covered = np.empty(ds.p)
-    lengths = np.empty(ds.p)
-    degenerate = np.zeros(ds.p)
-    with warnings.catch_warnings():
-        # degenerate radii are expected under heavy shrinkage; recorded, not printed
-        warnings.simplefilter("ignore", UserWarning)
-        for j in range(ds.p):
-            lo, hi = component_interval(sample, j, level=float(levels[j]))
-            covered[j] = 1.0 if lo <= scenario.theta0[j] <= hi else 0.0
-            lengths[j] = hi - lo
-            degenerate[j] = 1.0 if hi == lo else 0.0
+    # degenerate radii are expected under heavy shrinkage; recorded, not printed
+    lo, hi, degenerate = component_intervals(sample, levels)
+    covered = ((lo <= scenario.theta0) & (scenario.theta0 <= hi)).astype(float)
     selected = (U != 0.0).mean(axis=0)
     return ReplicationRecord(rep_index=rep_index, lambda_n=lam, lambda0=lam0,
                              sigma_hat=sigma_hat, levels=levels, covered=covered,
-                             lengths=lengths, selected=selected,
-                             degenerate=degenerate, max_kkt=float(kkt.max()))
+                             lengths=hi - lo, selected=selected,
+                             degenerate=degenerate.astype(float), max_kkt=float(kkt.max()))
 
 
 def aggregate(records: list[ReplicationRecord]) -> CoverageReport:

@@ -8,7 +8,8 @@ routes are exhaustive grid search (p = 2), exact sign-pattern enumeration
 (any small p), and proximal gradient with momentum.  They exist so solver
 tests compare against arithmetic that cannot share a bug with the code under
 test.  cv_errors_reference scores cross-validation fold solutions from the
-held-out rows themselves.
+held-out rows themselves, and kkt_batch_reference is the branch-per-case KKT
+certificate that the package's fused one must match bit for bit.
 """
 
 import itertools
@@ -127,3 +128,21 @@ def cv_errors_reference(X, Y, chunks, U):
     """Pooled held-out squared error sum_k ||Y_k - X_k U_k||^2 computed from
     the rows: chunks[k] indexes the rows of fold k and U[k] is its solution."""
     return sum(float(np.sum((Y[idx] - X[idx] @ U[k]) ** 2)) for k, idx in enumerate(chunks))
+
+
+def kkt_batch_reference(Q, B, lam, signs, U):
+    """Max KKT violation per row of U, branch by branch: an unsigned nonzero
+    coordinate gives |g + lam*sign(u)|, an unsigned zero max(|g| - lam, 0)
+    and a signed one |g + lam*s_j|, with g = 2(UQ - B)."""
+    G = 2.0 * (U @ Q - B)
+    viol = np.empty_like(U)
+    unsigned = signs == 0
+    if unsigned.any():
+        Gu, Uu = G[:, unsigned], U[:, unsigned]
+        active = np.abs(Gu + lam * np.sign(Uu))
+        inactive = np.maximum(np.abs(Gu) - lam, 0.0)
+        viol[:, unsigned] = np.where(Uu != 0.0, active, inactive)
+    if not unsigned.all():
+        sgn = ~unsigned
+        viol[:, sgn] = np.abs(G[:, sgn] + lam * signs[sgn])
+    return viol.max(axis=1)

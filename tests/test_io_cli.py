@@ -195,6 +195,15 @@ def test_read_csv_names_non_finite_cell(tmp_path, capsys):
     assert "row 4: non-finite cell '1e400'" in capsys.readouterr().err
 
 
+def test_read_csv_names_cell_with_trailing_nul(tmp_path):
+    # numpy's str dtype drops trailing NULs; the message shows the cell's text
+    path = tmp_path / "nul.csv"
+    path.write_text("y,a\n1,2\x00\n", encoding="utf-8")
+    with pytest.raises(CsvFormatError) as info:
+        read_csv(str(path), "y")
+    assert "row 2: non-numeric cell '2\\x00'" in str(info.value)
+
+
 def _rows_past_first_block(bad_line):
     """A file whose first parser block is clean: header, then blank lines
     that straddle the block boundary, then data with bad_line last."""

@@ -5,16 +5,21 @@ soft-threshold level is half the penalty per unit Gram diagonal; the frozen
 closed-form values below are computed from that convention.
 """
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from oracles import (cv_errors_reference, enumerate_min, grid_min_2d, objective,
-                     prox_gradient_min, random_spd)
+from oracles import (cv_errors_reference, enumerate_min, grid_min_2d,
+                     kkt_batch_reference, objective, prox_gradient_min, random_spd)
 from sparseproj.errors import DegenerateDiagonal, InsufficientData, NoConvergence
 from sparseproj.projection import (
     QuadL1Problem,
     _cd_multi,
+    _cd_shared,
+    _kkt_batch,
     _fold_statistics,
     _held_out_error,
     SolverSettings,
@@ -336,6 +341,75 @@ def test_solver_kkt_certificate_random(seed, lam):
     assert kkt <= 1e-10
     assert kkt_check(QuadL1Problem(Q=Q, b=b, penalty_scale=float(lam)), u) == \
         pytest.approx(kkt, abs=1e-15)
+
+
+@hyp_settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=6),
+       st.floats(min_value=1e-3, max_value=10.0), st.booleans())
+def test_fused_kkt_certificate_matches_branch_reference(seed, m, p, lam, nan_row):
+    # exact zeros of both signs, signed coordinates, exact-boundary gradients
+    # and a NaN row must give the three-branch certificate's bits
+    rng = np.random.default_rng(seed)
+    Q = random_spd(rng, p)
+    signs = rng.choice([-1.0, 0.0, 0.0, 1.0], size=p)
+    U = rng.standard_normal((m, p))
+    U[rng.random((m, p)) < 0.3] = 0.0
+    U[rng.random((m, p)) < 0.2] = -0.0
+    B = U @ Q + 0.5 * lam * rng.choice([-1.0, 0.0, 1.0], size=(m, p))
+    B[rng.random((m, p)) < 0.5] += rng.standard_normal()
+    if nan_row:
+        (U if rng.random() < 0.5 else B)[rng.integers(m), rng.integers(p)] = np.nan
+    got = _kkt_batch(Q, B, lam, signs, U)
+    want = kkt_batch_reference(Q, B, lam, signs, U)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.isnan(got).any() == nan_row
+
+
+def test_kkt_rejects_infinite_penalty():
+    prob = QuadL1Problem(Q=np.eye(2), b=np.ones(2), penalty_scale=np.inf)
+    with pytest.raises(ValueError, match="penalty must be finite"):
+        solve_quad_l1(prob)
+
+
+def test_cd_shared_one_sweep_names_worst_rows():
+    rng = np.random.default_rng(5)
+    Q = random_spd(rng, 4, cond_cap=200.0)
+    signs = np.array([0.0, 1.0, 0.0, -1.0])
+    B = 2.0 * rng.standard_normal((9, 4))
+    # rows are solved independently, so the finite rows' state after one
+    # sweep comes from the same batch without its NaN row
+    U1, _ = _cd_shared(Q, B, 0.1, signs, np.zeros_like(B), np.inf, 1)
+    want = kkt_batch_reference(Q, B, 0.1, signs, U1)
+    B[4, 2] = np.nan
+    want[4] = np.nan
+    with pytest.raises(NoConvergence) as info:
+        _cd_shared(Q, B, 0.1, signs, np.zeros_like(B), 1e-14, 1)
+    message = str(info.value)
+    bad = np.flatnonzero(~(want <= 1e-14))
+    assert f"after 1 sweeps; {bad.size} of 9 rows above tol, worst: " in message
+    assert 4 in bad  # the NaN row counts as unconverged
+    worst = bad[np.argsort(-want[bad], kind="stable")][:5]
+    named = re.findall(r"row (\d+) \(([^)]*)\)", message)
+    assert named == [(str(i), f"{want[i]:.3e}") for i in worst]
+
+
+def test_cd_shared_sweeps_allocate_no_batch_sized_array():
+    rng = np.random.default_rng(6)
+    m, p = 2000, 20
+    Q = random_spd(rng, p, cond_cap=200.0)
+    B = rng.standard_normal((m, p))
+    U0 = np.zeros((m, p))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _cd_shared(Q, B, 0.05, np.zeros(p), U0, 1e-10, 10_000)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # U and the two certificate buffers, plus a few (m,) vectors; a fresh
+    # (m, p) temporary per sweep would take the peak past 4
+    assert peak < 4.0 * U0.nbytes
 
 
 # --- cross-validation --------------------------------------------------------

@@ -9,6 +9,7 @@ from sparseproj.regions import (
     ProjectedSample,
     build_region,
     component_interval,
+    component_intervals,
     minkowski_norm,
     model_probabilities,
     radius_quantile,
@@ -155,6 +156,35 @@ def test_interval_index_validation():
         component_interval(s, 1)
     with pytest.raises(ValueError):
         component_interval(s, -1)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_component_intervals_equal_per_coordinate_calls(seed):
+    # shrunk draws put exact zeros, ties and whole coordinates at the center;
+    # levels near k/R exercise the rank's guard against fp dust in R*level
+    rng = np.random.default_rng(seed)
+    R, p = int(rng.integers(2, 60)), int(rng.integers(1, 8))
+    center = rng.standard_normal(p) * (rng.random(p) < 0.7)
+    draws = np.where(rng.random((R, p)) < 0.4, center, rng.standard_normal((R, p)))
+    at_center = rng.random(p) < 0.3
+    draws[:, at_center] = center[at_center]
+    levels = rng.choice([0.5, 0.9, 0.95, 1.0, int(rng.integers(1, R + 1)) / R], size=p)
+    s = ProjectedSample(draws=draws, center=center, n=int(rng.integers(1, 500)), level=0.9)
+    lo, hi, degenerate = component_intervals(s, levels.tolist())
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for j in range(p):
+            caught.clear()
+            assert component_interval(s, j, level=levels[j]) == (lo[j], hi[j])
+            assert degenerate[j] == bool(caught)
+
+
+def test_component_intervals_validation():
+    s = sample_from_distances([0.1, 0.2])
+    with pytest.raises(ValueError):
+        component_intervals(s, [0.9, 0.9])
+    with pytest.raises(ValueError):
+        component_intervals(s, [1.1])
 
 
 # --- rectangle_levels --------------------------------------------------------
