@@ -58,8 +58,8 @@ def _parse_lambda(value: str) -> float | str:
         lam = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"--lambda must be 'auto' or a number, got {value!r}")
-    if lam <= 0:
-        raise argparse.ArgumentTypeError("--lambda must be positive")
+    if not (math.isfinite(lam) and lam > 0):
+        raise argparse.ArgumentTypeError(f"--lambda must be a positive finite number, got {value!r}")
     return lam
 
 

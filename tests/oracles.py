@@ -10,11 +10,19 @@ tests compare against arithmetic that cannot share a bug with the code under
 test.  cv_errors_reference scores cross-validation fold solutions from the
 held-out rows themselves, and kkt_batch_reference is the branch-per-case KKT
 certificate that the package's fused one must match bit for bit.
+cd_multi_reference is the plain batched coordinate descent that once solved
+the cross-validation path; the sign-pattern Newton path solver is judged
+against it by objective value and KKT residual.  It borrows only the
+package's soft-threshold and its KKT certificate, which kkt_batch_reference
+pins.
 """
 
 import itertools
 
 import numpy as np
+
+from sparseproj.errors import DegenerateDiagonal, NoConvergence
+from sparseproj.projection import _kkt_rows, _soft, _worst_rows
 
 
 def objective(Q, b, lam, signs, u):
@@ -146,3 +154,29 @@ def kkt_batch_reference(Q, B, lam, signs, U):
         sgn = ~unsigned
         viol[:, sgn] = np.abs(G[:, sgn] + lam * signs[sgn])
     return viol.max(axis=1)
+
+
+def cd_multi_reference(Qs: np.ndarray, Bs: np.ndarray, lam: float, U0: np.ndarray,
+                       tol: float, max_sweeps: int) -> np.ndarray:
+    """Unsigned coordinate descent across problems with distinct Q per row.
+
+    Qs is (K, p, p), Bs and U0 are (K, p); used by the cross-validation path
+    where each fold owns its own Gram matrix.
+    """
+    diag = np.einsum("kjj->kj", Qs).copy()
+    if np.any(diag <= 0.0):
+        raise DegenerateDiagonal("a fold Gram matrix has a nonpositive diagonal entry")
+    K, p = Bs.shape
+    U = np.array(U0, dtype=float, copy=True)
+    S = np.empty_like(U)
+    signs = np.zeros(p)  # every coordinate is unsigned
+    half = 0.5 * lam
+    for _ in range(max_sweeps):
+        for j in range(p):
+            r = Bs[:, j] - np.einsum("kp,kp->k", U, Qs[:, :, j]) + U[:, j] * diag[:, j]
+            U[:, j] = _soft(r, half) / diag[:, j]
+        kkt = _kkt_rows(np.einsum("kp,kpq->kq", U, Qs) - Bs, U, lam, signs, S)
+        if kkt.max() <= tol:
+            return U
+    raise NoConvergence(f"CV path: residual {kkt.max():.3e} > tol {tol:.1e}; "
+                        f"{_worst_rows(kkt, tol, 'fold')}")

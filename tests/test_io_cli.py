@@ -435,6 +435,16 @@ def test_cli_fit_level_target_exclusive(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+def test_cli_fit_rejects_non_finite_or_non_positive_lambda(value, demo_csv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--data", str(demo_csv[0]), "--response", "y",
+              "--level", "0.9", f"--lambda={value}"])  # "-inf" alone reads as a flag
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage" in err and "--lambda must be a positive finite number" in err
+
+
 def test_cli_fit_bad_file(capsys, tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,y\n1,oops\n", encoding="utf-8")

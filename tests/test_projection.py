@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
-from oracles import (cv_errors_reference, enumerate_min, grid_min_2d,
+from oracles import (cd_multi_reference, cv_errors_reference, enumerate_min, grid_min_2d,
                      kkt_batch_reference, objective, prox_gradient_min, random_spd)
+from sparseproj import projection
 from sparseproj.errors import DegenerateDiagonal, InsufficientData, NoConvergence
 from sparseproj.projection import (
     QuadL1Problem,
-    _cd_multi,
     _cd_shared,
+    _cv_path_step,
     _kkt_batch,
     _fold_statistics,
     _held_out_error,
@@ -511,11 +512,97 @@ def test_cv_gram_errors_match_direct_residuals(case, seed):
     Qs = (ds.gram * ds.n - G) / (ds.n - sizes)[:, None, None]
     Bs = (ds.xty * ds.n - c) / (ds.n - sizes)[:, None]
     lam = 0.1 * float(np.abs(Bs).max()) + 1e-3  # leaves some coordinates active
-    fitted = _cd_multi(Qs, Bs, lam, np.zeros((folds, ds.p)), 1e-10, 10_000)
+    fitted, _ = _cv_path_step(Qs, Bs, lam, np.zeros((folds, ds.p)), 1e-10, 10_000)
     for U in (fitted, rng.standard_normal((folds, ds.p)), np.zeros((folds, ds.p))):
         direct = cv_errors_reference(ds.X, ds.Y, chunks, U)
         # rounding scales with the larger of the cancelling terms
         assert abs(_held_out_error(U, G, c, yy) - direct) <= 1e-10 * max(total, direct)
+
+
+def random_fold_problems(rng, folds, p, n_tr, duplicate):
+    # fold Grams X_k'X_k/n_tr and cross products X_k'y_k/n_tr; n_tr < p or a
+    # duplicated column makes the Grams singular
+    Qs = np.empty((folds, p, p))
+    Bs = np.empty((folds, p))
+    theta = rng.standard_normal(p)
+    for k in range(folds):
+        X = rng.standard_normal((n_tr, p))
+        if duplicate:
+            X[:, -1] = X[:, 0]
+        y = X @ theta + rng.standard_normal(n_tr)
+        Qs[k] = X.T @ X / n_tr
+        Bs[k] = X.T @ y / n_tr
+    return Qs, Bs
+
+
+@hyp_settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       folds=st.integers(min_value=1, max_value=4),
+       p=st.integers(min_value=1, max_value=6),
+       shape=st.sampled_from(["tall", "short", "duplicate"]),
+       frac=st.floats(min_value=0.01, max_value=1.2),
+       warm=st.booleans())
+def test_cv_path_step_matches_cd_reference(seed, folds, p, shape, frac, warm):
+    rng = np.random.default_rng(seed)
+    n_tr = int(rng.integers(1, p)) if shape == "short" and p > 1 else p + 5
+    Qs, Bs = random_fold_problems(rng, folds, p, n_tr, shape == "duplicate" and p > 1)
+    lam = frac * 2.0 * float(np.abs(Bs).max())
+    tol = 1e-12
+    # a path warm start: the reference solution at a larger penalty
+    U0 = cd_multi_reference(Qs, Bs, 1.5 * lam, np.zeros((folds, p)), tol, 100_000) \
+        if warm else np.zeros((folds, p))
+    ref = cd_multi_reference(Qs, Bs, lam, U0, tol, 100_000)
+    U, kkt = _cv_path_step(Qs, Bs, lam, U0, tol, 100_000)
+    assert kkt.max() <= tol
+    zero = np.zeros(p)
+    for k in range(folds):
+        assert kkt_batch_reference(Qs[k], Bs[k:k + 1], lam, zero, U[k:k + 1])[0] <= tol
+        f_new = objective(Qs[k], Bs[k], lam, zero, U[k])
+        f_ref = objective(Qs[k], Bs[k], lam, zero, ref[k])
+        # rounding scales with the larger of the cancelling terms
+        scale = max(abs(u @ Qs[k] @ u) + 2.0 * abs(u @ Bs[k]) + lam * np.abs(u).sum()
+                    for u in (U[k], ref[k]))
+        assert abs(f_new - f_ref) <= 1e-12 * scale
+
+
+def test_cv_path_newton_step_carries_most_solves(monkeypatch):
+    # well-conditioned data: along the warm-started path the sign pattern
+    # barely moves, so most (grid point, fold) solves need no sweep at all
+    rng = np.random.default_rng(17)
+    X = rng.standard_normal((400, 20))
+    theta = np.zeros(20)
+    theta[:5] = (-2.0, -1.5, 0.5, 1.0, 2.0)
+    ds = validate_dataset(X, X @ theta + rng.standard_normal(400))
+    swept = []
+    sweep = projection._cd_sweep
+
+    def counting_sweep(Qs, Bs, U, lam):
+        swept.append(U.shape[0])
+        return sweep(Qs, Bs, U, lam)
+
+    monkeypatch.setattr(projection, "_cd_sweep", counting_sweep)
+    cross_validate_lambda(ds, folds=10, seed=3)
+    solves = default_lambda_grid(ds).size * 10
+    # each fold a sweep touches counts once per sweep, so this bounds the
+    # number of solves that took any sweep: at least nine in ten take none
+    assert sum(swept) < solves / 10
+
+
+def test_cv_no_convergence_names_grid_point_and_folds():
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((60, 4))
+    ds = validate_dataset(X, X @ np.array([1.0, 0.0, -0.5, 0.0]) + 0.3 * rng.standard_normal(60))
+    grid = default_lambda_grid(ds, num=8)
+    with pytest.raises(NoConvergence) as exc:
+        # given ascending, the index still counts in the descending grid
+        cross_validate_lambda(ds, grid=grid[::-1], folds=5,
+                              settings=SolverSettings(max_sweeps=1, tol=1e-300))
+    msg = str(exc.value)
+    m = re.match(r"CV path at lambda\[(\d+)\]=(\S+): residual ", msg)
+    assert m, msg
+    assert m.group(2) == f"{grid[int(m.group(1))]:.3e}"
+    m = re.search(r"after 1 sweeps; (\d+) of 5 folds above tol, worst: fold \d", msg)
+    assert m and 1 <= int(m.group(1)) <= 5, msg
 
 
 @pytest.mark.parametrize("case, seed", CV_CASES)
