@@ -9,6 +9,13 @@ as
 
 with m the ridge mean.  Sampling goes through the Cholesky factor of the
 precision matrix (never an explicit inverse): theta = m + sigma * L^-T z.
+
+The triangular solves use numpy.linalg.solve, which runs an LU
+factorization first.  On an upper-triangular matrix (L' here) that LU does
+no row exchange and has zero multipliers, so the solve is plain back
+substitution, bit for bit what a triangular solver returns.  The lower
+solve for the ridge mean is made upper by reversing the order of the rows
+and the columns; it agrees with forward substitution to rounding.
 """
 
 from __future__ import annotations
@@ -16,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import SingularSystem
 from .types import Dataset, PosteriorDraw, PriorConfig
@@ -56,8 +62,9 @@ def factorize(dataset: Dataset, prior: PriorConfig) -> PosteriorFactorization:
     except np.linalg.LinAlgError as exc:
         raise SingularSystem("X'X + a_n I is not positive definite") from exc
     xty_full = n * dataset.xty
-    half = solve_triangular(chol, xty_full, lower=True)
-    ridge_mean = solve_triangular(chol.T, half, lower=False)
+    # L h = n X'Y as the upper system J L J (J h) = J n X'Y, J the reversal
+    half = np.linalg.solve(chol[::-1, ::-1], xty_full[::-1])[::-1]
+    ridge_mean = np.linalg.solve(chol.T, half)
     yty = float(dataset.Y @ dataset.Y)
     gamma_rate = prior.b2 + 0.5 * (yty - float(xty_full @ ridge_mean))
     gamma_rate = max(gamma_rate, 0.0)  # clip fp dust when Y lies in span(X)
@@ -82,7 +89,9 @@ def sample_posterior_arrays(
 
     Each shard owns an RNG stream keyed by (seed, shard index), so the draw
     sequence depends only on (seed, shards), never on scheduling.  Draws are
-    concatenated in shard order, i.e. canonical draw-index order.
+    concatenated in shard order, i.e. canonical draw-index order.  Each
+    shard's normals are drawn straight into its rows of the result, which
+    are then overwritten in place by the scaled, shifted solve.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -100,11 +109,12 @@ def sample_posterior_arrays(
             continue
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), s)))
         tau = rng.gamma(fact.gamma_shape, 1.0 / fact.gamma_rate, size=size)
-        z = rng.standard_normal((size, p))
+        block = thetas[start:start + size]
+        rng.standard_normal(out=block)
         sigma = tau ** -0.5
         # theta = m + sigma * L^-T z, one triangular solve for the whole shard
-        disp = solve_triangular(L.T, z.T, lower=False).T
-        thetas[start:start + size] = fact.ridge_mean + sigma[:, None] * disp
+        np.multiply(np.linalg.solve(L.T, block.T).T, sigma[:, None], out=block)
+        block += fact.ridge_mean
         sigmas[start:start + size] = sigma
         start += size
     return thetas, sigmas

@@ -26,9 +26,12 @@ There each fold takes the homotopy step of Osborne, Presnell & Turlach
 (2000): keep the warm start's sign pattern, add the zero coordinates whose
 gradient breaks KKT at the new penalty (as strong rules would screen them,
 Tibshirani et al. 2012), and solve the stationarity equations on that active
-set by Cholesky.  The step is accepted only if the solution keeps the assumed
-signs and the fold's full KKT residual is within tol.  A fold that fails runs
-coordinate-descent sweeps, retrying the Newton step after each one.
+set with numpy.linalg.solve (LU with partial pivoting).  A fold keeps its
+point when that solve reports a singular matrix, returns a non-finite value
+or flips an assumed sign; otherwise it moves to the solution.  The step is
+accepted only if the fold's full KKT residual is then within tol.  A fold
+that is not accepted runs coordinate-descent sweeps, retrying the Newton
+step after each one.
 """
 
 from __future__ import annotations
@@ -207,16 +210,14 @@ def _newton_step(Qs: np.ndarray, Bs: np.ndarray, lam: float, U: np.ndarray) -> n
     With g = 2(Qu - b), a row's pattern s is sign(u) plus every zero
     coordinate that breaks KKT (|g_j| > lam), taken at -sign(g_j).  On the
     support A of s the stationarity system Q_AA u_A = b_A - (lam/2) s_A is
-    solved by Cholesky.  If Q_AA is not positive definite, or the solution's
-    signs differ from s_A, the row keeps its point.  Otherwise the solution
-    replaces it: it minimizes the objective over the face of the orthant that
-    holds the old point, so the objective cannot rise.
+    solved by numpy.linalg.solve.  The row keeps its point when that solve
+    raises LinAlgError (an exactly singular pivot), when the solution is not
+    finite, or when its signs differ from s_A.  Otherwise the solution
+    replaces it.  When Q_AA is nonsingular, which for a positive semidefinite
+    Q means positive definite, that solution minimizes the objective over the
+    face of the orthant that holds the old point, so the objective cannot
+    rise.  The caller accepts a row only by its KKT residual.
     """
-    # imported here so that posterior, not this module, first imports
-    # scipy.linalg: that earlier import point measured about 10% slower for
-    # `import sparseproj.cli` (40 ms CPU on a 2-core Xeon), with no new module
-    from scipy.linalg import LinAlgError, cho_factor, cho_solve
-
     K, p = U.shape
     G = np.einsum("kp,kpq->kq", U, Qs) - Bs
     S = np.sign(U)
@@ -225,15 +226,12 @@ def _newton_step(Qs: np.ndarray, Bs: np.ndarray, lam: float, U: np.ndarray) -> n
     half = 0.5 * lam
     for k in range(K):
         A = np.flatnonzero(S[k])
-        uA = np.zeros(0)
-        if A.size:
-            try:
-                factor = cho_factor(Qs[k][np.ix_(A, A)], check_finite=False)
-            except LinAlgError:
-                continue
-            uA = cho_solve(factor, Bs[k, A] - half * S[k, A], check_finite=False)
-            if not np.array_equal(np.sign(uA), S[k, A]):
-                continue
+        try:
+            uA = np.linalg.solve(Qs[k][np.ix_(A, A)], Bs[k, A] - half * S[k, A])
+        except np.linalg.LinAlgError:
+            continue
+        if not (np.isfinite(uA).all() and np.array_equal(np.sign(uA), S[k, A])):
+            continue
         U[k] = 0.0
         U[k, A] = uA
     G = np.einsum("kp,kpq->kq", U, Qs) - Bs
@@ -406,8 +404,8 @@ def cross_validate_lambda(dataset: Dataset, grid: np.ndarray | None = None,
 
     The grid is solved from the largest penalty down, each fold warm-started
     at its solution for the previous value.  At each value every fold takes
-    a sign-pattern Newton step: one Cholesky solve on the warm start's
-    support grown by the KKT violators.  The step is accepted only when the
+    a sign-pattern Newton step: one linear solve on the warm start's support
+    grown by the KKT violators.  The step is accepted only when the
     solution's signs match the assumed pattern and the fold's KKT residual
     is <= settings.tol.  Folds that fail fall back to coordinate-descent
     sweeps, retrying the step after each; NoConvergence names the grid value

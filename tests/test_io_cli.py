@@ -565,6 +565,34 @@ def test_console_script_calibrate_and_logging(tmp_path, demo_csv):
     assert "lambda0=" in proc.stderr and "max_kkt=" in proc.stderr
 
 
+def test_commands_load_no_scipy_module(tmp_path, demo_csv):
+    # scipy is a test-only dependency: importing the CLI and running its
+    # commands must not load any of it (a fresh interpreter, as pytest and
+    # the test modules import scipy themselves)
+    path, _, _ = demo_csv
+    code = f"""
+import sys
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+import sparseproj.cli
+from sparseproj.cli import main
+assert not loaded(), loaded()
+runs = [["fit", "--data", {str(path)!r}, "--response", "y", "--lambda", "auto",
+         "--target", "0.95", "--draws", "100", "--seed", "1",
+         "--out", {str(tmp_path / "fit.json")!r}],
+        ["calibrate", "--lambda0", "1", "--target", "0.95"],
+        ["limitcheck", "--lambda0", "0.5", "--signs", "1,0", "--outer", "100",
+         "--inner", "100", "--seed", "0", "--out", {str(tmp_path / "limit.csv")!r}]]
+for argv in runs:
+    assert main(argv) == 0, argv
+    assert not loaded(), (argv[0], loaded())
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0.9708\n"
+
+
 def test_console_script_usage_error():
     proc = subprocess.run([sys.executable, "-m", "sparseproj.cli", "fit"],
                           capture_output=True, text=True, env=child_env())

@@ -54,6 +54,18 @@ def test_ridge_mean_matches_dense_solve():
         np.testing.assert_allclose(fact.ridge_mean, expected, atol=1e-10)
 
 
+def test_ridge_mean_matches_two_triangular_solves():
+    # oracle: forward then back substitution on the precision's Cholesky factor
+    for n, p, seed in ((50, 3, 0), (80, 20, 1), (300, 100, 2)):
+        ds = make_dataset(n=n, p=p, seed=seed)
+        for a_n in (0.0, 1.0, 17.3):
+            fact = factorize(ds, PriorConfig(a_n=a_n))
+            L = fact.precision_chol
+            half = solve_triangular(L, ds.n * ds.xty, lower=True)
+            expected = solve_triangular(L.T, half, lower=False)
+            np.testing.assert_allclose(fact.ridge_mean, expected, rtol=1e-12)
+
+
 def test_gamma_rate_residual_identity():
     ds = make_dataset(seed=5)
     prior = PriorConfig(a_n=2.0, b1=0.5, b2=0.25)
@@ -178,3 +190,21 @@ def test_whitening_matches_triangular_solve():
     thetas, sigmas = sample_posterior_arrays(fact, 1, seed=99)
     np.testing.assert_allclose(thetas[0], expected, rtol=1e-12)
     assert sigmas[0] == pytest.approx(sigma, rel=1e-12)
+
+
+def test_sampling_batch_matches_triangular_solve_oracle():
+    # a whole 2000-draw shard against theta = m + sigma * L^-T z built from
+    # the same stream with a triangular solver; the draws must be C-ordered,
+    # since a product with a Fortran-ordered batch can round differently
+    fact = factorize(make_dataset(n=200, p=20, seed=21), PriorConfig(a_n=1.0))
+    count = 2000
+    rng = np.random.default_rng(np.random.SeedSequence((7, 0)))
+    tau = rng.gamma(fact.gamma_shape, 1.0 / fact.gamma_rate, size=count)
+    z = rng.standard_normal((count, 20))
+    sigma = tau ** -0.5
+    disp = solve_triangular(fact.precision_chol.T, z.T, lower=False).T
+    expected = fact.ridge_mean + sigma[:, None] * disp
+    thetas, sigmas = sample_posterior_arrays(fact, count, seed=7)
+    assert thetas.flags.c_contiguous
+    np.testing.assert_allclose(thetas, expected, rtol=1e-12)
+    np.testing.assert_array_equal(sigmas, sigma)

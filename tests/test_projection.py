@@ -22,6 +22,7 @@ from sparseproj.projection import (
     _cv_path_step,
     _kkt_batch,
     _fold_statistics,
+    _newton_step,
     _held_out_error,
     SolverSettings,
     cross_validate_lambda,
@@ -563,6 +564,29 @@ def test_cv_path_step_matches_cd_reference(seed, folds, p, shape, frac, warm):
         scale = max(abs(u @ Qs[k] @ u) + 2.0 * abs(u @ Bs[k]) + lam * np.abs(u).sum()
                     for u in (U[k], ref[k]))
         assert abs(f_new - f_ref) <= 1e-12 * scale
+
+
+def test_newton_step_keeps_row_on_singular_system_or_sign_flip():
+    lam = 0.2
+    Qs = np.array([np.eye(3)] * 3)
+    # row 0: columns 0 and 1 are identical, and both are in the pattern
+    Qs[0] = [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    Bs = np.array([[1.0, 1.0, 0.5],
+                   # row 1: solving on pattern (+, +) gives u_1 = -0.15
+                   [1.0, -0.05, 0.0],
+                   # row 2: pattern (+, +, 0) holds, so the step lands on
+                   # the minimizer (0.9, 0.4, 0)
+                   [1.0, 0.5, 0.0]])
+    U0 = np.array([[0.3, 0.3, 0.0], [0.5, 0.1, 0.0], [0.0, 0.0, 0.0]])
+    U = U0.copy()
+    kkt = _newton_step(Qs, Bs, lam, U)
+    np.testing.assert_array_equal(U[:2], U0[:2])
+    np.testing.assert_allclose(U[2], [0.9, 0.4, 0.0], atol=1e-15)
+    zero = np.zeros(3)
+    for k in range(3):
+        assert kkt[k] == pytest.approx(
+            kkt_batch_reference(Qs[k], Bs[k:k + 1], lam, zero, U[k:k + 1])[0], abs=1e-15)
+    assert kkt[0] > 0.1 and kkt[1] > 0.1 and kkt[2] <= 1e-15
 
 
 def test_cv_path_newton_step_carries_most_solves(monkeypatch):
