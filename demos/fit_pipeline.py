@@ -3,23 +3,20 @@ End-to-end sparse projection fit
 ================================
 
 Simulate a small regression, write it to CSV, load it back through the
-block-wise CSV reader, and walk the full pipeline by hand: conjugate
-posterior, l1 projection of every draw, per-coordinate calibration, credible
-intervals, and posterior model probabilities.  The `sparseproj fit`
-subcommand runs the same steps.
+block-wise CSV reader, and run the fit pipeline: conjugate posterior, l1
+projection of every draw, per-coordinate calibration and credible intervals,
+then posterior model probabilities.  The `sparseproj fit` subcommand runs
+the same pipeline through the same function.
 """
 
-import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from sparseproj.calibration import CalibrationQuery, solve_gamma
 from sparseproj.dataio import dataset_from_csv
-from sparseproj.posterior import factorize, sample_posterior_arrays
-from sparseproj.projection import fit_lasso, project_draws
-from sparseproj.regions import ProjectedSample, component_intervals, model_probabilities
+from sparseproj.regions import model_probabilities
+from sparseproj.simulate import fit_dataset
 from sparseproj.types import PriorConfig
 
 # 1. simulate: three real effects, two pure noise columns
@@ -41,38 +38,29 @@ with tempfile.TemporaryDirectory() as tmp:
     ds, names = dataset_from_csv(csv_path, response="y")
 print(f"loaded {ds.n} rows, predictors {names}")
 
-# 3. conjugate posterior for the dense coefficients
-fact = factorize(ds, PriorConfig(a_n=1.0))
-thetas, _ = sample_posterior_arrays(fact, count=4000, seed=11)
-
-# 4. project every draw to its sparse representative
+# 3. the whole fit in one call, the same one `sparseproj fit` makes:
+#    - factorize the conjugate posterior and draw 4000 dense coefficient
+#      vectors from it;
+#    - compute the LASSO center and project every draw to its sparse
+#      representative, warm-started at the center;
+#    - calibrate each coordinate's working level so its interval attains 0.95
+#      coverage: the limit penalty is lambda_n * sqrt(n), and coordinate j's
+#      limiting Gram diagonal c_j is estimated by C_n[j, j];
+#    - read off the componentwise credible intervals around the center
 lam = 0.05  # penalty on the (1/n)||Y - Xu||^2 + lam*||u||_1 scale
-center = fit_lasso(ds, lam)
-U, kkt = project_draws(ds, thetas, lam, warm=center)
-print(f"projected 4000 draws, max KKT residual {kkt.max():.2e}")
+fit = fit_dataset(ds, lam, draws=4000, post_seed=11, prior=PriorConfig(a_n=1.0),
+                  target=0.95)
+print(f"projected 4000 draws, max KKT residual {fit.max_kkt:.2e}")
+print(f"lambda0 = {fit.lambda0:.3f}, sigma_hat = {fit.sigma_hat:.3f}")
 
-# 5. calibrate each coordinate's working level so its interval attains 0.95
-#    coverage: the limit penalty is lambda_n * sqrt(n), and coordinate j's
-#    limiting Gram diagonal c_j is estimated by C_n[j, j]
-lam0 = lam * math.sqrt(ds.n)
-resid = ds.Y - ds.X @ fact.ridge_mean
-sigma_hat = math.sqrt(float(resid @ resid) / ds.n)
-levels = [solve_gamma(CalibrationQuery(lambda0=lam0, target=0.95,
-                                       c_j=float(ds.gram[j, j]),
-                                       sigma0=sigma_hat)).gamma_level
-          for j in range(ds.p)]
-print(f"lambda0 = {lam0:.3f}, sigma_hat = {sigma_hat:.3f}")
-
-# 6. componentwise credible intervals around the LASSO center
-sample = ProjectedSample(draws=U, center=center, n=ds.n, level=levels[0])
-lo, hi, _ = component_intervals(sample, levels)
+# 4. componentwise credible intervals around the LASSO center
 print("\n component   truth   estimate   level    interval")
 for j in range(p):
-    print(f"  {names[j]:<8} {theta_true[j]:>6.2f} {center[j]:>9.3f}   {levels[j]:.4f}  "
-          f"[{lo[j]:>7.3f}, {hi[j]:>7.3f}]")
+    print(f"  {names[j]:<8} {theta_true[j]:>6.2f} {fit.center[j]:>9.3f}   {fit.levels[j]:.4f}  "
+          f"[{fit.lo[j]:>7.3f}, {fit.hi[j]:>7.3f}]")
 
-# 7. which supports does the projected posterior visit?
-probs = model_probabilities(sample)
+# 5. which supports does the projected posterior visit?
+probs = model_probabilities(fit.sample)
 print("\n top supports by posterior probability")
 for support, prob in sorted(probs.items(), key=lambda kv: -kv[1])[:5]:
     label = "{" + ", ".join(names[j] for j in sorted(support)) + "}"

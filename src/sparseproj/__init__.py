@@ -11,29 +11,26 @@ from .calibration import (CalibrationQuery, CalibrationResult, TABLE_LAMBDAS,
                           calibration_table_csv, display_level, h_minus,
                           h_plus, h_zero, psi, psi_zero, solve_gamma)
 from .dataio import (CsvFormatError, GramAccumulator, dataset_from_csv,
-                     from_jsonable, ingest_chunk, json_roundtrip, read_csv,
-                     to_jsonable)
+                     ingest_chunk, read_csv)
 from .errors import (DegenerateDiagonal, DimensionMismatch, InsufficientData,
                      NoConvergence, NonFiniteInput, SingularSystem,
                      SparseProjError)
 from .limits import (LimitSpec, limiting_coverage_mc, limitcheck_rows,
                      sample_t_star, sample_xi, zero_mass_probability)
 from .normal import norm_cdf, norm_pdf, norm_ppf
-from .posterior import (PosteriorFactorization, factorize, sample_posterior,
+from .posterior import (PosteriorFactorization, factorize,
                         sample_posterior_arrays)
 from .projection import (QuadL1Problem, SolverSettings, cross_validate_lambda,
                          default_lambda_grid, fit_lasso, kkt_check,
-                         objective_value, project, project_draws,
-                         solve_quad_l1)
-from .regions import (ProjectedSample, build_region, component_interval,
+                         objective_value, project_draws, solve_quad_l1)
+from .regions import (ProjectedSample, component_interval,
                       component_intervals, minkowski_norm, model_probabilities, radius_quantile,
                       rectangle_levels)
-from .simulate import (CoverageReport, ReplicationRecord, Scenario, aggregate,
-                       generate_data, report_to_csv, run_replication,
-                       run_scenario, signal_vector, sparsity_sweep,
-                       sweep_to_csv)
-from .types import (CredibleRegion, Dataset, FitConfig, NormSelector,
-                    PosteriorDraw, PriorConfig, SparseDraw, validate_dataset)
+from .simulate import (CoverageReport, FitResult, ReplicationRecord, Scenario,
+                       aggregate, fit_dataset, generate_data, report_to_csv,
+                       run_replication, run_scenario, signal_vector,
+                       sparsity_sweep, sweep_to_csv)
+from .types import Dataset, NormSelector, PriorConfig, validate_dataset
 
 __version__ = "0.1.0"
 
@@ -41,24 +38,22 @@ __all__ = [
     "CalibrationQuery", "CalibrationResult", "TABLE_LAMBDAS", "TABLE_TARGETS",
     "calibration_table", "calibration_table_csv", "display_level", "h_minus",
     "h_plus", "h_zero", "psi", "psi_zero", "solve_gamma",
-    "CsvFormatError", "GramAccumulator", "dataset_from_csv", "from_jsonable",
-    "ingest_chunk", "json_roundtrip", "read_csv", "to_jsonable",
+    "CsvFormatError", "GramAccumulator", "dataset_from_csv", "ingest_chunk",
+    "read_csv",
     "DegenerateDiagonal", "DimensionMismatch", "InsufficientData",
     "NoConvergence", "NonFiniteInput", "SingularSystem", "SparseProjError",
     "LimitSpec", "limiting_coverage_mc", "limitcheck_rows", "sample_t_star",
     "sample_xi", "zero_mass_probability",
     "norm_cdf", "norm_pdf", "norm_ppf",
-    "PosteriorFactorization", "factorize", "sample_posterior",
-    "sample_posterior_arrays",
+    "PosteriorFactorization", "factorize", "sample_posterior_arrays",
     "QuadL1Problem", "SolverSettings", "cross_validate_lambda",
     "default_lambda_grid", "fit_lasso", "kkt_check", "objective_value",
-    "project", "project_draws", "solve_quad_l1",
-    "ProjectedSample", "build_region", "component_interval",
+    "project_draws", "solve_quad_l1",
+    "ProjectedSample", "component_interval",
     "component_intervals", "minkowski_norm", "model_probabilities", "radius_quantile", "rectangle_levels",
-    "CoverageReport", "ReplicationRecord", "Scenario", "aggregate",
-    "generate_data", "report_to_csv", "run_replication", "run_scenario",
-    "signal_vector", "sparsity_sweep", "sweep_to_csv",
-    "CredibleRegion", "Dataset", "FitConfig", "NormSelector", "PosteriorDraw",
-    "PriorConfig", "SparseDraw", "validate_dataset",
+    "CoverageReport", "FitResult", "ReplicationRecord", "Scenario", "aggregate",
+    "fit_dataset", "generate_data", "report_to_csv", "run_replication",
+    "run_scenario", "signal_vector", "sparsity_sweep", "sweep_to_csv",
+    "Dataset", "NormSelector", "PriorConfig", "validate_dataset",
     "__version__",
 ]

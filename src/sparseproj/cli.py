@@ -24,12 +24,11 @@ from .calibration import (CalibrationQuery, calibration_table_csv,
 from .dataio import dataset_from_csv
 from .errors import SparseProjError
 from .limits import LimitSpec, limitcheck_rows
-from .posterior import factorize, sample_posterior_arrays
-from .projection import cross_validate_lambda, fit_lasso, project_draws
-from .regions import ProjectedSample, component_intervals, model_probabilities
-from .simulate import (Scenario, report_to_csv, run_scenario, signal_vector,
-                       sparsity_sweep, sweep_to_csv)
-from .types import PriorConfig, validate_dataset
+from .projection import cross_validate_lambda
+from .regions import model_probabilities
+from .simulate import (Scenario, fit_dataset, report_to_csv, run_scenario,
+                       signal_vector, sparsity_sweep, sweep_to_csv)
+from .types import PriorConfig
 
 log = logging.getLogger("sparseproj")
 
@@ -51,16 +50,30 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _checked(flag: str, rule: str, ok, kind=float):
+    """An argparse type: convert with kind, then reject a value that fails ok
+    with a message naming the flag (a usage error, exit status 2)."""
+    def parse(value: str):
+        try:
+            x = kind(value)
+        except ValueError:
+            x = None
+        if x is None or not ok(x):
+            raise argparse.ArgumentTypeError(f"{flag} must be {rule}, got {value!r}")
+        return x
+    return parse
+
+
+def _in_unit(x: float) -> bool:
+    return 0.0 < x < 1.0
+
+
+_positive_lambda = _checked("--lambda", "a positive finite number or 'auto'",
+                            lambda x: 0.0 < x < math.inf)
+
+
 def _parse_lambda(value: str) -> float | str:
-    if value == "auto":
-        return "auto"
-    try:
-        lam = float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"--lambda must be 'auto' or a number, got {value!r}")
-    if not (math.isfinite(lam) and lam > 0):
-        raise argparse.ArgumentTypeError(f"--lambda must be a positive finite number, got {value!r}")
-    return lam
+    return "auto" if value == "auto" else _positive_lambda(value)
 
 
 def _float_list(value: str) -> list[float]:
@@ -75,7 +88,6 @@ def _float_list(value: str) -> list[float]:
 
 def cmd_fit(args) -> int:
     ds, names = dataset_from_csv(args.data, args.response, standardize=args.standardize)
-    prior = PriorConfig(a_n=args.an)
 
     state = np.random.SeedSequence((int(args.seed), 0xF17)).generate_state(2)
     cv_seed, post_seed = int(state[0]), int(state[1])
@@ -86,49 +98,33 @@ def cmd_fit(args) -> int:
         lam = 0.5 * cross_validate_lambda(ds, seed=cv_seed)
     else:
         lam = float(args.lambda_n)
-    lam0 = lam * math.sqrt(ds.n)
+    fit = fit_dataset(ds, lam, args.draws, post_seed, PriorConfig(a_n=args.an),
+                      target=args.target, level=args.level)
 
-    fact = factorize(ds, prior)
-    center = fit_lasso(ds, lam)
-    resid = ds.Y - ds.X @ fact.ridge_mean
-    sigma_hat = math.sqrt(float(resid @ resid) / ds.n)
+    intervals = [{"name": names[j], "level": float(fit.levels[j]),
+                  "estimate": float(fit.center[j]),
+                  "lo": float(fit.lo[j]), "hi": float(fit.hi[j])} for j in range(ds.p)]
 
-    if args.target is not None:
-        levels = [solve_gamma(CalibrationQuery(lambda0=lam0, target=args.target,
-                                               c_j=float(ds.gram[j, j]),
-                                               sigma0=sigma_hat)).gamma_level
-                  for j in range(ds.p)]
-    else:
-        levels = [args.level] * ds.p
-
-    thetas, _ = sample_posterior_arrays(fact, args.draws, post_seed)
-    U, kkt = project_draws(ds, thetas, lam, warm=center)
-    sample = ProjectedSample(draws=U, center=center, n=ds.n, level=levels[0])
-
-    lo, hi, _ = component_intervals(sample, levels)
-    intervals = [{"name": names[j], "level": levels[j], "estimate": float(center[j]),
-                  "lo": float(lo[j]), "hi": float(hi[j])} for j in range(ds.p)]
-
-    probs = model_probabilities(sample)
+    probs = model_probabilities(fit.sample)
     model_probs = {",".join(str(j) for j in sorted(s)): f for s, f in
                    sorted(probs.items(), key=lambda kv: -kv[1])}
 
-    max_kkt = float(kkt.max())
     log.info("fit: seed=%d lambda_n=%.6g lambda0=%.6g level=%s max_kkt=%.3e",
-             args.seed, lam, lam0, ",".join(f"{lv:.4f}" for lv in levels[:5]), max_kkt)
+             args.seed, fit.lambda_n, fit.lambda0,
+             ",".join(f"{lv:.4f}" for lv in fit.levels[:5]), fit.max_kkt)
 
     out = {
         "schema": SCHEMA_VERSION,
         "n": ds.n,
         "p": ds.p,
         "seed": args.seed,
-        "lambda_n": lam,
-        "lambda0": lam0,
-        "sigma_hat": sigma_hat,
+        "lambda_n": fit.lambda_n,
+        "lambda0": fit.lambda0,
+        "sigma_hat": fit.sigma_hat,
         "target": args.target,
         "intervals": intervals,
         "model_probabilities": model_probs,
-        "diagnostics": {"max_kkt_residual": max_kkt, "draws": args.draws},
+        "diagnostics": {"max_kkt_residual": fit.max_kkt, "draws": args.draws},
     }
     _write_text(args.out, json.dumps(out, indent=2) + "\n")
     return 0
@@ -211,13 +207,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--data", required=True, help="input CSV with header row")
     p_fit.add_argument("--response", required=True, help="name of the response column")
     group = p_fit.add_mutually_exclusive_group(required=True)
-    group.add_argument("--level", type=float, help="credibility level used directly")
-    group.add_argument("--target", type=float,
+    group.add_argument("--level", type=_checked("--level", "a number in (0, 1)", _in_unit),
+                       help="credibility level used directly")
+    group.add_argument("--target", type=_checked("--target", "a number in (0, 1)", _in_unit),
                        help="intended asymptotic coverage; level is calibrated from it")
     p_fit.add_argument("--lambda", dest="lambda_n", type=_parse_lambda, default="auto",
                        help="projection penalty, or 'auto' for cross-validation")
-    p_fit.add_argument("--an", type=float, default=1.0, help="prior precision a_n")
-    p_fit.add_argument("--draws", type=int, default=2000, help="posterior draw count")
+    p_fit.add_argument("--an", type=_checked("--an", "a finite number >= 0",
+                                             lambda x: 0.0 <= x < math.inf),
+                       default=1.0, help="prior precision a_n")
+    p_fit.add_argument("--draws", type=_checked("--draws", "an integer >= 2",
+                                                lambda k: k >= 2, kind=int),
+                       default=2000, help="posterior draw count")
     p_fit.add_argument("--seed", type=int, default=0)
     p_fit.add_argument("--standardize", action="store_true",
                        help="center and scale predictor columns")

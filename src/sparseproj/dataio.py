@@ -1,5 +1,4 @@
-"""File formats and chunked ingestion: CSV reading, Gram accumulation, and
-JSON round-trips for the core value types.
+"""File formats and chunked ingestion: CSV reading and Gram accumulation.
 
 CSV files are UTF-8 with one header row, read by the csv module; header
 names are stripped of whitespace and must be distinct.  The data lines are
@@ -21,14 +20,12 @@ from __future__ import annotations
 
 import csv
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteInput, SparseProjError
-from .types import (CredibleRegion, Dataset, FitConfig, NormSelector, PosteriorDraw,
-                    PriorConfig, SparseDraw, validate_dataset)
+from .types import Dataset, frozen_copy, validate_dataset
 
 
 class CsvFormatError(SparseProjError):
@@ -55,12 +52,10 @@ class GramAccumulator:
     count: int
 
     def __post_init__(self):
-        xtx = np.array(self.sum_xtx, dtype=float, copy=True)
-        xty = np.array(self.sum_xty, dtype=float, copy=True).ravel()
+        xtx = frozen_copy(self.sum_xtx)
+        xty = frozen_copy(self.sum_xty).ravel()
         if xtx.shape != (self.p, self.p) or xty.shape != (self.p,):
             raise DimensionMismatch("accumulator fields disagree with p")
-        xtx.setflags(write=False)
-        xty.setflags(write=False)
         object.__setattr__(self, "sum_xtx", xtx)
         object.__setattr__(self, "sum_xty", xty)
 
@@ -218,75 +213,3 @@ def dataset_from_csv(path: str, response: str, standardize: bool = False,
     if float(np.abs(acc.sum_xtx / acc.count - ds.gram).max()) > 1e-10 * scale:
         raise SparseProjError("accumulated Gram disagrees with direct computation")
     return ds, names
-
-
-# ---------------------------------------------------------------------------
-# JSON round-trips for the core types
-
-def to_jsonable(obj) -> dict:
-    """Lossless dict encoding of any core value type (float bits preserved
-    through Python's repr-based JSON formatting)."""
-    if isinstance(obj, Dataset):
-        return {"type": "Dataset", "n": obj.n, "p": obj.p,
-                "X": obj.X.tolist(), "Y": obj.Y.tolist(),
-                "gram": obj.gram.tolist(), "xty": obj.xty.tolist()}
-    if isinstance(obj, PriorConfig):
-        return {"type": "PriorConfig", "a_n": obj.a_n, "b1": obj.b1, "b2": obj.b2}
-    if isinstance(obj, FitConfig):
-        return {"type": "FitConfig", "lambda_n": obj.lambda_n, "draws": obj.draws,
-                "seed": obj.seed, "level": obj.level,
-                "target_coverage": obj.target_coverage}
-    if isinstance(obj, PosteriorDraw):
-        return {"type": "PosteriorDraw", "theta": obj.theta.tolist(), "sigma": obj.sigma}
-    if isinstance(obj, SparseDraw):
-        return {"type": "SparseDraw", "theta_star": obj.theta_star.tolist(),
-                "support": sorted(obj.support), "kkt_residual": obj.kkt_residual}
-    if isinstance(obj, NormSelector):
-        return {"type": "NormSelector", "kind": obj.kind, "index": obj.index,
-                "indices": list(obj.indices) if obj.indices is not None else None}
-    if isinstance(obj, CredibleRegion):
-        return {"type": "CredibleRegion", "selector": to_jsonable(obj.selector),
-                "center": obj.center.tolist(), "radius": obj.radius,
-                "level": obj.level,
-                "intervals": [list(iv) for iv in obj.intervals] if obj.intervals is not None else None,
-                "degenerate": obj.degenerate}
-    raise TypeError(f"no JSON encoding for {type(obj).__name__}")
-
-
-def from_jsonable(data: dict):
-    """Inverse of to_jsonable."""
-    kind = data.get("type")
-    if kind == "Dataset":
-        return Dataset(n=data["n"], p=data["p"], X=np.asarray(data["X"], dtype=float),
-                       Y=np.asarray(data["Y"], dtype=float),
-                       gram=np.asarray(data["gram"], dtype=float),
-                       xty=np.asarray(data["xty"], dtype=float))
-    if kind == "PriorConfig":
-        return PriorConfig(a_n=data["a_n"], b1=data["b1"], b2=data["b2"])
-    if kind == "FitConfig":
-        return FitConfig(lambda_n=data["lambda_n"], draws=data["draws"],
-                         seed=data["seed"], level=data["level"],
-                         target_coverage=data["target_coverage"])
-    if kind == "PosteriorDraw":
-        return PosteriorDraw(theta=np.asarray(data["theta"], dtype=float),
-                             sigma=data["sigma"])
-    if kind == "SparseDraw":
-        return SparseDraw(theta_star=np.asarray(data["theta_star"], dtype=float),
-                          support=frozenset(data["support"]),
-                          kkt_residual=data["kkt_residual"])
-    if kind == "NormSelector":
-        return NormSelector(kind=data["kind"], index=data["index"],
-                            indices=tuple(data["indices"]) if data["indices"] is not None else None)
-    if kind == "CredibleRegion":
-        return CredibleRegion(selector=from_jsonable(data["selector"]),
-                              center=np.asarray(data["center"], dtype=float),
-                              radius=data["radius"], level=data["level"],
-                              intervals=tuple(tuple(iv) for iv in data["intervals"])
-                              if data["intervals"] is not None else None,
-                              degenerate=data["degenerate"])
-    raise TypeError(f"cannot decode type tag {kind!r}")
-
-
-def json_roundtrip(obj):
-    """Encode to a JSON string and decode back; used to certify identity."""
-    return from_jsonable(json.loads(json.dumps(to_jsonable(obj))))

@@ -31,7 +31,7 @@ import numpy as np
 from .errors import SparseProjError
 from .projection import _cd_shared
 from .regions import minkowski_norms
-from .types import NormSelector
+from .types import NormSelector, frozen_copy
 
 _SNAP = 1e-12  # float dust below this is treated as an exact zero
 
@@ -48,8 +48,8 @@ class LimitSpec:
     theta0_signs: np.ndarray
 
     def __post_init__(self):
-        C = np.array(self.C, dtype=float, copy=True)
-        signs = np.array(self.theta0_signs, dtype=float, copy=True).ravel()
+        C = np.asarray(self.C, dtype=float)
+        signs = frozen_copy(self.theta0_signs).ravel()
         if signs.size == 0:
             raise ValueError("theta0_signs must name at least one coordinate")
         if C.ndim != 2 or C.shape[0] != C.shape[1] or C.shape[0] != signs.shape[0]:
@@ -64,10 +64,7 @@ class LimitSpec:
             raise ValueError("sigma0 must be positive")
         if self.lambda0 < 0:
             raise ValueError("lambda0 must be nonnegative")
-        C = 0.5 * (C + C.T)
-        C.setflags(write=False)
-        signs.setflags(write=False)
-        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "C", frozen_copy(0.5 * (C + C.T)))
         object.__setattr__(self, "theta0_signs", signs)
 
     @property

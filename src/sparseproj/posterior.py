@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularSystem
-from .types import Dataset, PosteriorDraw, PriorConfig
+from .types import Dataset, PriorConfig, frozen_copy
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,7 @@ class PosteriorFactorization:
 
     def __post_init__(self):
         for name in ("ridge_mean", "precision_chol"):
-            arr = np.array(getattr(self, name), dtype=float, copy=True)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, frozen_copy(getattr(self, name)))
 
 
 def factorize(dataset: Dataset, prior: PriorConfig) -> PosteriorFactorization:
@@ -118,11 +116,3 @@ def sample_posterior_arrays(
         sigmas[start:start + size] = sigma
         start += size
     return thetas, sigmas
-
-
-def sample_posterior(
-    fact: PosteriorFactorization, count: int, seed: int, shards: int = 1
-) -> list[PosteriorDraw]:
-    """Draw from the joint posterior of (theta, sigma); deterministic given seed."""
-    thetas, sigmas = sample_posterior_arrays(fact, count, seed, shards=shards)
-    return [PosteriorDraw(theta=thetas[i], sigma=float(sigmas[i])) for i in range(count)]

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDiagonal, InsufficientData, NoConvergence
-from .types import Dataset, SparseDraw
+from .types import Dataset, frozen_copy
 
 
 @dataclass(frozen=True)
@@ -60,8 +60,8 @@ class QuadL1Problem:
     signed: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        Q = np.array(self.Q, dtype=float, copy=True)
-        b = np.array(self.b, dtype=float, copy=True).ravel()
+        Q = np.asarray(self.Q, dtype=float)
+        b = frozen_copy(self.b).ravel()
         if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or Q.shape[0] != b.shape[0]:
             raise ValueError(f"Q must be p x p matching b, got {Q.shape} and {b.shape}")
         scale = max(1.0, float(np.abs(Q).max()))
@@ -69,10 +69,7 @@ class QuadL1Problem:
             raise ValueError("Q must be symmetric to 1e-12")
         if self.penalty_scale <= 0:
             raise ValueError("penalty_scale must be positive")
-        Q = 0.5 * (Q + Q.T)
-        Q.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "Q", Q)
+        object.__setattr__(self, "Q", frozen_copy(0.5 * (Q + Q.T)))
         object.__setattr__(self, "b", b)
         signed = tuple(sorted((int(j), int(s)) for j, s in dict(self.signed or ()).items()))
         if any(s not in (-1, 1) for _, s in signed):
@@ -105,9 +102,7 @@ class SolverSettings:
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
         if self.warm_start is not None:
-            ws = np.array(self.warm_start, dtype=float, copy=True)
-            ws.setflags(write=False)
-            object.__setattr__(self, "warm_start", ws)
+            object.__setattr__(self, "warm_start", frozen_copy(self.warm_start))
 
 
 def _soft(x: np.ndarray, t: float) -> np.ndarray:
@@ -299,37 +294,23 @@ def objective_value(problem: QuadL1Problem, u: np.ndarray) -> float:
     return float(u @ problem.Q @ u - 2.0 * u @ problem.b + problem.penalty_scale * pen)
 
 
-def project(dataset: Dataset, theta: np.ndarray, lambda_n: float,
-            settings: SolverSettings = SolverSettings()) -> SparseDraw:
-    """Project a dense coefficient draw to its sparse representative.
-
-    Minimizes (1/n)||X theta - Xu||^2 + lambda_n*||u||_1, i.e. the quadratic
-    problem with Q = C_n and b = C_n theta.  The support of the result is the
-    exact nonzero set produced by the soft-threshold updates.
-    """
-    theta = np.asarray(theta, dtype=float).ravel()
-    if theta.shape[0] != dataset.p:
-        raise ValueError(f"theta has length {theta.shape[0]}, expected {dataset.p}")
-    problem = QuadL1Problem(Q=dataset.gram, b=dataset.gram @ theta,
-                            penalty_scale=lambda_n)
-    u, kkt = solve_quad_l1(problem, settings)
-    return SparseDraw(theta_star=u, support=frozenset(np.nonzero(u)[0].tolist()),
-                      kkt_residual=kkt)
-
-
 def project_draws(dataset: Dataset, thetas: np.ndarray, lambda_n: float,
                   settings: SolverSettings = SolverSettings(),
                   warm: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Project a whole batch of dense draws at once.
+    """Project a batch of dense coefficient draws to their sparse representatives.
 
-    thetas is (m, p); returns (theta_star matrix (m, p), kkt residuals (m,)).
-    Equivalent to calling project per row but one vectorized descent.  warm
-    optionally seeds the whole batch, e.g. with the LASSO center.
+    Each row theta of the (m, p) thetas gives the problem min over u of
+    (1/n)||X theta - Xu||^2 + lambda_n*||u||_1, i.e. Q = C_n and b = C_n theta;
+    all rows are solved in one vectorized descent.  Returns (theta_star
+    matrix (m, p), kkt residuals (m,)).  warm optionally seeds the whole
+    batch, e.g. with the LASSO center.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if lambda_n <= 0:
         raise ValueError("lambda_n must be positive")
     m, p = thetas.shape
+    if p != dataset.p:
+        raise ValueError(f"thetas have {p} columns, expected {dataset.p}")
     B = thetas @ dataset.gram
     U0 = np.zeros((m, p)) if warm is None else np.broadcast_to(warm, (m, p))
     return _cd_shared(dataset.gram, B, lambda_n, np.zeros(p), U0,
@@ -340,7 +321,7 @@ def fit_lasso(dataset: Dataset, lambda_n: float,
               settings: SolverSettings = SolverSettings()) -> np.ndarray:
     """LASSO estimate: minimizer of (1/n)||Y - Xu||^2 + lambda_n*||u||_1.
 
-    Same quadratic form as project but with b = X'Y/n, which is the
+    Same quadratic form as project_draws but with b = X'Y/n, which is the
     projection of the least-squares solution.
     """
     if lambda_n <= 0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import CredibleRegion, NormSelector, SparseDraw
+from .types import NormSelector, frozen_copy
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,8 @@ class ProjectedSample:
     level: float
 
     def __post_init__(self):
-        draws = np.atleast_2d(np.array(self.draws, dtype=float, copy=True))
-        center = np.array(self.center, dtype=float, copy=True).ravel()
+        draws = np.atleast_2d(frozen_copy(self.draws))
+        center = frozen_copy(self.center).ravel()
         if draws.shape[0] < 2:
             raise ValueError("need at least 2 draws")
         if draws.shape[1] != center.shape[0]:
@@ -44,16 +44,8 @@ class ProjectedSample:
             raise ValueError("level must lie in (0, 1)")
         if self.n < 1:
             raise ValueError("n must be positive")
-        draws.setflags(write=False)
-        center.setflags(write=False)
         object.__setattr__(self, "draws", draws)
         object.__setattr__(self, "center", center)
-
-    @classmethod
-    def from_sparse_draws(cls, draws: list[SparseDraw], center: np.ndarray,
-                          n: int, level: float) -> "ProjectedSample":
-        return cls(draws=np.stack([d.theta_star for d in draws]),
-                   center=center, n=n, level=level)
 
     @property
     def count(self) -> int:
@@ -166,24 +158,3 @@ def model_probabilities(sample: ProjectedSample) -> dict[frozenset[int], float]:
         counts[support] = counts.get(support, 0) + 1
     R = sample.count
     return {s: c / R for s, c in counts.items()}
-
-
-def build_region(sample: ProjectedSample, selector: NormSelector,
-                 level: float | None = None) -> CredibleRegion:
-    """Assemble a CredibleRegion, including per-component intervals when the
-    selector is componentwise or rectangular."""
-    level = sample.level if level is None else level
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        r = radius_quantile(sample, selector, level=level)
-    degenerate = any(issubclass(w.category, UserWarning) for w in caught)
-    intervals = None
-    half = r / math.sqrt(sample.n)
-    if selector.kind == "component":
-        c = float(sample.center[selector.index])
-        intervals = ((c - half, c + half),)
-    elif selector.kind == "rectangle":
-        intervals = tuple((float(sample.center[j]) - half, float(sample.center[j]) + half)
-                          for j in selector.indices)
-    return CredibleRegion(selector=selector, center=sample.center, radius=r,
-                          level=level, intervals=intervals, degenerate=degenerate)

@@ -1,9 +1,10 @@
-"""End-to-end finite-sample coverage studies.
+"""The fit pipeline that `sparseproj fit` and the coverage studies share.
 
-One replication generates a dataset, picks the penalty (CV by default),
-computes the LASSO center, calibrates a per-component credibility level from
-the rescaled penalty, projects a batch of posterior draws, and records which
-componentwise intervals caught the true coefficients.  Replications are
+fit_dataset factorizes the posterior, computes the LASSO center, calibrates
+a per-component credibility level, projects a batch of posterior draws and
+reads off componentwise intervals.  A replication of a coverage study
+generates a dataset, picks the penalty (CV by default), runs fit_dataset and
+records which intervals caught the true coefficients.  Replications are
 independent tasks with RNG streams keyed by (seed, rep_index), so results
 are identical for any worker count; aggregation walks records in replication
 order.
@@ -23,7 +24,7 @@ from .errors import SparseProjError
 from .posterior import factorize, sample_posterior_arrays
 from .projection import cross_validate_lambda, fit_lasso, project_draws
 from .regions import ProjectedSample, component_intervals
-from .types import Dataset, PriorConfig, validate_dataset
+from .types import Dataset, PriorConfig, frozen_copy, validate_dataset
 
 DEFAULT_SIGNALS = (-2.0, -1.5, 0.5, 1.0, 2.0)
 # the variant quoted alongside the reference coverage table ends in 1.5
@@ -38,6 +39,60 @@ def signal_vector(p: int, caption_variant: bool = False) -> np.ndarray:
     theta = np.zeros(p)
     theta[: len(sig)] = sig
     return theta
+
+
+@dataclass(frozen=True)
+class FitResult:
+    """One pass of the method: lambda0 = lambda_n * sqrt(n), sigma_hat from
+    the ridge residual, levels[j] the credibility of component j, sample the
+    projected draws with their LASSO center, [lo, hi] the componentwise
+    intervals (degenerate where of zero length) and max_kkt the worst KKT
+    residual of the projected draws."""
+
+    lambda_n: float
+    lambda0: float
+    sigma_hat: float
+    levels: np.ndarray
+    sample: ProjectedSample
+    lo: np.ndarray
+    hi: np.ndarray
+    degenerate: np.ndarray
+    max_kkt: float
+
+    @property
+    def center(self) -> np.ndarray:
+        return self.sample.center
+
+
+def fit_dataset(ds: Dataset, lam: float, draws: int, post_seed: int, prior: PriorConfig,
+                *, target: float | None = None, level: float | None = None) -> FitResult:
+    """Fit the projection posterior to ds at penalty lam, on the
+    (1/n)||Y - Xu||^2 + lam*||u||_1 scale, with draws posterior draws from
+    the stream post_seed, projected warm-started at the LASSO center.  Give
+    exactly one of target (component j's level is calibrated from lambda0,
+    its Gram diagonal c_j and sigma_hat) and level (used for every j)."""
+    if (target is None) == (level is None):
+        raise ValueError("give exactly one of target and level")
+    lam0 = lam * math.sqrt(ds.n)
+    fact = factorize(ds, prior)
+    center = fit_lasso(ds, lam)
+    resid = ds.Y - ds.X @ fact.ridge_mean
+    sigma_hat = math.sqrt(float(resid @ resid) / ds.n)
+    if target is None:
+        levels = np.full(ds.p, float(level))
+    else:
+        levels = np.array([solve_gamma(CalibrationQuery(lambda0=lam0, target=target,
+                                                        c_j=float(ds.gram[j, j]),
+                                                        sigma0=sigma_hat)).gamma_level
+                           for j in range(ds.p)])
+
+    thetas, _ = sample_posterior_arrays(fact, draws, post_seed)
+    U, kkt = project_draws(ds, thetas, lam, warm=center)
+    sample = ProjectedSample(draws=U, center=center, n=ds.n, level=float(levels[0]))
+    lo, hi, degenerate = component_intervals(sample, levels)
+    return FitResult(lambda_n=lam, lambda0=lam0, sigma_hat=sigma_hat, levels=levels,
+                     sample=sample, lo=lo, hi=hi, degenerate=degenerate,
+                     max_kkt=float(kkt.max()))
 
 
 @dataclass(frozen=True)
@@ -63,8 +118,7 @@ class Scenario:
     cv_folds: int = 10
 
     def __post_init__(self):
-        theta0 = np.array(self.theta0, dtype=float, copy=True).ravel()
-        theta0.setflags(write=False)
+        theta0 = frozen_copy(self.theta0).ravel()
         object.__setattr__(self, "theta0", theta0)
         if theta0.shape[0] != self.p:
             raise ValueError("theta0 must have length p")
@@ -78,10 +132,10 @@ class Scenario:
             raise ValueError("draws_per_rep must be at least 2")
         if not 0.0 < self.target_coverage < 1.0:
             raise ValueError("target_coverage must lie in (0, 1)")
-        if self.error_sd <= 0:
-            raise ValueError("error_sd must be positive")
-        if self.lambda_n is not None and self.lambda_n <= 0:
-            raise ValueError("fixed lambda_n must be positive")
+        if not 0.0 < self.error_sd < math.inf:
+            raise ValueError(f"error_sd must be positive and finite, got {self.error_sd}")
+        if self.lambda_n is not None and not 0.0 < self.lambda_n < math.inf:
+            raise ValueError(f"fixed lambda_n must be positive and finite, got {self.lambda_n}")
 
 
 @dataclass(frozen=True)
@@ -166,34 +220,17 @@ def _run_replication(scenario: Scenario, rep_index: int) -> ReplicationRecord:
         # scale, i.e. half of that minimizer, keeping lambda0 = lambda_n*sqrt(n)
         # inside the calibrated range instead of over-shrinking the draws
         lam = 0.5 * cross_validate_lambda(ds, folds=scenario.cv_folds, seed=cv_seed)
-    lam0 = lam * math.sqrt(ds.n)
-
-    fact = factorize(ds, PriorConfig())
-    center = fit_lasso(ds, lam)
-    resid = ds.Y - ds.X @ fact.ridge_mean
-    sigma_hat = math.sqrt(float(resid @ resid) / ds.n)
-
-    levels = np.empty(ds.p)
-    for j in range(ds.p):
-        res = solve_gamma(CalibrationQuery(lambda0=lam0,
-                                           target=scenario.target_coverage,
-                                           c_j=float(ds.gram[j, j]),
-                                           sigma0=sigma_hat))
-        levels[j] = res.gamma_level
-
-    thetas, _ = sample_posterior_arrays(fact, scenario.draws_per_rep, post_seed)
-    U, kkt = project_draws(ds, thetas, lam, warm=center)
-    sample = ProjectedSample(draws=U, center=center, n=ds.n,
-                             level=scenario.target_coverage)
+    fit = fit_dataset(ds, lam, scenario.draws_per_rep, post_seed, PriorConfig(),
+                      target=scenario.target_coverage)
 
     # degenerate radii are expected under heavy shrinkage; recorded, not printed
-    lo, hi, degenerate = component_intervals(sample, levels)
-    covered = ((lo <= scenario.theta0) & (scenario.theta0 <= hi)).astype(float)
-    selected = (U != 0.0).mean(axis=0)
-    return ReplicationRecord(rep_index=rep_index, lambda_n=lam, lambda0=lam0,
-                             sigma_hat=sigma_hat, levels=levels, covered=covered,
-                             lengths=hi - lo, selected=selected,
-                             degenerate=degenerate.astype(float), max_kkt=float(kkt.max()))
+    theta0 = scenario.theta0
+    covered = ((fit.lo <= theta0) & (theta0 <= fit.hi)).astype(float)
+    return ReplicationRecord(rep_index=rep_index, lambda_n=fit.lambda_n,
+                             lambda0=fit.lambda0, sigma_hat=fit.sigma_hat,
+                             levels=fit.levels, covered=covered, lengths=fit.hi - fit.lo,
+                             selected=(fit.sample.draws != 0.0).mean(axis=0),
+                             degenerate=fit.degenerate.astype(float), max_kkt=fit.max_kkt)
 
 
 def aggregate(records: list[ReplicationRecord]) -> CoverageReport:

@@ -1,4 +1,4 @@
-"""Shared value types: datasets, configurations, draws, norm selectors, regions.
+"""Shared value types: datasets, the prior configuration, norm selectors.
 
 All types are immutable after construction (frozen dataclasses with read-only
 arrays) and safe to share across workers.
@@ -6,14 +6,15 @@ arrays) and safe to share across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFiniteInput
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def frozen_copy(arr) -> np.ndarray:
+    """A read-only float copy of arr, for the arrays of immutable types."""
     out = np.array(arr, dtype=float, copy=True)
     out.setflags(write=False)
     return out
@@ -37,7 +38,7 @@ class Dataset:
 
     def __post_init__(self):
         for name in ("X", "Y", "gram", "xty"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
+            object.__setattr__(self, name, frozen_copy(getattr(self, name)))
 
 
 def validate_dataset(X: np.ndarray, Y: np.ndarray) -> Dataset:
@@ -76,65 +77,6 @@ class PriorConfig:
     def __post_init__(self):
         if self.a_n < 0 or self.b1 < 0 or self.b2 < 0:
             raise ValueError("a_n, b1, b2 must all be nonnegative")
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Projection penalty, draw count, seed, and requested credibility level.
-
-    lambda_n may be the string "auto" (cross-validated) or a positive number.
-    If target_coverage is set, the reported level is derived from it through
-    the calibration machinery instead of being used directly.
-    """
-
-    lambda_n: float | str = "auto"
-    draws: int = 2000
-    seed: int = 0
-    level: float = 0.95
-    target_coverage: float | None = None
-
-    def __post_init__(self):
-        if isinstance(self.lambda_n, str):
-            if self.lambda_n != "auto":
-                raise ValueError(f"lambda_n must be 'auto' or a number, got {self.lambda_n!r}")
-        elif self.lambda_n <= 0:
-            raise ValueError("numeric lambda_n must be positive")
-        if self.draws < 2:
-            raise ValueError("draws must be at least 2")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("level must lie in (0, 1)")
-        if self.target_coverage is not None and not 0.0 < self.target_coverage < 1.0:
-            raise ValueError("target_coverage must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class PosteriorDraw:
-    theta: np.ndarray
-    sigma: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", _freeze(self.theta))
-        if not (self.sigma > 0 and np.isfinite(self.sigma) and np.isfinite(self.theta).all()):
-            raise NonFiniteInput("posterior draw must be finite with sigma > 0")
-
-
-@dataclass(frozen=True)
-class SparseDraw:
-    """A projected draw: sparse coefficients, their support, and the certified
-    KKT residual of the solve that produced them."""
-
-    theta_star: np.ndarray
-    support: frozenset[int]
-    kkt_residual: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta_star", _freeze(self.theta_star))
-        object.__setattr__(self, "support", frozenset(int(j) for j in self.support))
-        expected = frozenset(int(j) for j in np.nonzero(self.theta_star)[0])
-        if self.support != expected:
-            raise ValueError("support does not match nonzero coordinates of theta_star")
-        if self.kkt_residual < 0:
-            raise ValueError("kkt_residual must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -185,23 +127,3 @@ class NormSelector:
     @classmethod
     def rectangle(cls, indices) -> "NormSelector":
         return cls("rectangle", indices=tuple(int(j) for j in indices))
-
-
-@dataclass(frozen=True)
-class CredibleRegion:
-    """Credible ball: center (the LASSO estimate), radius on the sqrt(n)
-    scale, requested level, and optional per-component intervals."""
-
-    selector: NormSelector
-    center: np.ndarray
-    radius: float
-    level: float
-    intervals: tuple[tuple[float, float], ...] | None = None
-    degenerate: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", _freeze(self.center))
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
-        if not 0.0 < self.level < 1.0:
-            raise ValueError("level must lie in (0, 1)")

@@ -36,7 +36,6 @@ from sparseproj.projection import (
     fit_lasso,
     kkt_check,
     objective_value,
-    project,
     solve_quad_l1,
 )
 from sparseproj.simulate import Scenario, report_to_csv, run_scenario, signal_vector
@@ -284,7 +283,8 @@ def test_criterion_4_least_squares_projection_is_lasso():
         ds = validate_dataset(X, Y)
         lam = float(rng.uniform(0.05, 1.0))
         theta_ls = np.linalg.solve(ds.gram, ds.xty)
-        via_projection = project(ds, theta_ls, lam).theta_star
+        via_projection, _ = solve_quad_l1(QuadL1Problem(
+            Q=ds.gram, b=ds.gram @ theta_ls, penalty_scale=lam))
         direct = fit_lasso(ds, lam)
         dev = float(np.abs(via_projection - direct).max())
         worst = max(worst, dev)

@@ -1,7 +1,7 @@
-"""CSV ingestion, the chunked Gram accumulator, JSON round-trips, and the
-command-line entry points (mostly in-process via main(argv); a few subprocess
-runs exercise the console-script entry point that pyproject.toml declares, in
-a fresh interpreter, with or without an install)."""
+"""CSV ingestion, the chunked Gram accumulator, and the command-line entry
+points (mostly in-process via main(argv); a few subprocess runs exercise the
+console-script entry point that pyproject.toml declares and the demo scripts,
+in a fresh interpreter, with or without an install)."""
 
 import json
 import math
@@ -24,24 +24,13 @@ from sparseproj.dataio import (
     CsvFormatError,
     GramAccumulator,
     dataset_from_csv,
-    from_jsonable,
     ingest_chunk,
-    json_roundtrip,
     read_csv,
-    to_jsonable,
 )
 from sparseproj.errors import DimensionMismatch, NonFiniteInput
 from sparseproj.posterior import factorize
 from sparseproj.projection import cross_validate_lambda
-from sparseproj.types import (
-    CredibleRegion,
-    FitConfig,
-    NormSelector,
-    PosteriorDraw,
-    PriorConfig,
-    SparseDraw,
-    validate_dataset,
-)
+from sparseproj.types import PriorConfig, validate_dataset
 
 
 def write_csv(path, X, Y, names=None):
@@ -289,53 +278,6 @@ def test_dataset_from_csv(demo_csv):
     np.testing.assert_allclose(ds.gram, X.T @ X / 30, atol=1e-12)
 
 
-# --- JSON round-trips --------------------------------------------------------
-
-def cycle(obj):
-    back = json_roundtrip(obj)
-    assert type(back) is type(obj)
-    assert to_jsonable(back) == to_jsonable(obj)
-    return back
-
-
-def test_json_roundtrip_core_types():
-    ds = validate_dataset(np.array([[1.0, 0.5], [0.25, -1.0], [0.0, 2.0]]),
-                          np.array([0.1, -0.2, 0.3]))
-    cycle(ds)
-    cycle(PriorConfig(a_n=0.5, b1=0.1, b2=0.2))
-    cycle(FitConfig(lambda_n="auto", draws=100, seed=7, level=0.9))
-    cycle(FitConfig(lambda_n=0.25, draws=10, seed=0, level=0.5,
-                    target_coverage=0.95))
-    cycle(PosteriorDraw(theta=np.array([0.1, -0.7]), sigma=1.3))
-    cycle(SparseDraw(theta_star=np.array([0.0, 1.5, 0.0]),
-                     support=frozenset({1}), kkt_residual=1e-12))
-    for sel in (NormSelector.max_norm(), NormSelector.euclidean(),
-                NormSelector.l1(), NormSelector.component(2),
-                NormSelector.rectangle((0, 2))):
-        cycle(sel)
-    cycle(CredibleRegion(selector=NormSelector.euclidean(),
-                         center=np.zeros(2), radius=0.5, level=0.9,
-                         intervals=None, degenerate=False))
-    cycle(CredibleRegion(selector=NormSelector.component(0),
-                         center=np.array([0.3]), radius=0.2, level=0.95,
-                         intervals=((0.1, 0.5),), degenerate=False))
-
-
-def test_json_roundtrip_preserves_float_bits():
-    draw = PosteriorDraw(theta=np.array([0.1 + 0.2, 1.0 / 3.0, 1e-308]),
-                         sigma=math.pi)
-    back = json_roundtrip(draw)
-    np.testing.assert_array_equal(back.theta, draw.theta)
-    assert back.sigma == draw.sigma
-
-
-def test_json_unknown_type_rejected():
-    with pytest.raises(TypeError):
-        to_jsonable(object())
-    with pytest.raises(TypeError):
-        from_jsonable({"type": "Mystery"})
-
-
 # --- CLI ---------------------------------------------------------------------
 
 def test_cli_missing_required_flag(capsys):
@@ -435,7 +377,7 @@ def test_cli_fit_level_target_exclusive(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "cv"])
 def test_cli_fit_rejects_non_finite_or_non_positive_lambda(value, demo_csv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["fit", "--data", str(demo_csv[0]), "--response", "y",
@@ -443,6 +385,34 @@ def test_cli_fit_rejects_non_finite_or_non_positive_lambda(value, demo_csv, caps
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage" in err and "--lambda must be a positive finite number" in err
+
+
+@pytest.mark.parametrize("flag, value, rule", [
+    ("--level", "1.5", "a number in (0, 1)"),
+    ("--level", "1.0", "a number in (0, 1)"),
+    ("--level", "0", "a number in (0, 1)"),
+    ("--level", "nan", "a number in (0, 1)"),
+    ("--target", "1.0", "a number in (0, 1)"),
+    ("--target", "inf", "a number in (0, 1)"),
+    ("--target", "high", "a number in (0, 1)"),
+    ("--draws", "0", "an integer >= 2"),
+    ("--draws", "1", "an integer >= 2"),
+    ("--draws", "2.5", "an integer >= 2"),
+    ("--an", "-1", "a finite number >= 0"),
+    ("--an", "nan", "a finite number >= 0"),
+    ("--an", "inf", "a finite number >= 0"),
+])
+def test_cli_fit_rejects_bad_flag_before_reading_data(flag, value, rule, tmp_path, capsys):
+    # the data file does not exist: exit status 2 shows the flag was checked
+    # while parsing, before fit opened the file (which would exit 1)
+    argv = ["fit", "--data", str(tmp_path / "missing.csv"), "--response", "y",
+            f"{flag}={value}"]
+    if flag not in ("--level", "--target"):
+        argv.append("--level=0.9")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"{flag} must be {rule}, got '{value}'" in capsys.readouterr().err
 
 
 def test_cli_fit_bad_file(capsys, tmp_path):
@@ -598,3 +568,15 @@ def test_console_script_usage_error():
                           capture_output=True, text=True, env=child_env())
     assert proc.returncode == 2
     assert "usage" in proc.stderr.lower()
+
+
+
+def test_demos_run(tmp_path):
+    # each narrative script in demos/ runs to completion in a fresh interpreter
+    demos = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+    assert "fit_pipeline.py" in [d.name for d in demos]
+    for demo in demos:
+        proc = subprocess.run([sys.executable, str(demo)], capture_output=True,
+                              text=True, env=child_env(), cwd=tmp_path)
+        assert proc.returncode == 0, (demo.name, proc.stderr)
+        assert proc.stdout, demo.name

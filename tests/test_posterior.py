@@ -15,7 +15,6 @@ from sparseproj.errors import SingularSystem
 from sparseproj.posterior import (
     PosteriorFactorization,
     factorize,
-    sample_posterior,
     sample_posterior_arrays,
 )
 from sparseproj.types import PriorConfig, validate_dataset
@@ -124,17 +123,6 @@ def test_sharded_sampling_deterministic_given_shard_count():
     np.testing.assert_array_equal(t1, t2)
     np.testing.assert_array_equal(s1, s2)
     assert t1.shape == (101, 3) and s1.shape == (101,)
-
-
-def test_sample_posterior_wraps_arrays():
-    fact = factorize(make_dataset(seed=2), PriorConfig())
-    thetas, sigmas = sample_posterior_arrays(fact, 8, seed=3)
-    draws = sample_posterior(fact, 8, seed=3)
-    assert len(draws) == 8
-    for i, d in enumerate(draws):
-        np.testing.assert_array_equal(d.theta, thetas[i])
-        assert d.sigma == sigmas[i]
-        assert d.sigma > 0
 
 
 def test_moments_large_sample():

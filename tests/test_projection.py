@@ -30,7 +30,6 @@ from sparseproj.projection import (
     fit_lasso,
     kkt_check,
     objective_value,
-    project,
     project_draws,
     solve_quad_l1,
 )
@@ -52,21 +51,27 @@ def equicorrelated_dataset():
     return validate_dataset(X, np.zeros(4))
 
 
-# --- project -----------------------------------------------------------------
+# --- project_draws -----------------------------------------------------------
+
+def project_one(ds, theta, lam):
+    """Project one draw alone: the quadratic problem Q = C_n, b = C_n theta."""
+    u, _ = solve_quad_l1(QuadL1Problem(Q=ds.gram, b=ds.gram @ theta, penalty_scale=lam))
+    return u
+
 
 def test_project_identity_gram_soft_threshold():
     ds = identity_gram_dataset()
-    draw = project(ds, np.array([1.0, -0.1]), 0.4)
-    np.testing.assert_allclose(draw.theta_star, [0.8, 0.0], atol=1e-12)
-    assert draw.support == frozenset({0})
-    assert draw.kkt_residual <= 1e-10
+    U, kkt = project_draws(ds, np.array([1.0, -0.1]), 0.4)
+    np.testing.assert_allclose(U[0], [0.8, 0.0], atol=1e-12)
+    assert np.flatnonzero(U[0]).tolist() == [0]
+    assert kkt[0] <= 1e-10
 
 
 def test_project_zero_stays_zero():
     ds = identity_gram_dataset()
-    draw = project(ds, np.zeros(2), 0.4)
-    np.testing.assert_array_equal(draw.theta_star, [0.0, 0.0])
-    assert draw.support == frozenset()
+    U, _ = project_draws(ds, np.zeros(2), 0.4)
+    np.testing.assert_array_equal(U[0], [0.0, 0.0])
+    assert np.flatnonzero(U[0]).size == 0
 
 
 def test_project_correlated_gram_vs_grid_oracle():
@@ -75,24 +80,25 @@ def test_project_correlated_gram_vs_grid_oracle():
     np.testing.assert_array_equal(ds.gram, C)
     theta = np.array([1.0, 0.2])
     lam = 0.6
-    draw = project(ds, theta, lam)
+    U, _ = project_draws(ds, theta, lam)
+    u = U[0]
 
     b = C @ theta
     u_grid, f_grid = grid_min_2d(C, b, lam)
     signs = np.zeros(2)
-    f_cd = objective(C, b, lam, signs, draw.theta_star)
+    f_cd = objective(C, b, lam, signs, u)
     assert abs(f_cd - f_grid) <= 1e-6
     assert f_cd <= f_grid + 1e-9  # exact solver cannot lose to a lattice point
-    np.testing.assert_allclose(draw.theta_star, u_grid, atol=2e-3)
+    np.testing.assert_allclose(u, u_grid, atol=2e-3)
     # this instance lands on the closed form (0.8, 0) with coord 2 at the
     # subgradient boundary, exercising the ties-stay-zero rule
-    np.testing.assert_allclose(draw.theta_star, [0.8, 0.0], atol=1e-10)
+    np.testing.assert_allclose(u, [0.8, 0.0], atol=1e-10)
 
 
 def test_project_rejects_wrong_length():
     ds = identity_gram_dataset()
-    with pytest.raises(ValueError):
-        project(ds, np.ones(3), 0.4)
+    with pytest.raises(ValueError, match="3 columns, expected 2"):
+        project_draws(ds, np.ones(3), 0.4)
 
 
 def test_project_draws_matches_per_row():
@@ -104,8 +110,7 @@ def test_project_draws_matches_per_row():
     assert U.shape == (25, 4) and kkt.shape == (25,)
     assert kkt.max() <= 1e-10
     for i in (0, 7, 24):
-        single = project(ds, thetas[i], 0.3)
-        np.testing.assert_allclose(U[i], single.theta_star, atol=1e-9)
+        np.testing.assert_allclose(U[i], project_one(ds, thetas[i], 0.3), atol=1e-9)
 
 
 def test_project_draws_warm_start_same_answer():
@@ -290,7 +295,7 @@ def test_lasso_is_projection_of_least_squares():
     ls = np.linalg.solve(X.T @ X, X.T @ Y)
     for lam in (0.05, 0.3, 1.0):
         direct = fit_lasso(ds, lam)
-        via_projection = project(ds, ls, lam).theta_star
+        via_projection = project_one(ds, ls, lam)
         np.testing.assert_allclose(via_projection, direct, atol=1e-9)
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from sparseproj.regions import (
     ProjectedSample,
-    build_region,
     component_interval,
     component_intervals,
     minkowski_norm,
@@ -15,7 +14,7 @@ from sparseproj.regions import (
     radius_quantile,
     rectangle_levels,
 )
-from sparseproj.types import NormSelector, SparseDraw
+from sparseproj.types import NormSelector
 
 
 def sample_from_distances(values, n=1, level=0.8):
@@ -236,7 +235,7 @@ def test_model_probabilities_sum_to_one():
     assert all(v > 0 for v in probs.values())
 
 
-# --- rectangle/component consistency and build_region ------------------------
+# --- rectangle/component consistency -----------------------------------------
 
 def test_rectangle_ball_is_intersection_of_components():
     rng = np.random.default_rng(5)
@@ -250,49 +249,15 @@ def test_rectangle_ball_is_intersection_of_components():
     np.testing.assert_array_equal(in_ball, in_all)
 
 
-def test_build_region_component():
-    draws = np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 0.5], [0.0, -0.5]])
-    s = ProjectedSample(draws=draws, center=np.zeros(2), n=4, level=0.75)
-    reg = build_region(s, NormSelector.component(1))
-    assert reg.level == 0.75
-    # scaled distances are {1, 1, 2, 2}; mass 0.5 at 1 misses 0.75, so the
-    # radius climbs to 2 and the interval half-width is 2/sqrt(4) = 1
-    assert reg.radius == pytest.approx(2.0)
-    assert reg.intervals == ((pytest.approx(-1.0), pytest.approx(1.0)),)
-    assert not reg.degenerate
-
-
-def test_build_region_rectangle_intervals_share_radius():
-    rng = np.random.default_rng(6)
-    draws = rng.standard_normal((50, 3))
-    center = np.array([1.0, -1.0, 0.0])
-    s = ProjectedSample(draws=draws, center=center, n=9, level=0.9)
-    reg = build_region(s, NormSelector.rectangle([0, 1]))
-    half = reg.radius / 3.0
-    assert reg.intervals == (
-        (pytest.approx(1.0 - half), pytest.approx(1.0 + half)),
-        (pytest.approx(-1.0 - half), pytest.approx(-1.0 + half)),
-    )
-
-
-def test_build_region_degenerate_flag():
-    draws = np.zeros((10, 2))
-    s = ProjectedSample(draws=draws, center=np.zeros(2), n=4, level=0.9)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        reg = build_region(s, NormSelector.euclidean())
-    assert reg.degenerate and reg.radius == 0.0
-    assert reg.intervals is None
-
-
-def test_build_region_ball_without_intervals():
+def test_radius_quantile_ball_norms():
     rng = np.random.default_rng(7)
     draws = rng.standard_normal((60, 2))
     s = ProjectedSample(draws=draws, center=np.zeros(2), n=4, level=0.9)
     for sel in (NormSelector.max_norm(), NormSelector.euclidean(), NormSelector.l1()):
-        reg = build_region(s, sel)
-        assert reg.intervals is None
-        assert reg.radius > 0
+        r = radius_quantile(s, sel)
+        d = np.array([minkowski_norm(2.0 * row, sel) for row in draws])
+        assert r > 0
+        assert (d <= r).mean() >= 0.9 and (d < r).mean() < 0.9
 
 
 # --- ProjectedSample ---------------------------------------------------------
@@ -307,14 +272,3 @@ def test_sample_validation():
     with pytest.raises(ValueError):
         ProjectedSample(draws=np.zeros((3, 2)), center=np.zeros(2), n=4, level=1.0)
 
-
-def test_sample_from_sparse_draws():
-    draws = [
-        SparseDraw(theta_star=np.array([1.0, 0.0]), support=frozenset({0}),
-                   kkt_residual=0.0),
-        SparseDraw(theta_star=np.array([0.0, -2.0]), support=frozenset({1}),
-                   kkt_residual=0.0),
-    ]
-    s = ProjectedSample.from_sparse_draws(draws, center=np.zeros(2), n=9, level=0.9)
-    assert s.count == 2 and s.p == 2
-    np.testing.assert_array_equal(s.draws, [[1.0, 0.0], [0.0, -2.0]])

@@ -47,6 +47,10 @@ def test_scenario_validation():
         make_scenario(error_sd=0.0)
     with pytest.raises(ValueError):
         make_scenario(lambda_n=0.0)
+    for field in ("lambda_n", "error_sd"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+                make_scenario(**{field: value})
 
 
 def test_signal_vector_layout():

@@ -4,16 +4,7 @@ import numpy as np
 import pytest
 
 from sparseproj.errors import DimensionMismatch, NonFiniteInput, SparseProjError
-from sparseproj.types import (
-    CredibleRegion,
-    Dataset,
-    FitConfig,
-    NormSelector,
-    PosteriorDraw,
-    PriorConfig,
-    SparseDraw,
-    validate_dataset,
-)
+from sparseproj.types import Dataset, NormSelector, PriorConfig, validate_dataset
 
 
 def test_validate_dataset_tiny_example():
@@ -86,39 +77,6 @@ def test_prior_config_defaults_and_validation():
         PriorConfig(b2=-0.5)
 
 
-def test_fit_config_validation():
-    cfg = FitConfig()
-    assert cfg.lambda_n == "auto" and cfg.draws == 2000 and cfg.level == 0.95
-    FitConfig(lambda_n=0.3, target_coverage=0.9)
-    with pytest.raises(ValueError):
-        FitConfig(lambda_n="cv")
-    with pytest.raises(ValueError):
-        FitConfig(lambda_n=0.0)
-    with pytest.raises(ValueError):
-        FitConfig(draws=1)
-    with pytest.raises(ValueError):
-        FitConfig(level=1.0)
-    with pytest.raises(ValueError):
-        FitConfig(target_coverage=0.0)
-
-
-def test_posterior_draw_guards():
-    d = PosteriorDraw(theta=np.array([1.0, -2.0]), sigma=0.5)
-    assert not d.theta.flags.writeable
-    with pytest.raises(NonFiniteInput):
-        PosteriorDraw(theta=np.array([1.0, np.nan]), sigma=0.5)
-    with pytest.raises(NonFiniteInput):
-        PosteriorDraw(theta=np.array([1.0]), sigma=0.0)
-
-
-def test_sparse_draw_support_must_match():
-    SparseDraw(theta_star=np.array([0.0, 1.5, 0.0]), support=frozenset({1}), kkt_residual=0.0)
-    with pytest.raises(ValueError):
-        SparseDraw(theta_star=np.array([0.0, 1.5]), support=frozenset({0}), kkt_residual=0.0)
-    with pytest.raises(ValueError):
-        SparseDraw(theta_star=np.array([1.0]), support=frozenset({0}), kkt_residual=-1e-3)
-
-
 def test_norm_selector_kinds():
     assert NormSelector.max_norm().kind == "max"
     assert NormSelector.euclidean().kind == "euclidean"
@@ -140,20 +98,6 @@ def test_norm_selector_validation():
         NormSelector.rectangle([])
     with pytest.raises(ValueError):
         NormSelector.rectangle([1, 1])
-
-
-def test_credible_region_guards():
-    reg = CredibleRegion(
-        selector=NormSelector.euclidean(),
-        center=np.zeros(2),
-        radius=1.0,
-        level=0.9,
-    )
-    assert not reg.degenerate and reg.intervals is None
-    with pytest.raises(ValueError):
-        CredibleRegion(NormSelector.euclidean(), np.zeros(2), radius=-0.1, level=0.9)
-    with pytest.raises(ValueError):
-        CredibleRegion(NormSelector.euclidean(), np.zeros(2), radius=1.0, level=0.0)
 
 
 def test_dataset_direct_construction_freezes():
