@@ -8,8 +8,13 @@ whether the true coefficient is a signal or a zero:
     zero coverage     psi_zero(gamma, lam0) = P(h_zero(lam0, Z) <= 1 - gamma)
 
 with z = z_{gamma/2} and Z standard normal.  solve_gamma inverts psi in
-gamma so a requested coverage target is hit exactly in the limit; the
-calibration table tabulates that inversion over a penalty grid.
+gamma so a requested coverage target is hit exactly in the limit, by a
+scalar bisection on z, and reports psi and psi_zero at the solution; the
+calibration table, `calibrate` and `limitcheck` go through it.  The fit
+pipeline needs only the levels of all p components at once: solve_levels
+runs one safeguarded Newton iteration on z over the whole array of
+effective penalties, with the normal CDF taken per element from math.erfc,
+and computes no psi_zero.
 
 Since psi < 1 - gamma for lam0 > 0, the requested credibility must exceed
 the coverage target; a table row says by how much.
@@ -21,10 +26,13 @@ import io
 import math
 from dataclasses import dataclass
 
-from .normal import norm_cdf, norm_pdf, norm_ppf
+import numpy as np
+
+from .normal import INV_SQRT_2PI, norm_cdf, norm_ppf
 
 _BISECT_TOL = 1e-12
 _Z_HI = 40.0  # Phi saturates to double precision well before this
+_NEWTON_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -42,12 +50,14 @@ class CalibrationQuery:
     sigma0: float = 1.0
 
     def __post_init__(self):
-        if self.lambda0 < 0:
-            raise ValueError("lambda0 must be nonnegative")
+        if not 0.0 <= self.lambda0 < math.inf:
+            raise ValueError(f"lambda0 must be finite and nonnegative, got {self.lambda0}")
         if not 0.0 < self.target < 1.0:
             raise ValueError("target must lie in (0, 1)")
-        if self.c_j <= 0 or self.sigma0 <= 0:
-            raise ValueError("c_j and sigma0 must be positive")
+        for name in ("c_j", "sigma0"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @property
     def effective_lambda(self) -> float:
@@ -138,26 +148,85 @@ def _zero_of_psi(lambda_eff: float, target: float, method: str = "bisect") -> fl
     """Solve Phi(l/2 + z) - Phi(l/2 - z) = target for z >= 0.
 
     The left side is strictly increasing in z from 0 to 1, so the root is
-    unique.  method "bisect" is the production path; "newton" is a second,
-    independent route kept for cross-checking the table against round-off
-    and misprints.
+    unique.  method "bisect" is the production path of solve_gamma; "newton"
+    is the vectorized Newton route of solve_levels (_newton_zeros) on this
+    one penalty, kept so the table can be cross-checked against round-off
+    and misprints by a second, independent solver.
+    """
+    if method == "bisect":
+        half = 0.5 * lambda_eff
+        return _bisect(lambda z: norm_cdf(half + z) - norm_cdf(half - z) - target,
+                       0.0, _Z_HI)
+    if method == "newton":
+        return float(_newton_zeros(np.array([lambda_eff]), target)[0])
+    raise ValueError(f"unknown method {method!r}")
+
+
+def _cdf(x: np.ndarray) -> np.ndarray:
+    """norm_cdf of every element, so arrays and scalars round alike."""
+    return np.fromiter((norm_cdf(v) for v in x.tolist()), float, x.size)
+
+
+def _newton_zeros(lambda_eff: np.ndarray, target: float) -> np.ndarray:
+    """_zero_of_psi for every penalty of a 1-d array at once.
+
+    Each root is bracketed in [0, _Z_HI] and starts at the exact root for
+    penalty 0, norm_ppf(0.5 + target/2).  Every iteration evaluates the
+    residual, shrinks the bracket to the side holding the root, and takes a
+    Newton step; when that step would not land strictly inside the bracket,
+    or the density has underflowed to 0 (a penalty far above the level's
+    range), it bisects instead.  A root is done once a step moves it by at
+    most 1e-14 or its residual is exactly 0.
     """
     half = 0.5 * lambda_eff
+    z = np.full(half.shape, norm_ppf(0.5 + 0.5 * target))
+    lo = np.zeros(half.shape)
+    hi = np.full(half.shape, _Z_HI)
+    todo = np.arange(half.size)
+    for _ in range(200):
+        if todo.size == 0:
+            break
+        h, zt, lt, ht = half[todo], z[todo], lo[todo], hi[todo]
+        f = _cdf(h + zt) - _cdf(h - zt) - target
+        below = f < 0.0
+        lt = np.where(below, zt, lt)
+        ht = np.where(below, ht, zt)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            slope = INV_SQRT_2PI * (np.exp(-0.5 * (h + zt) ** 2)
+                                    + np.exp(-0.5 * (h - zt) ** 2))
+            step = zt - f / slope
+        inside = (lt < step) & (step < ht)  # false for the inf or NaN of slope 0
+        znew = np.where(f == 0.0, zt, np.where(inside, step, 0.5 * (lt + ht)))
+        z[todo], lo[todo], hi[todo] = znew, lt, ht
+        todo = todo[~(np.abs(znew - zt) <= _NEWTON_TOL)]
+    return z
 
-    def g(z: float) -> float:
-        return norm_cdf(half + z) - norm_cdf(half - z)
 
-    if method == "bisect":
-        return _bisect(lambda z: g(z) - target, 0.0, _Z_HI)
-    if method == "newton":
-        z = norm_ppf(0.5 + 0.5 * target)  # exact for lambda_eff = 0
-        for _ in range(100):
-            step = (g(z) - target) / (norm_pdf(half + z) + norm_pdf(half - z))
-            z -= step
-            if abs(step) < 1e-14:
-                break
-        return z
-    raise ValueError(f"unknown method {method!r}")
+def _clipped_gamma(cdf_z):
+    """gamma = 2(1 - Phi(z)) from Phi(z), clipped to [1e-15, 1 - 1e-15]: the
+    floor keeps 1 - gamma/2 strictly below 1.0 in doubles, so the quantile
+    lookups inside psi stay well defined when the penalty saturates the
+    level."""
+    return np.clip(2.0 * (1.0 - cdf_z), 1e-15, 1.0 - 1e-15)
+
+
+def solve_levels(lambda_eff, target: float) -> np.ndarray:
+    """Credibility level of each component from its effective penalty
+    lambda0*sqrt(c_j)/sigma0: the level solve_gamma finds, for a whole array
+    of penalties in one vectorized Newton solve (_newton_zeros), without
+    solve_gamma's psi and psi_zero.  The penalties must be finite and
+    nonnegative, and target must lie in (0, 1), as CalibrationQuery
+    requires.
+    """
+    lam = np.asarray(lambda_eff, dtype=float)
+    if not 0.0 < target < 1.0:
+        raise ValueError("target must lie in (0, 1)")
+    bad = np.flatnonzero(~((0.0 <= lam) & (lam < math.inf)))
+    if bad.size:
+        raise ValueError("effective penalty lambda0*sqrt(c_j)/sigma0 must be finite and "
+                         f"nonnegative, got {lam.flat[bad[0]]} at index {bad[0]}")
+    z = _newton_zeros(lam.ravel(), float(target))
+    return (1.0 - _clipped_gamma(_cdf(z))).reshape(lam.shape)
 
 
 def solve_gamma(query: CalibrationQuery, method: str = "bisect") -> CalibrationResult:
@@ -169,10 +238,7 @@ def solve_gamma(query: CalibrationQuery, method: str = "bisect") -> CalibrationR
     """
     lam = query.effective_lambda
     z = _zero_of_psi(lam, query.target, method=method)
-    gamma = 2.0 * (1.0 - norm_cdf(z))
-    # floor keeps 1 - gamma/2 strictly below 1.0 in doubles, so the quantile
-    # lookups inside psi stay well defined when the penalty saturates the level
-    gamma = min(max(gamma, 1e-15), 1.0 - 1e-15)
+    gamma = float(_clipped_gamma(norm_cdf(z)))
     return CalibrationResult(
         gamma_level=1.0 - gamma,
         psi_at_gamma=psi(gamma, lam),

@@ -68,8 +68,12 @@ def _in_unit(x: float) -> bool:
     return 0.0 < x < 1.0
 
 
+def _positive_finite(x: float) -> bool:
+    return 0.0 < x < math.inf
+
+
 _positive_lambda = _checked("--lambda", "a positive finite number or 'auto'",
-                            lambda x: 0.0 < x < math.inf)
+                            _positive_finite)
 
 
 def _parse_lambda(value: str) -> float | str:
@@ -226,10 +230,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=cmd_fit)
 
     p_cal = sub.add_parser("calibrate", help="print the calibrated credibility level")
-    p_cal.add_argument("--lambda0", type=float, required=True)
-    p_cal.add_argument("--target", type=float, required=True)
-    p_cal.add_argument("--c", type=float, default=1.0, help="limiting Gram diagonal")
-    p_cal.add_argument("--sigma0", type=float, default=1.0, help="error s.d.")
+    p_cal.add_argument("--lambda0", type=_checked("--lambda0", "a finite number >= 0",
+                                                  lambda x: 0.0 <= x < math.inf),
+                       required=True)
+    p_cal.add_argument("--target", type=_checked("--target", "a number in (0, 1)", _in_unit),
+                       required=True)
+    p_cal.add_argument("--c", type=_checked("--c", "a positive finite number", _positive_finite),
+                       default=1.0, help="limiting Gram diagonal")
+    p_cal.add_argument("--sigma0", type=_checked("--sigma0", "a positive finite number",
+                                                 _positive_finite),
+                       default=1.0, help="error s.d.")
     p_cal.set_defaults(func=cmd_calibrate)
 
     p_tab = sub.add_parser("table", help="emit the calibration table as CSV")
@@ -249,12 +259,15 @@ def build_parser() -> argparse.ArgumentParser:
                            help="Monte-Carlo check of the limiting coverage")
     p_lim.add_argument("--lambda0", type=_float_list, default=[0.5, 1.0, 2.0],
                        help="comma-separated penalty values")
-    p_lim.add_argument("--target", type=float, default=0.95)
+    p_lim.add_argument("--target", type=_checked("--target", "a number in (0, 1)", _in_unit),
+                       default=0.95)
     p_lim.add_argument("--signs", type=_float_list, default=[1.0, -1.0, 0.0],
                        help="true-sign pattern, e.g. '1,-1,0' (0 = noise)")
-    p_lim.add_argument("--sigma0", type=float, default=1.0)
-    p_lim.add_argument("--outer", type=int, default=2000)
-    p_lim.add_argument("--inner", type=int, default=2000)
+    p_lim.add_argument("--sigma0", type=_checked("--sigma0", "a positive finite number",
+                                                 _positive_finite), default=1.0)
+    for flag in ("--outer", "--inner"):
+        p_lim.add_argument(flag, type=_checked(flag, "an integer >= 100", lambda k: k >= 100,
+                                               kind=int), default=2000)
     p_lim.add_argument("--seed", type=int, default=0)
     p_lim.add_argument("--out", default=None)
     p_lim.set_defaults(func=cmd_limitcheck)

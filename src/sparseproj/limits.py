@@ -23,6 +23,7 @@ square-root factors of C computed once per call.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -60,10 +61,10 @@ class LimitSpec:
             raise ValueError("theta0_signs entries must be -1, 0, or +1")
         if np.linalg.eigvalsh(0.5 * (C + C.T)).min() <= 0:
             raise ValueError("C must be positive definite")
-        if self.sigma0 <= 0:
-            raise ValueError("sigma0 must be positive")
-        if self.lambda0 < 0:
-            raise ValueError("lambda0 must be nonnegative")
+        if not 0.0 < self.sigma0 < math.inf:
+            raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
+        if not 0.0 <= self.lambda0 < math.inf:
+            raise ValueError(f"lambda0 must be finite and nonnegative, got {self.lambda0}")
         object.__setattr__(self, "C", frozen_copy(0.5 * (C + C.T)))
         object.__setattr__(self, "theta0_signs", signs)
 

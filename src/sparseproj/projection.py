@@ -1,5 +1,5 @@
-"""Sparsity-inducing projection and LASSO solves via coordinate descent, and
-the cross-validation path via a certified sign-pattern Newton step.
+"""Sparsity-inducing projection via coordinate descent, and the LASSO center
+and the cross-validation path via a certified sign-pattern Newton step.
 
 All problems here share one quadratic form
 
@@ -20,18 +20,20 @@ The certificate is one branch-free formula for every coordinate kind (see
 _kkt_rows), evaluated after each sweep in place, in work buffers the solver
 allocates once per call, so a sweep allocates no array of the batch's size.
 
-The cross-validation path (_cv_path_step) runs few folds at many penalties,
-where Python-level coordinate updates cost far more than their arithmetic.
-There each fold takes the homotopy step of Osborne, Presnell & Turlach
-(2000): keep the warm start's sign pattern, add the zero coordinates whose
-gradient breaks KKT at the new penalty (as strong rules would screen them,
-Tibshirani et al. 2012), and solve the stationarity equations on that active
-set with numpy.linalg.solve (LU with partial pivoting).  A fold keeps its
-point when that solve reports a singular matrix, returns a non-finite value
-or flips an assumed sign; otherwise it moves to the solution.  The step is
-accepted only if the fold's full KKT residual is then within tol.  A fold
-that is not accepted runs coordinate-descent sweeps, retrying the Newton
-step after each one.
+The cross-validation path runs few folds at many penalties, and the LASSO
+center is a single row; there Python-level coordinate updates cost far more
+than their arithmetic.  So _newton_cd_solve, which serves both, has each
+row take the homotopy step of Osborne, Presnell & Turlach (2000): keep the
+warm start's sign pattern, add the zero coordinates whose gradient breaks
+KKT at the new penalty (as strong rules would screen them, Tibshirani et
+al. 2012), and solve the stationarity equations on that active set with
+numpy.linalg.solve (LU with partial pivoting).  A row keeps its point when
+that solve reports a singular matrix, returns a non-finite value or flips
+an assumed sign; otherwise it moves to the solution.  The step is accepted
+only if the row's full KKT residual is then within tol.  A row that is not
+accepted runs coordinate-descent sweeps, retrying the Newton step after
+each one.  Projected draws each have their own support, so they stay on
+batched coordinate descent.
 """
 
 from __future__ import annotations
@@ -233,17 +235,18 @@ def _newton_step(Qs: np.ndarray, Bs: np.ndarray, lam: float, U: np.ndarray) -> n
     return _kkt_rows(G, U, lam, np.zeros(p), S)
 
 
-def _cv_path_step(Qs: np.ndarray, Bs: np.ndarray, lam: float, U0: np.ndarray,
-                  tol: float, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unsigned fold solutions at one penalty of the CV path, warm-started at
-    U0; returns (solutions, per-fold KKT residual).
+def _newton_cd_solve(Qs: np.ndarray, Bs: np.ndarray, lam: float, U0: np.ndarray,
+                     tol: float, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unsigned solutions of K rows that each own a Q, warm-started at U0;
+    returns (solutions, per-row KKT residual).
 
-    Qs is (K, p, p), Bs and U0 are (K, p): each fold owns its Gram matrix.
-    Every fold first takes a sign-pattern Newton step (_newton_step) and is
-    done when its KKT residual is <= tol.  The folds left over run batched
-    coordinate-descent sweeps, each followed by a Newton step from the
-    sweep's point, until they are done or max_sweeps sweeps have run.  The
-    caller checks the residuals.
+    Qs is (K, p, p), Bs and U0 are (K, p): the folds of one penalty of the
+    CV path, or the single row of the LASSO center.  Every row first takes a
+    sign-pattern Newton step (_newton_step) and is done when its KKT
+    residual is <= tol.  The rows left over run batched coordinate-descent
+    sweeps, each followed by a Newton step from the sweep's point, until
+    they are done or max_sweeps sweeps have run.  The caller checks the
+    residuals.
     """
     U = np.array(U0, dtype=float, copy=True)
     kkt = _newton_step(Qs, Bs, lam, U)
@@ -322,13 +325,27 @@ def fit_lasso(dataset: Dataset, lambda_n: float,
     """LASSO estimate: minimizer of (1/n)||Y - Xu||^2 + lambda_n*||u||_1.
 
     Same quadratic form as project_draws but with b = X'Y/n, which is the
-    projection of the least-squares solution.
+    projection of the least-squares solution.  Solved as one row of
+    _newton_cd_solve from zero or settings.warm_start: a sign-pattern Newton
+    step accepted by its KKT residual, with coordinate-descent sweeps as the
+    fallback.  Raises DegenerateDiagonal if a Gram diagonal entry is <= 0
+    and NoConvergence, naming the center, if the residual is still above
+    tol after max_sweeps sweeps.
     """
     if lambda_n <= 0:
         raise ValueError("lambda_n must be positive")
-    problem = QuadL1Problem(Q=dataset.gram, b=dataset.xty, penalty_scale=lambda_n)
-    u, _ = solve_quad_l1(problem, settings)
-    return u
+    if np.any(np.diag(dataset.gram) <= 0.0):
+        raise DegenerateDiagonal("the Gram matrix has a nonpositive diagonal entry")
+    p = dataset.p
+    U0 = np.zeros((1, p)) if settings.warm_start is None else \
+        np.asarray(settings.warm_start, dtype=float).reshape(1, p)
+    U, kkt = _newton_cd_solve(dataset.gram[None], dataset.xty[None], lambda_n, U0,
+                              settings.tol, settings.max_sweeps)
+    if not kkt[0] <= settings.tol:
+        raise NoConvergence(
+            f"LASSO center at lambda_n={lambda_n:.3e}: residual {kkt[0]:.3e} > tol "
+            f"{settings.tol:.1e} after {settings.max_sweeps} sweeps")
+    return U[0]
 
 
 def default_lambda_grid(dataset: Dataset, num: int = 100) -> np.ndarray:
@@ -418,7 +435,7 @@ def cross_validate_lambda(dataset: Dataset, grid: np.ndarray | None = None,
     errs = np.zeros(lam_desc.size)
     U = np.zeros((folds, dataset.p))
     for g, lam in enumerate(lam_desc):
-        U, kkt = _cv_path_step(Qs, Bs, float(lam), U, settings.tol, settings.max_sweeps)
+        U, kkt = _newton_cd_solve(Qs, Bs, float(lam), U, settings.tol, settings.max_sweeps)
         if not kkt.max() <= settings.tol:
             raise NoConvergence(
                 f"CV path at lambda[{g}]={lam:.3e}: residual {kkt.max():.3e} > tol "

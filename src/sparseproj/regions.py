@@ -106,20 +106,28 @@ def radius_quantile(sample: ProjectedSample, selector: NormSelector,
     rank = _rank(sample.count, level)
     r = float(np.sort(_distances(sample, selector))[rank - 1])
     if r == 0.0:
-        warnings.warn("credible radius degenerated to 0: at least a level-"
-                      "fraction of draws coincide with the center", UserWarning,
-                      stacklevel=2)
+        _warn_degenerate()
     return r
+
+
+def _warn_degenerate() -> None:
+    warnings.warn("credible radius degenerated to 0: at least a level-"
+                  "fraction of draws coincide with the center", UserWarning,
+                  stacklevel=3)
 
 
 def component_interval(sample: ProjectedSample, j: int,
                        level: float | None = None) -> tuple[float, float]:
-    """Credible interval for coordinate j: center_j +/- radius/sqrt(n)."""
+    """Credible interval for coordinate j: center_j +/- radius/sqrt(n), with
+    the half-width read off the unscaled distances as in
+    component_intervals."""
     if not 0 <= j < sample.p:
         raise ValueError(f"component {j} out of range for p = {sample.p}")
-    r = radius_quantile(sample, NormSelector.component(j), level=level)
-    half = r / math.sqrt(sample.n)
+    level = sample.level if level is None else level
     c = float(sample.center[j])
+    half = float(np.sort(np.abs(sample.draws[:, j] - c))[_rank(sample.count, level) - 1])
+    if half == 0.0:
+        _warn_degenerate()
     return (c - half, c + half)
 
 
@@ -131,14 +139,20 @@ def component_intervals(sample: ProjectedSample, levels: Sequence[float] | np.nd
     same bounds as component_interval(sample, j, levels[j]) for every j, and
     a mask of the coordinates whose radius is 0, in place of its warning.
     The distances are formed and sorted once for all coordinates.
+
+    The half-width is the order statistic of |draw_j - center_j| itself, the
+    radius/sqrt(n) of the sqrt(n)-scaled ball without the scaling's
+    rounding.  So when the draw that sets the radius is an exact zero, the
+    endpoint on its side is exactly 0 (center_j - |center_j| or
+    center_j + |center_j|), and a zero true coefficient on that boundary is
+    covered whatever the center's last bits are.
     """
     if len(levels) != sample.p:
         raise ValueError(f"got {len(levels)} levels for p = {sample.p}")
     ranks = np.array([_rank(sample.count, float(lv)) for lv in levels])
-    d = np.sort(np.abs(math.sqrt(sample.n) * (sample.draws - sample.center)), axis=0)
-    r = d[ranks - 1, np.arange(sample.p)]
-    half = r / math.sqrt(sample.n)
-    return sample.center - half, sample.center + half, r == 0.0
+    d = np.sort(np.abs(sample.draws - sample.center), axis=0)
+    half = d[ranks - 1, np.arange(sample.p)]
+    return sample.center - half, sample.center + half, half == 0.0
 
 
 def rectangle_levels(k: int, joint_level: float) -> float:

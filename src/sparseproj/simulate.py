@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import CalibrationQuery, solve_gamma
+from .calibration import solve_levels
 from .errors import SparseProjError
 from .posterior import factorize, sample_posterior_arrays
 from .projection import cross_validate_lambda, fit_lasso, project_draws
@@ -69,8 +69,9 @@ def fit_dataset(ds: Dataset, lam: float, draws: int, post_seed: int, prior: Prio
     """Fit the projection posterior to ds at penalty lam, on the
     (1/n)||Y - Xu||^2 + lam*||u||_1 scale, with draws posterior draws from
     the stream post_seed, projected warm-started at the LASSO center.  Give
-    exactly one of target (component j's level is calibrated from lambda0,
-    its Gram diagonal c_j and sigma_hat) and level (used for every j)."""
+    exactly one of target (component j's level is calibrated from its
+    effective penalty lambda0*sqrt(c_j)/sigma_hat, c_j its Gram diagonal, in
+    one solve_levels call) and level (used for every j)."""
     if (target is None) == (level is None):
         raise ValueError("give exactly one of target and level")
     lam0 = lam * math.sqrt(ds.n)
@@ -81,10 +82,9 @@ def fit_dataset(ds: Dataset, lam: float, draws: int, post_seed: int, prior: Prio
     if target is None:
         levels = np.full(ds.p, float(level))
     else:
-        levels = np.array([solve_gamma(CalibrationQuery(lambda0=lam0, target=target,
-                                                        c_j=float(ds.gram[j, j]),
-                                                        sigma0=sigma_hat)).gamma_level
-                           for j in range(ds.p)])
+        # a sigma_hat of 0 makes the penalties infinite, which solve_levels rejects
+        with np.errstate(divide="ignore"):
+            levels = solve_levels(lam0 * np.sqrt(np.diag(ds.gram)) / sigma_hat, target)
 
     thetas, _ = sample_posterior_arrays(fact, draws, post_seed)
     U, kkt = project_draws(ds, thetas, lam, warm=center)

@@ -7,8 +7,11 @@ of the coverage formula.  Neither route touches the package's normal
 functions or bisection code.
 """
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings as hyp_settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import norm as scipy_norm
@@ -27,7 +30,9 @@ from sparseproj.calibration import (
     psi,
     psi_zero,
     solve_gamma,
+    solve_levels,
 )
+from sparseproj.regions import _rank
 
 # frozen reference values, computed once from scipy/mpmath cross-checked runs
 PSI_005_1 = 0.9209024658394035
@@ -273,6 +278,66 @@ def test_query_validation():
         CalibrationQuery(lambda0=1.0, target=0.95, c_j=0.0)
     with pytest.raises(ValueError):
         CalibrationQuery(lambda0=1.0, target=0.95, sigma0=-1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lambda0", float("nan")), ("lambda0", float("inf")),
+    ("c_j", float("nan")), ("c_j", float("inf")),
+    ("sigma0", float("nan")), ("sigma0", float("inf")),
+])
+def test_query_rejects_non_finite_inputs(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        CalibrationQuery(**{"lambda0": 1.0, "target": 0.95, field: value})
+
+
+# --- solve_levels --------------------------------------------------------------
+
+SATURATING = [0.0, 1e-8, 30.0, 353.55, 1e6]
+
+
+@hyp_settings(max_examples=200, deadline=None)
+@given(lambdas=st.lists(st.one_of(st.sampled_from(SATURATING),
+                                  st.floats(min_value=0.0, max_value=8.0),
+                                  st.floats(min_value=0.0, max_value=1e6)),
+                        min_size=1, max_size=12),
+       target=st.floats(min_value=0.5, max_value=0.999))
+@example(lambdas=SATURATING, target=0.5)
+@example(lambdas=SATURATING, target=0.95)
+@example(lambdas=SATURATING, target=0.999)
+def test_solve_levels_matches_bisection(lambdas, target):
+    levels = solve_levels(np.array(lambdas), target)
+    assert levels.shape == (len(lambdas),)
+    R = 2000
+    for lam, level in zip(lambdas, levels.tolist()):
+        ref = solve_gamma(CalibrationQuery(lambda0=lam, target=target)).gamma_level
+        assert abs(level - ref) <= 1e-12
+        # the intervals read the order statistic at rank ceil(R*level - 1e-9);
+        # two levels 1e-12 apart can only take different ranks when a rank
+        # boundary lies between them (at penalty 0 the exact level is the
+        # target itself, and 2000 * 0.5 is an integer)
+        pos = R * ref - 1e-9
+        if abs(pos - round(pos)) > R * 1e-12:
+            assert _rank(R, level) == _rank(R, ref)
+
+
+def test_solve_levels_saturated_penalties_reach_the_ceiling():
+    # at these penalties the normal density underflows to 0 around the
+    # start, so only the bracket's bisection steps can move z
+    levels = solve_levels(np.array([30.0, 353.55, 1e6, 1e300]), 0.95)
+    np.testing.assert_array_equal(levels, 1.0 - 1e-15)
+
+
+@pytest.mark.parametrize("lambdas, target, message", [
+    ([1.0, float("nan")], 0.95, "got nan at index 1"),
+    ([float("inf")], 0.95, "got inf at index 0"),
+    ([-0.5, 1.0], 0.95, "got -0.5 at index 0"),
+    ([1.0], 1.0, "target must lie in"),
+    ([1.0], 0.0, "target must lie in"),
+    ([1.0], float("nan"), "target must lie in"),
+])
+def test_solve_levels_rejects_what_the_query_rejects(lambdas, target, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve_levels(np.array(lambdas), target)
 
 
 def test_result_is_plain_record():

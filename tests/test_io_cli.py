@@ -297,9 +297,31 @@ def test_cli_calibrate_prints_table_value(capsys):
     assert capsys.readouterr().out == "0.9708\n"
 
 
-def test_cli_calibrate_rejects_bad_target(capsys):
-    assert main(["calibrate", "--lambda0", "1", "--target", "1.5"]) == 1
-    assert "sparseproj: error:" in capsys.readouterr().err
+@pytest.mark.parametrize("command, flag, value, rule", [
+    ("calibrate", "--lambda0", "nan", "a finite number >= 0"),
+    ("calibrate", "--lambda0", "inf", "a finite number >= 0"),
+    ("calibrate", "--lambda0", "-1", "a finite number >= 0"),
+    ("calibrate", "--target", "1.5", "a number in (0, 1)"),
+    ("calibrate", "--target", "nan", "a number in (0, 1)"),
+    ("calibrate", "--c", "0", "a positive finite number"),
+    ("calibrate", "--c", "inf", "a positive finite number"),
+    ("calibrate", "--sigma0", "inf", "a positive finite number"),
+    ("calibrate", "--sigma0", "-2", "a positive finite number"),
+    ("limitcheck", "--target", "1.5", "a number in (0, 1)"),
+    ("limitcheck", "--target", "0", "a number in (0, 1)"),
+    ("limitcheck", "--outer", "1", "an integer >= 100"),
+    ("limitcheck", "--outer", "500.5", "an integer >= 100"),
+    ("limitcheck", "--inner", "99", "an integer >= 100"),
+    ("limitcheck", "--sigma0", "nan", "a positive finite number"),
+])
+def test_cli_checks_number_flags_while_parsing(command, flag, value, rule, capsys):
+    # exit status 2 is a usage error: the value never reached the command
+    argv = [command] + (["--lambda0=1", "--target=0.95"] if command == "calibrate" else [])
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"{flag}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage" in err and f"{flag} must be {rule}, got '{value}'" in err
 
 
 def test_cli_table_default_grid(tmp_path):

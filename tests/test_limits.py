@@ -52,6 +52,10 @@ def test_spec_validation():
         eye_spec([1.0, 0.0], sigma0=0.0)
     with pytest.raises(ValueError):
         eye_spec([1.0, 0.0], lambda0=-0.1)
+    for field in ("sigma0", "lambda0"):
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=f"{field} must be"):
+                eye_spec([1.0, 0.0], **{field: value})
     with pytest.raises(ValueError):
         LimitSpec(C=np.eye(3), sigma0=1.0, lambda0=1.0,
                   theta0_signs=np.array([1.0, 0.0]))

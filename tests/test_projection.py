@@ -19,7 +19,7 @@ from sparseproj.errors import DegenerateDiagonal, InsufficientData, NoConvergenc
 from sparseproj.projection import (
     QuadL1Problem,
     _cd_shared,
-    _cv_path_step,
+    _newton_cd_solve,
     _kkt_batch,
     _fold_statistics,
     _newton_step,
@@ -287,6 +287,69 @@ def test_fit_lasso_n200_p5_vs_enumeration():
     np.testing.assert_allclose(u, u_ref, atol=1e-7)
 
 
+@hyp_settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       p=st.integers(min_value=1, max_value=7),
+       shape=st.sampled_from(["tall", "short", "duplicate"]),
+       frac=st.floats(min_value=0.01, max_value=1.2))
+def test_fit_lasso_newton_center_matches_cd(seed, p, shape, frac):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, p)) if shape == "short" and p > 1 else p + 5
+    X = rng.standard_normal((n, p))
+    if shape == "duplicate" and p > 1:
+        X[:, -1] = X[:, 0]  # a singular Gram with a tied pair of columns
+    ds = validate_dataset(X, X @ rng.standard_normal(p) + rng.standard_normal(n))
+    lam = frac * 2.0 * float(np.abs(ds.xty).max()) + 1e-12
+    settings = SolverSettings(tol=1e-12, max_sweeps=100_000)
+    u = fit_lasso(ds, lam, settings)
+    ref, _ = solve_quad_l1(QuadL1Problem(Q=ds.gram, b=ds.xty, penalty_scale=lam), settings)
+    zero = np.zeros(p)
+    assert kkt_batch_reference(ds.gram, ds.xty[None], lam, zero, u[None])[0] <= 1e-12
+    # rounding scales with the larger of the cancelling terms
+    scale = max(abs(v @ ds.gram @ v) + 2.0 * abs(v @ ds.xty) + lam * np.abs(v).sum()
+                for v in (u, ref))
+    f_new = objective(ds.gram, ds.xty, lam, zero, u)
+    f_ref = objective(ds.gram, ds.xty, lam, zero, ref)
+    assert abs(f_new - f_ref) <= 1e-12 * scale
+
+
+def test_fit_lasso_starts_from_the_warm_start(monkeypatch):
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((40, 4))
+    ds = validate_dataset(X, X @ np.array([1.0, -0.5, 0.0, 0.0]) + rng.standard_normal(40))
+    starts = []
+    solve = projection._newton_cd_solve
+
+    def spy(Qs, Bs, lam, U0, tol, max_sweeps):
+        starts.append(np.array(U0))
+        return solve(Qs, Bs, lam, U0, tol, max_sweeps)
+
+    monkeypatch.setattr(projection, "_newton_cd_solve", spy)
+    cold = fit_lasso(ds, 0.2)
+    warm = np.array([0.9, -0.4, 0.1, 0.0])
+    hot = fit_lasso(ds, 0.2, SolverSettings(warm_start=warm))
+    np.testing.assert_array_equal(starts[0], np.zeros((1, 4)))
+    np.testing.assert_array_equal(starts[1], warm[None])
+    np.testing.assert_allclose(hot, cold, atol=1e-9)
+
+
+def test_fit_lasso_no_convergence_names_the_center():
+    rng = np.random.default_rng(6)
+    X = rng.standard_normal((40, 5))
+    ds = validate_dataset(X, X @ np.array([1.0, -0.5, 0.3, 0.0, 0.0])
+                          + rng.standard_normal(40))
+    with pytest.raises(NoConvergence, match=r"LASSO center at lambda_n=1\.000e-01: "
+                                            r"residual .* > tol 1\.0e-300 after 1 sweeps"):
+        fit_lasso(ds, 0.1, SolverSettings(tol=1e-300, max_sweeps=1))
+
+
+def test_fit_lasso_rejects_zero_column():
+    X = np.random.default_rng(7).standard_normal((20, 3))
+    X[:, 1] = 0.0
+    with pytest.raises(DegenerateDiagonal):
+        fit_lasso(validate_dataset(X, X[:, 0]), 0.1)
+
+
 def test_lasso_is_projection_of_least_squares():
     rng = np.random.default_rng(15)
     X = rng.standard_normal((60, 5))
@@ -518,7 +581,7 @@ def test_cv_gram_errors_match_direct_residuals(case, seed):
     Qs = (ds.gram * ds.n - G) / (ds.n - sizes)[:, None, None]
     Bs = (ds.xty * ds.n - c) / (ds.n - sizes)[:, None]
     lam = 0.1 * float(np.abs(Bs).max()) + 1e-3  # leaves some coordinates active
-    fitted, _ = _cv_path_step(Qs, Bs, lam, np.zeros((folds, ds.p)), 1e-10, 10_000)
+    fitted, _ = _newton_cd_solve(Qs, Bs, lam, np.zeros((folds, ds.p)), 1e-10, 10_000)
     for U in (fitted, rng.standard_normal((folds, ds.p)), np.zeros((folds, ds.p))):
         direct = cv_errors_reference(ds.X, ds.Y, chunks, U)
         # rounding scales with the larger of the cancelling terms
@@ -558,7 +621,7 @@ def test_cv_path_step_matches_cd_reference(seed, folds, p, shape, frac, warm):
     U0 = cd_multi_reference(Qs, Bs, 1.5 * lam, np.zeros((folds, p)), tol, 100_000) \
         if warm else np.zeros((folds, p))
     ref = cd_multi_reference(Qs, Bs, lam, U0, tol, 100_000)
-    U, kkt = _cv_path_step(Qs, Bs, lam, U0, tol, 100_000)
+    U, kkt = _newton_cd_solve(Qs, Bs, lam, U0, tol, 100_000)
     assert kkt.max() <= tol
     zero = np.zeros(p)
     for k in range(folds):

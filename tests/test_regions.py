@@ -178,6 +178,18 @@ def test_component_intervals_equal_per_coordinate_calls(seed):
             assert degenerate[j] == bool(caught)
 
 
+@pytest.mark.parametrize("center", [0.0928380279369452, -0.0928380279369452])
+def test_zero_draw_on_the_boundary_puts_the_endpoint_at_zero(center):
+    # the draw at 0 sets the radius; sqrt(500)*|c|/sqrt(500) rounds to |c|
+    # plus one ulp here, which used to leave 0 just outside the interval
+    draws = np.array([[center]] * 9 + [[0.0]])
+    s = ProjectedSample(draws=draws, center=np.array([center]), n=500, level=0.95)
+    lo, hi, _ = component_intervals(s, [0.95])
+    assert (lo[0], hi[0]) == component_interval(s, 0)
+    assert (lo[0] == 0.0) if center > 0 else (hi[0] == 0.0)
+    assert hi[0] - lo[0] == 2.0 * abs(center)
+
+
 def test_component_intervals_validation():
     s = sample_from_distances([0.1, 0.2])
     with pytest.raises(ValueError):

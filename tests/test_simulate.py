@@ -4,6 +4,7 @@ aggregation, worker invariance, and the CSV table layouts."""
 import numpy as np
 import pytest
 
+from sparseproj import calibration
 from sparseproj.errors import InsufficientData
 from sparseproj.simulate import (
     CAPTION_SIGNALS,
@@ -11,6 +12,7 @@ from sparseproj.simulate import (
     ReplicationRecord,
     Scenario,
     aggregate,
+    fit_dataset,
     generate_data,
     report_to_csv,
     run_replication,
@@ -19,6 +21,7 @@ from sparseproj.simulate import (
     sparsity_sweep,
     sweep_to_csv,
 )
+from sparseproj.types import PriorConfig, validate_dataset
 
 
 def make_scenario(**kw):
@@ -112,6 +115,24 @@ def test_full_shrinkage_covers_null_truth():
     np.testing.assert_array_equal(rec.degenerate, 1.0)
     np.testing.assert_array_equal(rec.selected, 0.0)
     assert rec.lambda0 == pytest.approx(50.0 * np.sqrt(50))
+
+
+def test_fit_dataset_calibrates_levels_without_psi_zero(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("fit_dataset evaluated psi_zero")
+
+    monkeypatch.setattr(calibration, "psi_zero", forbidden)
+    ds = generate_data(make_scenario(n=60, p=3, theta0=np.array([1.0, 0.0, 0.0])), 0)
+    fit = fit_dataset(ds, 0.2, 50, 1, PriorConfig(), target=0.95)
+    assert np.all((0.95 < fit.levels) & (fit.levels < 1.0))
+
+
+def test_fit_dataset_rejects_zero_sigma_hat():
+    # Y = 0 gives a zero ridge residual, so every effective penalty is infinite
+    X = np.random.default_rng(0).standard_normal((30, 3))
+    with pytest.raises(ValueError, match="must be finite and nonnegative, got inf"):
+        fit_dataset(validate_dataset(X, np.zeros(30)), 0.1, 50, 1, PriorConfig(),
+                    target=0.95)
 
 
 def test_replication_record_fields():
