@@ -4,7 +4,7 @@ Subcommands: fit (full pipeline on a CSV), calibrate (single level lookup),
 table (calibration grid as CSV), simulate (coverage study from a JSON
 scenario), limitcheck (Monte-Carlo verification of the limiting coverage).
 Worker count comes from --threads, falling back to the SPARSEPROJ_THREADS
-environment variable, then to 1.
+environment variable, then to 1; either must be an integer >= 1.
 """
 
 from __future__ import annotations
@@ -33,13 +33,6 @@ from .types import PriorConfig
 log = logging.getLogger("sparseproj")
 
 SCHEMA_VERSION = 1
-
-
-def _thread_default() -> int:
-    try:
-        return max(1, int(os.environ.get("SPARSEPROJ_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -72,6 +65,10 @@ def _positive_finite(x: float) -> bool:
     return 0.0 < x < math.inf
 
 
+def _finite_nonnegative(x: float) -> bool:
+    return 0.0 <= x < math.inf
+
+
 _positive_lambda = _checked("--lambda", "a positive finite number or 'auto'",
                             _positive_finite)
 
@@ -80,14 +77,26 @@ def _parse_lambda(value: str) -> float | str:
     return "auto" if value == "auto" else _positive_lambda(value)
 
 
-def _float_list(value: str) -> list[float]:
-    try:
-        values = [float(tok) for tok in value.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {value!r}")
-    if not values:
-        raise argparse.ArgumentTypeError(f"expected at least one number, got {value!r}")
-    return values
+def _number_list(flag: str, rule: str, ok):
+    """An argparse type for comma-separated numbers that each pass ok, with
+    a message naming the flag for a bad entry or an empty list."""
+    def parse(value: str) -> list[float]:
+        try:
+            values = [float(tok) for tok in value.split(",") if tok.strip()]
+        except ValueError:
+            values = None
+        if values == []:
+            raise argparse.ArgumentTypeError(
+                f"{flag} expected at least one number, got {value!r}")
+        if values is None or not all(ok(x) for x in values):
+            raise argparse.ArgumentTypeError(
+                f"{flag} must be comma-separated {rule}, got {value!r}")
+        return values
+    return parse
+
+
+_threads_flag = _checked("--threads", "an integer >= 1", lambda k: k >= 1, kind=int)
+_threads_env = _checked("SPARSEPROJ_THREADS", "an integer >= 1", lambda k: k >= 1, kind=int)
 
 
 def cmd_fit(args) -> int:
@@ -110,7 +119,8 @@ def cmd_fit(args) -> int:
                   "lo": float(fit.lo[j]), "hi": float(fit.hi[j])} for j in range(ds.p)]
 
     probs = model_probabilities(fit.sample)
-    model_probs = {",".join(str(j) for j in sorted(s)): f for s, f in
+    labels = [str(j) for j in range(ds.p)]  # a support's key joins its sorted indices
+    model_probs = {",".join([labels[j] for j in sorted(s)]): f for s, f in
                    sorted(probs.items(), key=lambda kv: -kv[1])}
 
     log.info("fit: seed=%d lambda_n=%.6g lambda0=%.6g level=%s max_kkt=%.3e",
@@ -201,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparseproj",
         description="Sparse projection-posterior inference for linear regression.")
-    parser.add_argument("--threads", type=int, default=_thread_default(),
+    parser.add_argument("--threads", type=_threads_flag, default=None,
                         help="worker count (default: SPARSEPROJ_THREADS or 1)")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="log progress details to stderr")
@@ -218,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--lambda", dest="lambda_n", type=_parse_lambda, default="auto",
                        help="projection penalty, or 'auto' for cross-validation")
     p_fit.add_argument("--an", type=_checked("--an", "a finite number >= 0",
-                                             lambda x: 0.0 <= x < math.inf),
+                                             _finite_nonnegative),
                        default=1.0, help="prior precision a_n")
     p_fit.add_argument("--draws", type=_checked("--draws", "an integer >= 2",
                                                 lambda k: k >= 2, kind=int),
@@ -231,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cal = sub.add_parser("calibrate", help="print the calibrated credibility level")
     p_cal.add_argument("--lambda0", type=_checked("--lambda0", "a finite number >= 0",
-                                                  lambda x: 0.0 <= x < math.inf),
+                                                  _finite_nonnegative),
                        required=True)
     p_cal.add_argument("--target", type=_checked("--target", "a number in (0, 1)", _in_unit),
                        required=True)
@@ -243,9 +253,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal.set_defaults(func=cmd_calibrate)
 
     p_tab = sub.add_parser("table", help="emit the calibration table as CSV")
-    p_tab.add_argument("--lambdas", type=_float_list, default=None,
-                       help="comma-separated penalties (default: reference grid)")
-    p_tab.add_argument("--targets", type=_float_list, default=None,
+    p_tab.add_argument("--lambdas", type=_number_list("--lambdas", "finite numbers >= 0",
+                                                      _finite_nonnegative),
+                       default=None, help="comma-separated penalties (default: reference grid)")
+    p_tab.add_argument("--targets", type=_number_list("--targets", "numbers in (0, 1)",
+                                                      _in_unit),
+                       default=None,
                        help="comma-separated coverage targets")
     p_tab.add_argument("--out", default=None)
     p_tab.set_defaults(func=cmd_table)
@@ -257,11 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lim = sub.add_parser("limitcheck",
                            help="Monte-Carlo check of the limiting coverage")
-    p_lim.add_argument("--lambda0", type=_float_list, default=[0.5, 1.0, 2.0],
+    p_lim.add_argument("--lambda0", type=_number_list("--lambda0", "finite numbers >= 0",
+                                                      _finite_nonnegative),
+                       default=[0.5, 1.0, 2.0],
                        help="comma-separated penalty values")
     p_lim.add_argument("--target", type=_checked("--target", "a number in (0, 1)", _in_unit),
                        default=0.95)
-    p_lim.add_argument("--signs", type=_float_list, default=[1.0, -1.0, 0.0],
+    p_lim.add_argument("--signs", type=_number_list("--signs", "signs in {-1, 0, 1}",
+                                                    lambda x: x in (-1.0, 0.0, 1.0)),
+                       default=[1.0, -1.0, 0.0],
                        help="true-sign pattern, e.g. '1,-1,0' (0 = noise)")
     p_lim.add_argument("--sigma0", type=_checked("--sigma0", "a positive finite number",
                                                  _positive_finite), default=1.0)
@@ -277,6 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.threads is None:
+        try:
+            args.threads = _threads_env(os.environ.get("SPARSEPROJ_THREADS", "1"))
+        except argparse.ArgumentTypeError as exc:
+            parser.error(str(exc))
     logging.basicConfig(stream=sys.stderr,
                         level=logging.INFO if args.verbose else logging.WARNING,
                         format="%(name)s: %(message)s")

@@ -17,8 +17,9 @@ limiting_coverage_mc estimates the probability, over Delta, that the
 conditional T*-mass of the credible ball around xi reaches a given level,
 which is exactly the asymptotic coverage the calibrated level controls.  It
 takes several norms at once: each outer draw of Delta solves xi and its
-inner T* batch once and counts the hits of every norm on them, with the
-square-root factors of C computed once per call.
+inner T* batch once, in one column-major coordinate-descent batch whose row
+0 is xi and whose other rows are the T* draws, and counts the hits of every
+norm on them, with the square-root factors of C computed once per call.
 """
 
 from __future__ import annotations
@@ -133,18 +134,23 @@ def _coverage_hits(spec: LimitSpec, selectors: tuple[NormSelector, ...],
                    level: float, outer_index: int, inner: int, seed: int,
                    factors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Per selector, 1 if the conditional credible-ball mass at this outer
-    draw is <= level.  xi and the inner T* batch are solved once and shared."""
+    draw is <= level.  xi and the inner T* batch are solved once and shared,
+    in one column-major batch: row 0 holds xi's right-hand side, rows
+    1..inner those of the T* draws."""
     try:
         rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(outer_index))))
         delta = rng.standard_normal(spec.p)
         Chalf, Cinvhalf = factors
-        xi = _solve_limit_batch(spec, (spec.sigma0 * (Chalf @ delta)).reshape(1, -1))[0]
         W = spec.sigma0 * (delta + rng.standard_normal((inner, spec.p))) @ Cinvhalf
-        T = _solve_limit_batch(spec, W @ spec.C)
+        B = np.empty((inner + 1, spec.p), order="F")
+        B[0] = spec.sigma0 * (Chalf @ delta)
+        np.matmul(W, spec.C, out=B[1:])
+        U = _solve_limit_batch(spec, B)
     except SparseProjError as exc:
         raise type(exc)(f"outer draw {outer_index} (lambda0={spec.lambda0:g}, "
                         f"seed={seed}): {exc}") from exc
-    D = T - xi
+    xi = U[0]
+    D = U[1:] - xi
     hits = np.empty(len(selectors), dtype=np.int64)
     for k, selector in enumerate(selectors):
         r0 = minkowski_norms(xi, selector)

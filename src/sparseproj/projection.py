@@ -14,7 +14,11 @@ halved, accordingly before it is passed in here.
 
 Convergence is certified by the KKT residual (max subgradient violation),
 not by parameter change.  The descent solvers are vectorized across batches
-of right-hand sides sharing one Q, which is how posterior draws are projected.
+of right-hand sides sharing one Q, which is how posterior draws are projected
+and how the limit experiment solves each outer draw's xi together with its
+T* draws.  The shared-Q batch is column-major: its (m, p) solution and work
+buffers are F-ordered, so a coordinate update touches one contiguous column
+and the certificate's per-row maximum reduces across columns.
 
 The certificate is one branch-free formula for every coordinate kind (see
 _kkt_rows), evaluated after each sweep in place, in work buffers the solver
@@ -162,12 +166,18 @@ def _cd_shared(Q: np.ndarray, B: np.ndarray, lam: float, signs: np.ndarray,
     B and U0 are (m, p); returns (solutions, per-row KKT residual).  Each
     coordinate update is exact minimization, so the objective is monotone
     along the sweep for every row.
+
+    The batch is column-major: U and the certificate buffers are F-ordered,
+    so each coordinate update reads and writes one contiguous column and the
+    certificate's per-row maximum runs across p columns instead of over m
+    short rows.  B is read as given, in either order (an F-ordered B keeps
+    its columns contiguous too), and the solutions are returned F-ordered.
     """
     diag = np.diag(Q).copy()
     if np.any(diag <= 0.0):
         raise DegenerateDiagonal("Q has a nonpositive diagonal entry")
     p = Q.shape[0]
-    U = np.array(U0, dtype=float, copy=True)
+    U = np.array(U0, dtype=float, order="F", copy=True)
     G = np.empty_like(U)  # certificate buffers, reused by every sweep
     S = np.empty_like(U)
     half = 0.5 * lam
@@ -305,8 +315,8 @@ def project_draws(dataset: Dataset, thetas: np.ndarray, lambda_n: float,
     Each row theta of the (m, p) thetas gives the problem min over u of
     (1/n)||X theta - Xu||^2 + lambda_n*||u||_1, i.e. Q = C_n and b = C_n theta;
     all rows are solved in one vectorized descent.  Returns (theta_star
-    matrix (m, p), kkt residuals (m,)).  warm optionally seeds the whole
-    batch, e.g. with the LASSO center.
+    matrix (m, p), F-ordered, and kkt residuals (m,)).  warm optionally
+    seeds the whole batch, e.g. with the LASSO center.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if lambda_n <= 0:
@@ -314,8 +324,8 @@ def project_draws(dataset: Dataset, thetas: np.ndarray, lambda_n: float,
     m, p = thetas.shape
     if p != dataset.p:
         raise ValueError(f"thetas have {p} columns, expected {dataset.p}")
-    B = thetas @ dataset.gram
-    U0 = np.zeros((m, p)) if warm is None else np.broadcast_to(warm, (m, p))
+    B = np.matmul(thetas, dataset.gram, out=np.empty((m, p), order="F"))
+    U0 = np.broadcast_to(0.0 if warm is None else warm, (m, p))
     return _cd_shared(dataset.gram, B, lambda_n, np.zeros(p), U0,
                       settings.tol, settings.max_sweeps)
 

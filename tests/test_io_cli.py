@@ -487,6 +487,60 @@ def test_cli_rejects_empty_number_list(argv, capsys):
     assert "usage" in err and "expected at least one number" in err
 
 
+@pytest.mark.parametrize("command, flag, value, rule", [
+    ("limitcheck", "--lambda0", "-1", "finite numbers >= 0"),
+    ("limitcheck", "--lambda0", "nan", "finite numbers >= 0"),
+    ("limitcheck", "--lambda0", "0.5,inf", "finite numbers >= 0"),
+    ("limitcheck", "--lambda0", "1,x", "finite numbers >= 0"),
+    ("limitcheck", "--signs", "2,0", "signs in {-1, 0, 1}"),
+    ("limitcheck", "--signs", "0.5", "signs in {-1, 0, 1}"),
+    ("limitcheck", "--signs", "1,nan", "signs in {-1, 0, 1}"),
+    ("table", "--lambdas", "-1", "finite numbers >= 0"),
+    ("table", "--targets", "0.9,1.5", "numbers in (0, 1)"),
+])
+def test_cli_checks_number_lists_while_parsing(command, flag, value, rule, capsys):
+    # exit status 2 is a usage error: LimitSpec or the table never saw the value
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"{flag}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage" in err and f"{flag} must be comma-separated {rule}, got '{value}'" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "1.5", "two"])
+def test_cli_threads_flag_must_be_a_positive_integer(value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([f"--threads={value}", "table"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage" in err and f"--threads must be an integer >= 1, got '{value}'" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-2", "1.5", "two", ""])
+def test_cli_threads_environment_must_be_a_positive_integer(value, monkeypatch, capsys):
+    monkeypatch.setenv("SPARSEPROJ_THREADS", value)
+    with pytest.raises(SystemExit) as exc:
+        main(["table"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage" in err
+    assert f"SPARSEPROJ_THREADS must be an integer >= 1, got '{value}'" in err
+
+
+def test_cli_threads_from_flag_then_environment_then_one(monkeypatch, tmp_path):
+    seen = []
+    monkeypatch.setattr("sparseproj.cli.limitcheck_rows",
+                        lambda *args, workers: seen.append(workers) or [])
+    argv = ["limitcheck", "--out", str(tmp_path / "limit.csv")]
+    monkeypatch.setenv("SPARSEPROJ_THREADS", "3")
+    assert main(argv) == 0
+    monkeypatch.setenv("SPARSEPROJ_THREADS", "junk")  # not read when the flag is given
+    assert main(["--threads", "2"] + argv) == 0
+    monkeypatch.delenv("SPARSEPROJ_THREADS")
+    assert main(argv) == 0
+    assert seen == [3, 2, 1]
+
+
 def test_cli_limitcheck_layout(tmp_path):
     out = tmp_path / "limit.csv"
     code = main(["limitcheck", "--lambda0", "0.5", "--signs", "1,0",

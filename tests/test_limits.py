@@ -18,8 +18,12 @@ from sparseproj.limits import (
     sample_xi,
     zero_mass_probability,
 )
+from sparseproj import limits
 from sparseproj.errors import NoConvergence
+from sparseproj.regions import minkowski_norms
 from sparseproj.types import NormSelector
+
+from oracles import kkt_batch_reference, random_spd
 
 
 def eye_spec(signs, sigma0=1.0, lambda0=1.0):
@@ -244,6 +248,75 @@ def test_coverage_shared_pass_equals_single_selector_calls(workers):
         single = limiting_coverage_mc(spec, [sel], 0.9, outer=100, inner=100,
                                       seed=13)
         assert shared[k] == single[0]
+
+
+def separate_solves_hits(spec, selectors, level, outer_index, inner, seed):
+    """The hits of one outer draw with xi and the T* batch solved in two
+    kernel calls, as the merged batch must reproduce at C = I."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, outer_index)))
+    delta = rng.standard_normal(spec.p)
+    Chalf, Cinvhalf = limits._sqrt_factors(spec.C)
+    xi = limits._solve_limit_batch(spec, (spec.sigma0 * (Chalf @ delta)).reshape(1, -1))[0]
+    W = spec.sigma0 * (delta + rng.standard_normal((inner, spec.p))) @ Cinvhalf
+    T = limits._solve_limit_batch(spec, W @ spec.C)
+    return np.array([np.count_nonzero(minkowski_norms(T - xi, sel)
+                                      <= minkowski_norms(xi, sel)) <= level * inner
+                     for sel in selectors], dtype=np.int64)
+
+
+@pytest.mark.parametrize("lambda0", [0.5, 1.0, 2.0])
+def test_merged_batch_hits_equal_separate_solves_at_identity(lambda0):
+    spec = eye_spec([1.0, -1.0, 0.0], lambda0=lambda0)
+    selectors = (NormSelector.component(0), NormSelector.component(1),
+                 NormSelector.component(2), NormSelector.euclidean())
+    level = solve_gamma(CalibrationQuery(lambda0=lambda0, target=0.95)).gamma_level
+    factors = limits._sqrt_factors(spec.C)
+    for outer_index in range(40):
+        got = limits._coverage_hits(spec, selectors, level, outer_index, 300, 5, factors)
+        want = separate_solves_hits(spec, selectors, level, outer_index, 300, 5)
+        assert np.array_equal(got, want), outer_index
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_merged_batch_xi_certified_for_correlated_gram(seed, monkeypatch):
+    # one kernel call per outer draw: row 0 is xi, rows 1.. the T* draws
+    rng = np.random.default_rng(seed)
+    C = random_spd(rng, 4, cond_cap=20.0)
+    signs = np.array([1.0, -1.0, 0.0, 0.0])
+    spec = LimitSpec(C=C, sigma0=1.3, lambda0=0.8, theta0_signs=signs)
+    calls = []
+    solve = limits._solve_limit_batch
+
+    def spy(spec, B, *args, **kwargs):
+        U = solve(spec, B, *args, **kwargs)
+        calls.append((B.copy(), U.copy()))
+        return U
+
+    monkeypatch.setattr(limits, "_solve_limit_batch", spy)
+    limits._coverage_hits(spec, (NormSelector.component(2),), 0.9, 7, 200, seed,
+                          limits._sqrt_factors(spec.C))
+    monkeypatch.undo()
+    assert len(calls) == 1
+    B, U = calls[0]
+    assert B.shape == U.shape == (201, 4)
+    kkt = kkt_batch_reference(spec.C, B, spec.lambda0, signs, U)
+    assert kkt.max() <= 1e-10
+    delta = np.random.default_rng(np.random.SeedSequence((seed, 7))).standard_normal(4)
+    np.testing.assert_allclose(U[0], sample_xi(spec, delta), rtol=0, atol=1e-9)
+
+
+def test_coverage_one_kernel_call_per_outer_draw(monkeypatch):
+    calls = []
+    solve = limits._cd_shared
+
+    def count(*args):
+        calls.append(args[1].shape)
+        return solve(*args)
+
+    monkeypatch.setattr(limits, "_cd_shared", count)
+    limiting_coverage_mc(eye_spec([1.0, 0.0], lambda0=0.5), [NormSelector.component(0)],
+                         0.9, outer=100, inner=150, seed=3)
+    assert calls == [(151, 2)] * 100
 
 
 def test_coverage_failure_names_outer_draw(monkeypatch):

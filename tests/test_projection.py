@@ -436,6 +436,45 @@ def test_fused_kkt_certificate_matches_branch_reference(seed, m, p, lam, nan_row
     assert np.isnan(got).any() == nan_row
 
 
+@hyp_settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=8),
+       st.floats(min_value=1e-3, max_value=10.0))
+def test_kkt_rows_on_column_major_buffers_match_branch_reference(seed, m, p, lam):
+    # the CD kernel keeps its certificate buffers F-ordered; the per-row
+    # maximum must not depend on the layout
+    rng = np.random.default_rng(seed)
+    Q = random_spd(rng, p)
+    signs = rng.choice([-1.0, 0.0, 0.0, 1.0], size=p)
+    U = rng.standard_normal((m, p))
+    U[rng.random((m, p)) < 0.3] = 0.0
+    B = U @ Q + 0.5 * lam * rng.choice([-1.0, 0.0, 1.0], size=(m, p))
+    G = np.asfortranarray(U @ Q - B)
+    UF = np.asfortranarray(U)
+    S = np.empty_like(UF)
+    assert G.flags.f_contiguous and S.flags.f_contiguous
+    got = projection._kkt_rows(G, UF, lam, signs, S)
+    assert np.array_equal(got, kkt_batch_reference(Q, B, lam, signs, U))
+
+
+@hyp_settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=1, max_value=8), st.integers(min_value=1, max_value=12),
+       st.floats(min_value=0.05, max_value=2.0), st.booleans())
+def test_cd_shared_same_bits_for_row_and_column_major_inputs(seed, p, m, lam, signed):
+    rng = np.random.default_rng(seed)
+    Q = random_spd(rng, p, cond_cap=100.0)
+    signs = rng.choice([-1.0, 0.0, 1.0], size=p) if signed else np.zeros(p)
+    B = 2.0 * rng.standard_normal((m, p))
+    U0 = np.where(rng.random((m, p)) < 0.5, rng.standard_normal((m, p)), 0.0)
+    U_c, kkt_c = _cd_shared(Q, B, lam, signs, U0, 1e-10, 10_000)
+    U_f, kkt_f = _cd_shared(Q, np.asfortranarray(B), lam, signs, np.asfortranarray(U0),
+                            1e-10, 10_000)
+    assert U_c.flags.f_contiguous and U_f.flags.f_contiguous
+    assert np.array_equal(U_c, U_f) and np.array_equal(kkt_c, kkt_f)
+    assert kkt_c.max() <= 1e-10
+
+
 def test_kkt_rejects_infinite_penalty():
     prob = QuadL1Problem(Q=np.eye(2), b=np.ones(2), penalty_scale=np.inf)
     with pytest.raises(ValueError, match="penalty must be finite"):
