@@ -60,7 +60,7 @@ for j in range(p):
           f"[{fit.lo[j]:>7.3f}, {fit.hi[j]:>7.3f}]")
 
 # 5. which supports does the projected posterior visit?
-probs = model_probabilities(fit.sample)
+probs = model_probabilities(fit.draws)  # the (4000, p) projected draws
 print("\n top supports by posterior probability")
 for support, prob in sorted(probs.items(), key=lambda kv: -kv[1])[:5]:
     label = "{" + ", ".join(names[j] for j in sorted(support)) + "}"

@@ -8,24 +8,22 @@ calibrated so their frequentist coverage comes out right.
 
 from .calibration import (CalibrationQuery, CalibrationResult, TABLE_LAMBDAS,
                           TABLE_TARGETS, calibration_table,
-                          calibration_table_csv, display_level, h_minus,
-                          h_plus, h_zero, psi, psi_zero, solve_gamma)
+                          calibration_table_csv, display_level, h_plus,
+                          h_zero, psi, psi_zero, solve_gamma)
 from .dataio import (CsvFormatError, GramAccumulator, dataset_from_csv,
                      ingest_chunk, read_csv)
 from .errors import (DegenerateDiagonal, DimensionMismatch, InsufficientData,
                      NoConvergence, NonFiniteInput, SingularSystem,
                      SparseProjError)
 from .limits import (LimitSpec, limiting_coverage_mc, limitcheck_rows,
-                     sample_t_star, sample_xi, zero_mass_probability)
+                     sample_t_star, zero_mass_probability)
 from .normal import norm_cdf, norm_pdf, norm_ppf
 from .posterior import (PosteriorFactorization, factorize,
                         sample_posterior_arrays)
-from .projection import (QuadL1Problem, SolverSettings, cross_validate_lambda,
-                         default_lambda_grid, fit_lasso, kkt_check,
-                         objective_value, project_draws, solve_quad_l1)
-from .regions import (ProjectedSample, component_interval,
-                      component_intervals, minkowski_norm, model_probabilities, radius_quantile,
-                      rectangle_levels)
+from .projection import (SolverSettings, cross_validate_lambda,
+                         default_lambda_grid, fit_lasso, project_draws)
+from .regions import (component_interval, component_intervals,
+                      model_probabilities)
 from .simulate import (CoverageReport, FitResult, ReplicationRecord, Scenario,
                        aggregate, fit_dataset, generate_data, report_to_csv,
                        run_replication, run_scenario, signal_vector,
@@ -36,21 +34,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CalibrationQuery", "CalibrationResult", "TABLE_LAMBDAS", "TABLE_TARGETS",
-    "calibration_table", "calibration_table_csv", "display_level", "h_minus",
-    "h_plus", "h_zero", "psi", "psi_zero", "solve_gamma",
+    "calibration_table", "calibration_table_csv", "display_level", "h_plus",
+    "h_zero", "psi", "psi_zero", "solve_gamma",
     "CsvFormatError", "GramAccumulator", "dataset_from_csv", "ingest_chunk",
     "read_csv",
     "DegenerateDiagonal", "DimensionMismatch", "InsufficientData",
     "NoConvergence", "NonFiniteInput", "SingularSystem", "SparseProjError",
     "LimitSpec", "limiting_coverage_mc", "limitcheck_rows", "sample_t_star",
-    "sample_xi", "zero_mass_probability",
+    "zero_mass_probability",
     "norm_cdf", "norm_pdf", "norm_ppf",
     "PosteriorFactorization", "factorize", "sample_posterior_arrays",
-    "QuadL1Problem", "SolverSettings", "cross_validate_lambda",
-    "default_lambda_grid", "fit_lasso", "kkt_check", "objective_value",
-    "project_draws", "solve_quad_l1",
-    "ProjectedSample", "component_interval",
-    "component_intervals", "minkowski_norm", "model_probabilities", "radius_quantile", "rectangle_levels",
+    "SolverSettings", "cross_validate_lambda", "default_lambda_grid",
+    "fit_lasso", "project_draws",
+    "component_interval", "component_intervals", "model_probabilities",
     "CoverageReport", "FitResult", "ReplicationRecord", "Scenario", "aggregate",
     "fit_dataset", "generate_data", "report_to_csv", "run_replication",
     "run_scenario", "signal_vector", "sparsity_sweep", "sweep_to_csv",

@@ -14,7 +14,8 @@ calibration table, `calibrate` and `limitcheck` go through it.  The fit
 pipeline needs only the levels of all p components at once: solve_levels
 runs one safeguarded Newton iteration on z over the whole array of
 effective penalties, with the normal CDF taken per element from math.erfc,
-and computes no psi_zero.
+and computes no psi_zero.  The bisection and the Newton iteration are
+independent routes to the same root, so each checks the other.
 
 Since psi < 1 - gamma for lam0 > 0, the requested credibility must exceed
 the coverage target; a table row says by how much.
@@ -73,13 +74,9 @@ class CalibrationResult:
 
 def h_plus(lambda0: float, zeta: float) -> float:
     """Conditional coverage of a positive-signal coordinate given the
-    standardized limit draw zeta: 2*Phi(|zeta - lambda0/2|) - 1."""
+    standardized limit draw zeta: 2*Phi(|zeta - lambda0/2|) - 1.  A negative
+    signal's is the mirror image, h_plus(lambda0, -zeta)."""
     return 2.0 * norm_cdf(abs(zeta - 0.5 * lambda0)) - 1.0
-
-
-def h_minus(lambda0: float, zeta: float) -> float:
-    """Negative-signal counterpart, the mirror image of h_plus."""
-    return h_plus(lambda0, -zeta)
 
 
 def h_zero(lambda0: float, zeta: float) -> float:
@@ -144,22 +141,14 @@ def psi_zero(alpha: float, lambda0: float) -> float:
     return 2.0 * (norm_cdf(z2) - norm_cdf(z1))
 
 
-def _zero_of_psi(lambda_eff: float, target: float, method: str = "bisect") -> float:
-    """Solve Phi(l/2 + z) - Phi(l/2 - z) = target for z >= 0.
+def _zero_of_psi(lambda_eff: float, target: float) -> float:
+    """Solve Phi(l/2 + z) - Phi(l/2 - z) = target for z >= 0 by bisection.
 
     The left side is strictly increasing in z from 0 to 1, so the root is
-    unique.  method "bisect" is the production path of solve_gamma; "newton"
-    is the vectorized Newton route of solve_levels (_newton_zeros) on this
-    one penalty, kept so the table can be cross-checked against round-off
-    and misprints by a second, independent solver.
+    unique.
     """
-    if method == "bisect":
-        half = 0.5 * lambda_eff
-        return _bisect(lambda z: norm_cdf(half + z) - norm_cdf(half - z) - target,
-                       0.0, _Z_HI)
-    if method == "newton":
-        return float(_newton_zeros(np.array([lambda_eff]), target)[0])
-    raise ValueError(f"unknown method {method!r}")
+    half = 0.5 * lambda_eff
+    return _bisect(lambda z: norm_cdf(half + z) - norm_cdf(half - z) - target, 0.0, _Z_HI)
 
 
 def _cdf(x: np.ndarray) -> np.ndarray:
@@ -229,7 +218,7 @@ def solve_levels(lambda_eff, target: float) -> np.ndarray:
     return (1.0 - _clipped_gamma(_cdf(z))).reshape(lam.shape)
 
 
-def solve_gamma(query: CalibrationQuery, method: str = "bisect") -> CalibrationResult:
+def solve_gamma(query: CalibrationQuery) -> CalibrationResult:
     """Find the credibility level whose limiting signal coverage equals target.
 
     Inverts psi at the effective penalty lambda0*sqrt(c_j)/sigma0 by monotone
@@ -237,7 +226,7 @@ def solve_gamma(query: CalibrationQuery, method: str = "bisect") -> CalibrationR
     together with psi and psi_zero evaluated at the solution.
     """
     lam = query.effective_lambda
-    z = _zero_of_psi(lam, query.target, method=method)
+    z = _zero_of_psi(lam, query.target)
     gamma = float(_clipped_gamma(norm_cdf(z)))
     return CalibrationResult(
         gamma_level=1.0 - gamma,
@@ -257,13 +246,12 @@ TABLE_LAMBDAS = tuple(
 TABLE_TARGETS = (0.9, 0.925, 0.95, 0.975, 0.99)
 
 
-def calibration_table(lambdas=TABLE_LAMBDAS, targets=TABLE_TARGETS,
-                      method: str = "bisect") -> list[list[float]]:
+def calibration_table(lambdas=TABLE_LAMBDAS, targets=TABLE_TARGETS) -> list[list[float]]:
     """gamma_level over the grid; one row per lambda, one column per target."""
     if not lambdas or not targets:
         raise ValueError("lambdas and targets must be nonempty")
     return [
-        [solve_gamma(CalibrationQuery(lambda0=lam, target=t), method=method).gamma_level
+        [solve_gamma(CalibrationQuery(lambda0=lam, target=t)).gamma_level
          for t in targets]
         for lam in lambdas
     ]

@@ -95,6 +95,22 @@ def _number_list(flag: str, rule: str, ok):
     return parse
 
 
+_LIST_FLAGS = ("--lambda0", "--lambdas", "--signs", "--targets")
+
+
+def _attach_lists(argv: list[str]) -> list[str]:
+    """Rewrite `--signs -1,0` as `--signs=-1,0`.  argparse takes a separate
+    word that starts with '-' for an option unless it is one negative
+    number, so a comma list after a list flag is attached to the flag."""
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] in _LIST_FLAGS and word.startswith("-") and "," in word:
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 _threads_flag = _checked("--threads", "an integer >= 1", lambda k: k >= 1, kind=int)
 _threads_env = _checked("SPARSEPROJ_THREADS", "an integer >= 1", lambda k: k >= 1, kind=int)
 
@@ -118,7 +134,7 @@ def cmd_fit(args) -> int:
                   "estimate": float(fit.center[j]),
                   "lo": float(fit.lo[j]), "hi": float(fit.hi[j])} for j in range(ds.p)]
 
-    probs = model_probabilities(fit.sample)
+    probs = model_probabilities(fit.draws)
     labels = [str(j) for j in range(ds.p)]  # a support's key joins its sorted indices
     model_probs = {",".join([labels[j] for j in sorted(s)]): f for s, f in
                    sorted(probs.items(), key=lambda kv: -kv[1])}
@@ -293,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_lists(sys.argv[1:] if argv is None else argv))
     if args.threads is None:
         try:
             args.threads = _threads_env(os.environ.get("SPARSEPROJ_THREADS", "1"))

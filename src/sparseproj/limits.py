@@ -20,6 +20,8 @@ takes several norms at once: each outer draw of Delta solves xi and its
 inner T* batch once, in one column-major coordinate-descent batch whose row
 0 is xi and whose other rows are the T* draws, and counts the hits of every
 norm on them, with the square-root factors of C computed once per call.
+xi is solved only there, as row 0; sample_t_star draws T* alone, for
+zero_mass_probability.
 """
 
 from __future__ import annotations
@@ -97,21 +99,6 @@ def _solve_limit_batch(spec: LimitSpec, B: np.ndarray, tol: float = 1e-10,
                       np.zeros_like(np.atleast_2d(B)), tol, max_sweeps)
     U[np.abs(U) < _SNAP] = 0.0
     return U
-
-
-def sample_xi(spec: LimitSpec, delta: np.ndarray) -> np.ndarray:
-    """The limiting LASSO fluctuation for a given standardized draw delta.
-
-    Deterministic: solves the penalized quadratic with b = sigma0 C^{1/2}
-    delta; signal coordinates carry the signed linear penalty, noise
-    coordinates the absolute one.
-    """
-    delta = np.asarray(delta, dtype=float).ravel()
-    if delta.shape[0] != spec.p:
-        raise ValueError(f"delta has length {delta.shape[0]}, expected {spec.p}")
-    Chalf, _ = _sqrt_factors(spec.C)
-    b = spec.sigma0 * (Chalf @ delta)
-    return _solve_limit_batch(spec, b.reshape(1, -1))[0]
 
 
 def _sample_w_star(spec: LimitSpec, delta: np.ndarray, count: int,

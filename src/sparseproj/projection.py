@@ -12,6 +12,9 @@ unit of the Gram diagonal.  Common library conventions (e.g. a 1/(2n) loss
 factor) differ by a factor of 2; a lam fitted elsewhere must be doubled, or
 halved, accordingly before it is passed in here.
 
+The entry points are project_draws, fit_lasso and cross_validate_lambda;
+the limit experiment calls the shared-Q batch kernel _cd_shared directly.
+
 Convergence is certified by the KKT residual (max subgradient violation),
 not by parameter change.  The descent solvers are vectorized across batches
 of right-hand sides sharing one Q, which is how posterior draws are projected
@@ -48,67 +51,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDiagonal, InsufficientData, NoConvergence
-from .types import Dataset, frozen_copy
-
-
-@dataclass(frozen=True)
-class QuadL1Problem:
-    """Quadratic-plus-l1 problem u'Qu - 2u'b + lam*penalty(u).
-
-    signed maps coordinate index -> sign in {-1, +1}; listed coordinates get
-    the linear penalty lam*s_j*u_j instead of lam*|u_j|.  Q must be symmetric
-    to 1e-12 and lam strictly positive.
-    """
-
-    Q: np.ndarray
-    b: np.ndarray
-    penalty_scale: float
-    signed: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        Q = np.asarray(self.Q, dtype=float)
-        b = frozen_copy(self.b).ravel()
-        if Q.ndim != 2 or Q.shape[0] != Q.shape[1] or Q.shape[0] != b.shape[0]:
-            raise ValueError(f"Q must be p x p matching b, got {Q.shape} and {b.shape}")
-        scale = max(1.0, float(np.abs(Q).max()))
-        if float(np.abs(Q - Q.T).max()) > 1e-12 * scale:
-            raise ValueError("Q must be symmetric to 1e-12")
-        if self.penalty_scale <= 0:
-            raise ValueError("penalty_scale must be positive")
-        object.__setattr__(self, "Q", frozen_copy(0.5 * (Q + Q.T)))
-        object.__setattr__(self, "b", b)
-        signed = tuple(sorted((int(j), int(s)) for j, s in dict(self.signed or ()).items()))
-        if any(s not in (-1, 1) for _, s in signed):
-            raise ValueError("signs must be -1 or +1")
-        if any(j < 0 or j >= b.shape[0] for j, _ in signed):
-            raise ValueError("signed coordinate out of range")
-        object.__setattr__(self, "signed", signed)
-
-    @property
-    def p(self) -> int:
-        return self.b.shape[0]
-
-    def signs_array(self) -> np.ndarray:
-        """Signs as a length-p vector, 0 marking unsigned coordinates."""
-        s = np.zeros(self.p)
-        for j, sj in self.signed:
-            s[j] = sj
-        return s
+from .types import Dataset
 
 
 @dataclass(frozen=True)
 class SolverSettings:
     tol: float = 1e-10
     max_sweeps: int = 10_000
-    warm_start: np.ndarray | None = None
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if self.max_sweeps < 1:
             raise ValueError("max_sweeps must be at least 1")
-        if self.warm_start is not None:
-            object.__setattr__(self, "warm_start", frozen_copy(self.warm_start))
 
 
 def _soft(x: np.ndarray, t: float) -> np.ndarray:
@@ -140,14 +95,6 @@ def _kkt_rows(G: np.ndarray, U: np.ndarray, lam: float, signs: np.ndarray,
     G -= S
     np.maximum(G, 0.0, out=G)
     return G.max(axis=1)
-
-
-def _kkt_batch(Q: np.ndarray, B: np.ndarray, lam: float, signs: np.ndarray,
-               U: np.ndarray) -> np.ndarray:
-    """Max KKT violation per row of U against the shared (Q, lam, signs)."""
-    G = np.matmul(U, Q)
-    G -= B
-    return _kkt_rows(G, U, lam, signs, np.empty_like(G))
 
 
 def _worst_rows(kkt: np.ndarray, tol: float, label: str, limit: int = 5) -> str:
@@ -272,41 +219,6 @@ def _newton_cd_solve(Qs: np.ndarray, Bs: np.ndarray, lam: float, U0: np.ndarray,
     return U, kkt
 
 
-def solve_quad_l1(problem: QuadL1Problem,
-                  settings: SolverSettings = SolverSettings()) -> tuple[np.ndarray, float]:
-    """Solve one quadratic-l1 problem; returns (solution, kkt_residual).
-
-    Raises DegenerateDiagonal if any Q_jj <= 0 and NoConvergence if the KKT
-    residual is still above tol after max_sweeps full sweeps.
-    """
-    p = problem.p
-    U0 = np.zeros((1, p)) if settings.warm_start is None else \
-        np.asarray(settings.warm_start, dtype=float).reshape(1, p)
-    U, kkt = _cd_shared(problem.Q, problem.b.reshape(1, p), problem.penalty_scale,
-                        problem.signs_array(), U0, settings.tol, settings.max_sweeps)
-    return U[0], float(kkt[0])
-
-
-def kkt_check(problem: QuadL1Problem, u: np.ndarray) -> float:
-    """Max violation of the stationarity conditions at u.
-
-    With g = 2Qu - 2b: an unsigned active coordinate contributes
-    |g_j + lam*sign(u_j)|, an unsigned zero coordinate max(0, |g_j| - lam),
-    and a signed coordinate |g_j + lam*s_j| regardless of its value.
-    """
-    u = np.asarray(u, dtype=float).reshape(1, problem.p)
-    return float(_kkt_batch(problem.Q, problem.b.reshape(1, -1),
-                            problem.penalty_scale, problem.signs_array(), u)[0])
-
-
-def objective_value(problem: QuadL1Problem, u: np.ndarray) -> float:
-    """Objective u'Qu - 2u'b + lam*penalty(u) at u."""
-    u = np.asarray(u, dtype=float).ravel()
-    signs = problem.signs_array()
-    pen = np.where(signs == 0, np.abs(u), signs * u).sum()
-    return float(u @ problem.Q @ u - 2.0 * u @ problem.b + problem.penalty_scale * pen)
-
-
 def project_draws(dataset: Dataset, thetas: np.ndarray, lambda_n: float,
                   settings: SolverSettings = SolverSettings(),
                   warm: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -336,21 +248,18 @@ def fit_lasso(dataset: Dataset, lambda_n: float,
 
     Same quadratic form as project_draws but with b = X'Y/n, which is the
     projection of the least-squares solution.  Solved as one row of
-    _newton_cd_solve from zero or settings.warm_start: a sign-pattern Newton
-    step accepted by its KKT residual, with coordinate-descent sweeps as the
-    fallback.  Raises DegenerateDiagonal if a Gram diagonal entry is <= 0
-    and NoConvergence, naming the center, if the residual is still above
-    tol after max_sweeps sweeps.
+    _newton_cd_solve from zero: a sign-pattern Newton step accepted by its
+    KKT residual, with coordinate-descent sweeps as the fallback.  Raises
+    DegenerateDiagonal if a Gram diagonal entry is <= 0 and NoConvergence,
+    naming the center, if the residual is still above tol after max_sweeps
+    sweeps.
     """
     if lambda_n <= 0:
         raise ValueError("lambda_n must be positive")
     if np.any(np.diag(dataset.gram) <= 0.0):
         raise DegenerateDiagonal("the Gram matrix has a nonpositive diagonal entry")
-    p = dataset.p
-    U0 = np.zeros((1, p)) if settings.warm_start is None else \
-        np.asarray(settings.warm_start, dtype=float).reshape(1, p)
-    U, kkt = _newton_cd_solve(dataset.gram[None], dataset.xty[None], lambda_n, U0,
-                              settings.tol, settings.max_sweeps)
+    U, kkt = _newton_cd_solve(dataset.gram[None], dataset.xty[None], lambda_n,
+                              np.zeros((1, dataset.p)), settings.tol, settings.max_sweeps)
     if not kkt[0] <= settings.tol:
         raise NoConvergence(
             f"LASSO center at lambda_n={lambda_n:.3e}: residual {kkt[0]:.3e} > tol "

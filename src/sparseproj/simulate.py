@@ -23,7 +23,7 @@ from .calibration import solve_levels
 from .errors import SparseProjError
 from .posterior import factorize, sample_posterior_arrays
 from .projection import cross_validate_lambda, fit_lasso, project_draws
-from .regions import ProjectedSample, component_intervals
+from .regions import component_intervals
 from .types import Dataset, PriorConfig, frozen_copy, validate_dataset
 
 DEFAULT_SIGNALS = (-2.0, -1.5, 0.5, 1.0, 2.0)
@@ -44,24 +44,22 @@ def signal_vector(p: int, caption_variant: bool = False) -> np.ndarray:
 @dataclass(frozen=True)
 class FitResult:
     """One pass of the method: lambda0 = lambda_n * sqrt(n), sigma_hat from
-    the ridge residual, levels[j] the credibility of component j, sample the
-    projected draws with their LASSO center, [lo, hi] the componentwise
-    intervals (degenerate where of zero length) and max_kkt the worst KKT
-    residual of the projected draws."""
+    the ridge residual, levels[j] the credibility of component j, draws the
+    (draws, p) projected draws (F-ordered, as project_draws returns them),
+    center the LASSO estimate, [lo, hi] the componentwise intervals
+    (degenerate where of zero length) and max_kkt the worst KKT residual of
+    the projected draws."""
 
     lambda_n: float
     lambda0: float
     sigma_hat: float
     levels: np.ndarray
-    sample: ProjectedSample
+    draws: np.ndarray
+    center: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
     degenerate: np.ndarray
     max_kkt: float
-
-    @property
-    def center(self) -> np.ndarray:
-        return self.sample.center
 
 
 def fit_dataset(ds: Dataset, lam: float, draws: int, post_seed: int, prior: PriorConfig,
@@ -88,10 +86,9 @@ def fit_dataset(ds: Dataset, lam: float, draws: int, post_seed: int, prior: Prio
 
     thetas, _ = sample_posterior_arrays(fact, draws, post_seed)
     U, kkt = project_draws(ds, thetas, lam, warm=center)
-    sample = ProjectedSample(draws=U, center=center, n=ds.n, level=float(levels[0]))
-    lo, hi, degenerate = component_intervals(sample, levels)
+    lo, hi, degenerate = component_intervals(U, center, levels)
     return FitResult(lambda_n=lam, lambda0=lam0, sigma_hat=sigma_hat, levels=levels,
-                     sample=sample, lo=lo, hi=hi, degenerate=degenerate,
+                     draws=U, center=center, lo=lo, hi=hi, degenerate=degenerate,
                      max_kkt=float(kkt.max()))
 
 
@@ -229,7 +226,7 @@ def _run_replication(scenario: Scenario, rep_index: int) -> ReplicationRecord:
     return ReplicationRecord(rep_index=rep_index, lambda_n=fit.lambda_n,
                              lambda0=fit.lambda0, sigma_hat=fit.sigma_hat,
                              levels=fit.levels, covered=covered, lengths=fit.hi - fit.lo,
-                             selected=(fit.sample.draws != 0.0).mean(axis=0),
+                             selected=(fit.draws != 0.0).mean(axis=0),
                              degenerate=fit.degenerate.astype(float), max_kkt=fit.max_kkt)
 
 

@@ -3,9 +3,9 @@
     f(u) = u'Qu - 2 u'b + lam * penalty(u),
 
 penalty(u) = sum_j |u_j| over unsigned coordinates plus s_j*u_j over signed
-ones.  Nothing here goes through the package's coordinate descent: the three
-routes are exhaustive grid search (p = 2), exact sign-pattern enumeration
-(any small p), and proximal gradient with momentum.  They exist so solver
+ones.  The three reference solvers do not go through the package's
+coordinate descent: they are exhaustive grid search (p = 2), exact
+sign-pattern enumeration (any small p), and proximal gradient with momentum.  They exist so solver
 tests compare against arithmetic that cannot share a bug with the code under
 test.  cv_errors_reference scores cross-validation fold solutions from the
 held-out rows themselves, and kkt_batch_reference is the branch-per-case KKT
@@ -14,7 +14,9 @@ cd_multi_reference is the plain batched coordinate descent that once solved
 the cross-validation path; the sign-pattern Newton path solver is judged
 against it by objective value and KKT residual.  It borrows only the
 package's soft-threshold and its KKT certificate, which kkt_batch_reference
-pins.
+pins.  sample_xi is different: it solves the limit experiment's xi for
+one draw alone through the package's limit solver, the reference for row 0
+of the merged xi/T* batch.
 """
 
 import itertools
@@ -22,6 +24,7 @@ import itertools
 import numpy as np
 
 from sparseproj.errors import DegenerateDiagonal, NoConvergence
+from sparseproj.limits import _solve_limit_batch, _sqrt_factors
 from sparseproj.projection import _kkt_rows, _soft, _worst_rows
 
 
@@ -180,3 +183,18 @@ def cd_multi_reference(Qs: np.ndarray, Bs: np.ndarray, lam: float, U0: np.ndarra
             return U
     raise NoConvergence(f"CV path: residual {kkt.max():.3e} > tol {tol:.1e}; "
                         f"{_worst_rows(kkt, tol, 'fold')}")
+
+
+def sample_xi(spec, delta):
+    """The limiting LASSO fluctuation xi for one standardized draw delta.
+
+    Deterministic: solves the penalized quadratic with b = sigma0 C^{1/2}
+    delta; signal coordinates carry the signed linear penalty, noise
+    coordinates the absolute one.
+    """
+    delta = np.asarray(delta, dtype=float).ravel()
+    if delta.shape[0] != spec.p:
+        raise ValueError(f"delta has length {delta.shape[0]}, expected {spec.p}")
+    Chalf, _ = _sqrt_factors(spec.C)
+    b = spec.sigma0 * (Chalf @ delta)
+    return _solve_limit_batch(spec, b.reshape(1, -1))[0]

@@ -19,25 +19,19 @@ import time
 import numpy as np
 import pytest
 
-from oracles import enumerate_min, random_spd
+from oracles import enumerate_min, kkt_batch_reference, objective, random_spd
 from sparseproj.calibration import (
     TABLE_TARGETS,
     CalibrationQuery,
     psi,
     psi_zero,
     solve_gamma,
+    solve_levels,
 )
 from sparseproj.cli import main
 from sparseproj.limits import LimitSpec, limitcheck_rows, zero_mass_probability
 from sparseproj.posterior import factorize, sample_posterior_arrays
-from sparseproj.projection import (
-    QuadL1Problem,
-    SolverSettings,
-    fit_lasso,
-    kkt_check,
-    objective_value,
-    solve_quad_l1,
-)
+from sparseproj.projection import SolverSettings, _cd_shared, fit_lasso
 from sparseproj.simulate import Scenario, report_to_csv, run_scenario, signal_vector
 from sparseproj.types import PriorConfig, validate_dataset
 
@@ -196,8 +190,8 @@ def test_criterion_1_calibration_table(capsys):
                    for tgt, ref in zip(TABLE_TARGETS, row[1:])}
     for lam, tgt in sorted(flagged):
         q = CalibrationQuery(lambda0=lam, target=tgt)
-        bis = solve_gamma(q, method="bisect").gamma_level
-        newt = solve_gamma(q, method="newton").gamma_level
+        bis = solve_gamma(q).gamma_level
+        newt = float(solve_levels([lam], tgt)[0])
         if abs(bis - newt) > 1e-9:
             problems.append(
                 f"solver routes disagree at {(lam, tgt)}: {abs(bis - newt):.2e}")
@@ -243,6 +237,7 @@ def test_criterion_3_projection_vs_enumeration():
     problems: list[str] = []
     worst_kkt = 0.0
     worst_gap = -math.inf
+    settings = SolverSettings()
     for k in range(1000):
         p = int(rng.integers(1, 9))
         Q = random_spd(rng, p)
@@ -250,13 +245,12 @@ def test_criterion_3_projection_vs_enumeration():
         lam = float(rng.uniform(0.05, 2.0))
         signs = np.where(rng.random(p) < 0.35,
                          rng.choice([-1, 1], size=p), 0).astype(int)
-        problem = QuadL1Problem(
-            Q=Q, b=b, penalty_scale=lam,
-            signed=tuple((j, int(s)) for j, s in enumerate(signs) if s))
-        u, _ = solve_quad_l1(problem, SolverSettings())
-        kkt = kkt_check(problem, u)
+        U, _ = _cd_shared(Q, b[None], lam, signs.astype(float), np.zeros((1, p)),
+                          settings.tol, settings.max_sweeps)
+        u = U[0]
+        kkt = float(kkt_batch_reference(Q, b[None], lam, signs, U)[0])
         _, f_ref = enumerate_min(Q, b, lam, signs)
-        gap = objective_value(problem, u) - f_ref
+        gap = objective(Q, b, lam, signs, u) - f_ref
         worst_kkt = max(worst_kkt, kkt)
         worst_gap = max(worst_gap, gap)
         if kkt > 1e-10:
@@ -277,14 +271,16 @@ def test_criterion_4_least_squares_projection_is_lasso():
     rng = np.random.default_rng(271828)
     problems: list[str] = []
     worst = 0.0
+    settings = SolverSettings()
     for k in range(100):
         X = rng.standard_normal((200, 5))
         Y = X @ rng.standard_normal(5) + rng.standard_normal(200)
         ds = validate_dataset(X, Y)
         lam = float(rng.uniform(0.05, 1.0))
         theta_ls = np.linalg.solve(ds.gram, ds.xty)
-        via_projection, _ = solve_quad_l1(QuadL1Problem(
-            Q=ds.gram, b=ds.gram @ theta_ls, penalty_scale=lam))
+        U, _ = _cd_shared(ds.gram, (ds.gram @ theta_ls)[None], lam, np.zeros(5),
+                          np.zeros((1, 5)), settings.tol, settings.max_sweeps)
+        via_projection = U[0]
         direct = fit_lasso(ds, lam)
         dev = float(np.abs(via_projection - direct).max())
         worst = max(worst, dev)

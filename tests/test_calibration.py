@@ -24,7 +24,6 @@ from sparseproj.calibration import (
     calibration_table,
     calibration_table_csv,
     display_level,
-    h_minus,
     h_plus,
     h_zero,
     psi,
@@ -95,13 +94,6 @@ def test_h_plus_examples():
     assert h_plus(0.0, 1.959964) == pytest.approx(0.95, abs=5e-6)
     assert h_plus(0.0, 1.959964) == pytest.approx(0.9500000018071153, abs=1e-12)
     assert h_plus(2.0, -1.0) == pytest.approx(0.9544997361036416, abs=1e-12)
-    assert h_minus(2.0, 1.0) == h_plus(2.0, -1.0)
-
-
-def test_h_minus_mirrors_h_plus():
-    for lam in (0.0, 0.7, 2.3):
-        for z in (-1.5, -0.2, 0.0, 0.4, 3.0):
-            assert h_minus(lam, z) == h_plus(lam, -z)
 
 
 def test_h_zero_collapses_at_zero_penalty():
@@ -264,8 +256,8 @@ def test_solve_gamma_methods_agree():
     for lam in (0.05, 0.5, 1.3, 2.0, 4.0):
         for target in TABLE_TARGETS:
             q = CalibrationQuery(lambda0=lam, target=target)
-            b = solve_gamma(q, method="bisect").gamma_level
-            n = solve_gamma(q, method="newton").gamma_level
+            b = solve_gamma(q).gamma_level
+            n = float(solve_levels([lam], target)[0])
             assert b == pytest.approx(n, abs=1e-9)
 
 

@@ -3,6 +3,7 @@ points (mostly in-process via main(argv); a few subprocess runs exercise the
 console-script entry point that pyproject.toml declares and the demo scripts,
 in a fresh interpreter, with or without an install)."""
 
+import importlib
 import json
 import math
 import os
@@ -313,15 +314,32 @@ def test_cli_calibrate_prints_table_value(capsys):
     ("limitcheck", "--outer", "500.5", "an integer >= 100"),
     ("limitcheck", "--inner", "99", "an integer >= 100"),
     ("limitcheck", "--sigma0", "nan", "a positive finite number"),
+    # a comma list that starts with a minus sign, also as the flag's next word
+    ("limitcheck", "--lambda0", "-1,2", "comma-separated finite numbers >= 0"),
+    ("limitcheck", "--signs", "-1,2", "comma-separated signs in {-1, 0, 1}"),
+    ("table", "--lambdas", "-0.5,1", "comma-separated finite numbers >= 0"),
+    ("table", "--targets", "-0.5,0.9", "comma-separated numbers in (0, 1)"),
 ])
 def test_cli_checks_number_flags_while_parsing(command, flag, value, rule, capsys):
-    # exit status 2 is a usage error: the value never reached the command
+    # exit status 2 is a usage error: the value never reached the command;
+    # the value may be attached with '=' or given as the next word
     argv = [command] + (["--lambda0=1", "--target=0.95"] if command == "calibrate" else [])
-    with pytest.raises(SystemExit) as exc:
-        main(argv + [f"{flag}={value}"])
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert "usage" in err and f"{flag} must be {rule}, got '{value}'" in err
+    for given in ([f"{flag}={value}"], [flag, value]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + given)
+        assert exc.value.code == 2, given
+        err = capsys.readouterr().err
+        assert "usage" in err and f"{flag} must be {rule}, got '{value}'" in err, given
+
+
+def test_cli_negative_list_as_next_word_writes_same_bytes(tmp_path):
+    common = ["--lambda0", "1", "--outer", "100", "--inner", "100", "--seed", "3"]
+    outs = []
+    for signs in (["--signs=-1,0"], ["--signs", "-1,0"]):
+        outs.append(tmp_path / f"limit{len(outs)}.csv")
+        assert main(["limitcheck"] + signs + common + ["--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    assert outs[0].read_text(encoding="utf-8").count("\n") == 3  # header + 2 coordinates
 
 
 def test_cli_table_default_grid(tmp_path):
@@ -645,6 +663,40 @@ def test_console_script_usage_error():
     assert proc.returncode == 2
     assert "usage" in proc.stderr.lower()
 
+
+
+# solver, region and calibration API that no command called, deleted from src/
+DELETED_API = {
+    "projection": ("QuadL1Problem", "solve_quad_l1", "kkt_check", "objective_value",
+                   "_kkt_batch"),
+    "regions": ("ProjectedSample", "radius_quantile", "_distances", "_warn_degenerate",
+                "minkowski_norm", "rectangle_levels"),
+    "calibration": ("h_minus",),
+    "limits": ("sample_xi",),
+}
+
+
+def test_package_exports_resolve_and_leave_out_deleted_api():
+    assert all(hasattr(sparseproj, name) for name in sparseproj.__all__)
+    namespace = {}
+    exec("from sparseproj import *", namespace)  # a fresh namespace
+    assert set(sparseproj.__all__) <= namespace.keys()
+    for module, names in DELETED_API.items():
+        mod = importlib.import_module(f"sparseproj.{module}")
+        for name in names:
+            assert name not in sparseproj.__all__ and not hasattr(sparseproj, name), name
+            assert not hasattr(mod, name), (module, name)
+
+
+def test_readme_library_quick_start_runs(tmp_path):
+    # the README's library example runs as written, in a fresh interpreter
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Quick start (library)", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=child_env(), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert "frozenset" in proc.stdout  # the model probabilities were printed
 
 
 def test_demos_run(tmp_path):

@@ -15,7 +15,6 @@ from sparseproj.limits import (
     limitcheck_rows,
     limiting_coverage_mc,
     sample_t_star,
-    sample_xi,
     zero_mass_probability,
 )
 from sparseproj import limits
@@ -23,7 +22,7 @@ from sparseproj.errors import NoConvergence
 from sparseproj.regions import minkowski_norms
 from sparseproj.types import NormSelector
 
-from oracles import kkt_batch_reference, random_spd
+from oracles import kkt_batch_reference, random_spd, sample_xi
 
 
 def eye_spec(signs, sigma0=1.0, lambda0=1.0):

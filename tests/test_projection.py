@@ -17,10 +17,8 @@ from oracles import (cd_multi_reference, cv_errors_reference, enumerate_min, gri
 from sparseproj import projection
 from sparseproj.errors import DegenerateDiagonal, InsufficientData, NoConvergence
 from sparseproj.projection import (
-    QuadL1Problem,
     _cd_shared,
     _newton_cd_solve,
-    _kkt_batch,
     _fold_statistics,
     _newton_step,
     _held_out_error,
@@ -28,12 +26,28 @@ from sparseproj.projection import (
     cross_validate_lambda,
     default_lambda_grid,
     fit_lasso,
-    kkt_check,
-    objective_value,
     project_draws,
-    solve_quad_l1,
 )
 from sparseproj.types import validate_dataset
+
+
+def solve_one(Q, b, lam, signs=None, warm=None, settings=SolverSettings()):
+    """One problem through the shared-Q batch kernel, from zero or warm;
+    returns (solution, KKT residual)."""
+    p = len(b)
+    signs = np.zeros(p) if signs is None else np.asarray(signs, dtype=float)
+    U0 = np.zeros((1, p)) if warm is None else np.reshape(warm, (1, p))
+    U, kkt = _cd_shared(Q, np.reshape(b, (1, p)), lam, signs, U0,
+                        settings.tol, settings.max_sweeps)
+    return U[0], float(kkt[0])
+
+
+def kkt_at(Q, b, lam, u, signs=None):
+    """The package's fused KKT certificate at one point u."""
+    u = np.reshape(np.asarray(u, dtype=float), (1, -1))
+    signs = np.zeros(u.shape[1]) if signs is None else np.asarray(signs, dtype=float)
+    return float(projection._kkt_rows(u @ Q - np.reshape(b, (1, -1)), u, lam, signs,
+                                      np.empty_like(u))[0])
 
 
 def identity_gram_dataset(p=2, n=2, Y=None):
@@ -55,8 +69,7 @@ def equicorrelated_dataset():
 
 def project_one(ds, theta, lam):
     """Project one draw alone: the quadratic problem Q = C_n, b = C_n theta."""
-    u, _ = solve_quad_l1(QuadL1Problem(Q=ds.gram, b=ds.gram @ theta, penalty_scale=lam))
-    return u
+    return solve_one(ds.gram, ds.gram @ theta, lam)[0]
 
 
 def test_project_identity_gram_soft_threshold():
@@ -139,19 +152,16 @@ def test_project_draws_no_convergence_names_rows():
         project_draws(ds, thetas, 0.05, SolverSettings(max_sweeps=1))
 
 
-# --- solve_quad_l1 -----------------------------------------------------------
+# --- one problem through the batch kernel ------------------------------------
 
 def test_scalar_unsigned_inside_band_is_zero():
-    prob = QuadL1Problem(Q=np.eye(1), b=np.array([0.05]), penalty_scale=0.2)
-    u, kkt = solve_quad_l1(prob)
+    u, kkt = solve_one(np.eye(1), np.array([0.05]), 0.2)
     assert u[0] == 0.0
     assert kkt == 0.0
 
 
 def test_scalar_signed_linear_shift():
-    prob = QuadL1Problem(Q=np.eye(1), b=np.array([0.05]), penalty_scale=0.2,
-                         signed=((0, 1),))
-    u, kkt = solve_quad_l1(prob)
+    u, kkt = solve_one(np.eye(1), np.array([0.05]), 0.2, signs=[1.0])
     assert u[0] == pytest.approx(-0.05, abs=1e-14)
     assert kkt <= 1e-12
 
@@ -161,8 +171,7 @@ def test_random_5x5_vs_both_oracles():
     Q = random_spd(rng, 5)
     b = rng.standard_normal(5)
     lam = 0.3
-    prob = QuadL1Problem(Q=Q, b=b, penalty_scale=lam)
-    u, kkt = solve_quad_l1(prob)
+    u, kkt = solve_one(Q, b, lam)
     assert kkt <= 1e-10
 
     signs = np.zeros(5)
@@ -183,9 +192,7 @@ def test_mixed_signed_vs_enumeration():
         b = rng.standard_normal(p) * 2.0
         lam = float(rng.uniform(0.05, 2.0))
         signs = rng.choice([-1, 0, 0, 1], size=p).astype(float)
-        signed = tuple((j, int(signs[j])) for j in range(p) if signs[j] != 0)
-        prob = QuadL1Problem(Q=Q, b=b, penalty_scale=lam, signed=signed)
-        u, kkt = solve_quad_l1(prob)
+        u, kkt = solve_one(Q, b, lam, signs)
         assert kkt <= 1e-10
         u_ref, f_ref = enumerate_min(Q, b, lam, signs)
         assert objective(Q, b, lam, signs, u) <= f_ref + 1e-8
@@ -194,61 +201,41 @@ def test_mixed_signed_vs_enumeration():
 
 def test_degenerate_diagonal_raises():
     Q = np.array([[1.0, 0.0], [0.0, 0.0]])
-    prob = QuadL1Problem(Q=Q, b=np.ones(2), penalty_scale=0.1)
     with pytest.raises(DegenerateDiagonal):
-        solve_quad_l1(prob)
+        solve_one(Q, np.ones(2), 0.1)
 
 
 def test_no_convergence_raises():
     rng = np.random.default_rng(3)
     Q = random_spd(rng, 4, cond_cap=200.0)
-    prob = QuadL1Problem(Q=Q, b=rng.standard_normal(4), penalty_scale=0.01)
     with pytest.raises(NoConvergence):
-        solve_quad_l1(prob, SolverSettings(tol=1e-14, max_sweeps=1))
+        solve_one(Q, rng.standard_normal(4), 0.01,
+                  settings=SolverSettings(tol=1e-14, max_sweeps=1))
 
 
-def test_problem_validation():
-    with pytest.raises(ValueError):
-        QuadL1Problem(Q=np.array([[1.0, 0.2], [0.0, 1.0]]), b=np.zeros(2),
-                      penalty_scale=0.1)
-    with pytest.raises(ValueError):
-        QuadL1Problem(Q=np.eye(2), b=np.zeros(2), penalty_scale=0.0)
-    with pytest.raises(ValueError):
-        QuadL1Problem(Q=np.eye(2), b=np.zeros(3), penalty_scale=0.1)
-    with pytest.raises(ValueError):
-        QuadL1Problem(Q=np.eye(2), b=np.zeros(2), penalty_scale=0.1,
-                      signed=((0, 2),))
-    with pytest.raises(ValueError):
-        QuadL1Problem(Q=np.eye(2), b=np.zeros(2), penalty_scale=0.1,
-                      signed=((5, 1),))
-
-
-# --- kkt_check ---------------------------------------------------------------
+# --- the KKT certificate -----------------------------------------------------
 
 def test_kkt_zero_at_soft_threshold_solution():
-    prob = QuadL1Problem(Q=np.eye(2), b=np.array([1.0, -0.1]), penalty_scale=0.4)
     u = np.array([0.8, 0.0])
-    assert kkt_check(prob, u) <= 1e-14
+    assert kkt_at(np.eye(2), np.array([1.0, -0.1]), 0.4, u) <= 1e-14
 
 
 def test_kkt_perturbed_active_coordinate():
-    prob = QuadL1Problem(Q=np.eye(2), b=np.array([1.0, -0.1]), penalty_scale=0.4)
     u = np.array([0.81, 0.0])
     # g_1 = 2(u_1 - b_1) = -0.38, plus lam gives 0.02 = 2*Q_11*0.01
-    assert kkt_check(prob, u) == pytest.approx(0.02, abs=1e-12)
+    assert kkt_at(np.eye(2), np.array([1.0, -0.1]), 0.4, u) == pytest.approx(0.02, abs=1e-12)
 
 
 def test_kkt_zero_vector_zero_b():
-    prob = QuadL1Problem(Q=np.eye(3), b=np.zeros(3), penalty_scale=0.4)
-    assert kkt_check(prob, np.zeros(3)) == 0.0
+    assert kkt_at(np.eye(3), np.zeros(3), 0.4, np.zeros(3)) == 0.0
 
 
 def test_kkt_signed_coordinate():
-    prob = QuadL1Problem(Q=np.eye(1), b=np.array([0.05]), penalty_scale=0.2,
-                         signed=((0, 1),))
-    assert kkt_check(prob, np.array([-0.05])) <= 1e-14
+    b = np.array([0.05])
+    assert kkt_at(np.eye(1), b, 0.2, np.array([-0.05]), signs=[1.0]) <= 1e-14
     # at zero a signed coordinate is still graded on the exact stationarity
-    assert kkt_check(prob, np.array([0.0])) == pytest.approx(0.1, abs=1e-14)
+    assert kkt_at(np.eye(1), b, 0.2, np.array([0.0]), signs=[1.0]) == \
+        pytest.approx(0.1, abs=1e-14)
 
 
 # --- fit_lasso ---------------------------------------------------------------
@@ -302,7 +289,7 @@ def test_fit_lasso_newton_center_matches_cd(seed, p, shape, frac):
     lam = frac * 2.0 * float(np.abs(ds.xty).max()) + 1e-12
     settings = SolverSettings(tol=1e-12, max_sweeps=100_000)
     u = fit_lasso(ds, lam, settings)
-    ref, _ = solve_quad_l1(QuadL1Problem(Q=ds.gram, b=ds.xty, penalty_scale=lam), settings)
+    ref, _ = solve_one(ds.gram, ds.xty, lam, settings=settings)
     zero = np.zeros(p)
     assert kkt_batch_reference(ds.gram, ds.xty[None], lam, zero, u[None])[0] <= 1e-12
     # rounding scales with the larger of the cancelling terms
@@ -311,26 +298,6 @@ def test_fit_lasso_newton_center_matches_cd(seed, p, shape, frac):
     f_new = objective(ds.gram, ds.xty, lam, zero, u)
     f_ref = objective(ds.gram, ds.xty, lam, zero, ref)
     assert abs(f_new - f_ref) <= 1e-12 * scale
-
-
-def test_fit_lasso_starts_from_the_warm_start(monkeypatch):
-    rng = np.random.default_rng(5)
-    X = rng.standard_normal((40, 4))
-    ds = validate_dataset(X, X @ np.array([1.0, -0.5, 0.0, 0.0]) + rng.standard_normal(40))
-    starts = []
-    solve = projection._newton_cd_solve
-
-    def spy(Qs, Bs, lam, U0, tol, max_sweeps):
-        starts.append(np.array(U0))
-        return solve(Qs, Bs, lam, U0, tol, max_sweeps)
-
-    monkeypatch.setattr(projection, "_newton_cd_solve", spy)
-    cold = fit_lasso(ds, 0.2)
-    warm = np.array([0.9, -0.4, 0.1, 0.0])
-    hot = fit_lasso(ds, 0.2, SolverSettings(warm_start=warm))
-    np.testing.assert_array_equal(starts[0], np.zeros((1, 4)))
-    np.testing.assert_array_equal(starts[1], warm[None])
-    np.testing.assert_allclose(hot, cold, atol=1e-9)
 
 
 def test_fit_lasso_no_convergence_names_the_center():
@@ -369,8 +336,7 @@ def test_diagonal_q_soft_threshold_exact():
     d = rng.uniform(0.5, 3.0, size=6)
     b = rng.standard_normal(6)
     for lam in (0.1, 0.7):
-        prob = QuadL1Problem(Q=np.diag(d), b=b, penalty_scale=lam)
-        u, _ = solve_quad_l1(prob)
+        u, _ = solve_one(np.diag(d), b, lam)
         expected = np.sign(b) * np.maximum(np.abs(b) - lam / 2, 0.0) / d
         np.testing.assert_allclose(u, expected, atol=1e-14)
 
@@ -382,7 +348,7 @@ def test_l1_monotone_in_lambda_diagonal_q():
     lams = [0.05, 0.1, 0.4, 0.9, 2.0]
     norms = []
     for lam in lams:
-        u, _ = solve_quad_l1(QuadL1Problem(Q=np.diag(d), b=b, penalty_scale=lam))
+        u, _ = solve_one(np.diag(d), b, lam)
         norms.append(np.abs(u).sum())
     assert all(norms[i + 1] <= norms[i] + 1e-12 for i in range(len(norms) - 1))
 
@@ -391,12 +357,12 @@ def test_objective_beats_warm_start_and_zero():
     rng = np.random.default_rng(10)
     Q = random_spd(rng, 6)
     b = rng.standard_normal(6)
-    prob = QuadL1Problem(Q=Q, b=b, penalty_scale=0.3)
+    signs = np.zeros(6)
     warm = rng.standard_normal(6)
-    u, _ = solve_quad_l1(prob, SolverSettings(warm_start=warm))
-    f = objective_value(prob, u)
-    assert f <= objective_value(prob, warm) + 1e-12
-    assert f <= objective_value(prob, np.zeros(6)) + 1e-12
+    u, _ = solve_one(Q, b, 0.3, warm=warm)
+    f = objective(Q, b, 0.3, signs, u)
+    assert f <= objective(Q, b, 0.3, signs, warm) + 1e-12
+    assert f <= objective(Q, b, 0.3, signs, np.zeros(6)) + 1e-12
 
 
 @hyp_settings(max_examples=40, deadline=None)
@@ -407,10 +373,9 @@ def test_solver_kkt_certificate_random(seed, lam):
     p = int(rng.integers(1, 6))
     Q = random_spd(rng, p)
     b = 2.0 * rng.standard_normal(p)
-    u, kkt = solve_quad_l1(QuadL1Problem(Q=Q, b=b, penalty_scale=float(lam)))
+    u, kkt = solve_one(Q, b, float(lam))
     assert kkt <= 1e-10
-    assert kkt_check(QuadL1Problem(Q=Q, b=b, penalty_scale=float(lam)), u) == \
-        pytest.approx(kkt, abs=1e-15)
+    assert kkt_at(Q, b, float(lam), u) == pytest.approx(kkt, abs=1e-15)
 
 
 @hyp_settings(max_examples=200, deadline=None)
@@ -430,7 +395,7 @@ def test_fused_kkt_certificate_matches_branch_reference(seed, m, p, lam, nan_row
     B[rng.random((m, p)) < 0.5] += rng.standard_normal()
     if nan_row:
         (U if rng.random() < 0.5 else B)[rng.integers(m), rng.integers(p)] = np.nan
-    got = _kkt_batch(Q, B, lam, signs, U)
+    got = projection._kkt_rows(U @ Q - B, U, lam, signs, np.empty_like(U))
     want = kkt_batch_reference(Q, B, lam, signs, U)
     assert np.array_equal(got, want, equal_nan=True)
     assert np.isnan(got).any() == nan_row
@@ -476,9 +441,8 @@ def test_cd_shared_same_bits_for_row_and_column_major_inputs(seed, p, m, lam, si
 
 
 def test_kkt_rejects_infinite_penalty():
-    prob = QuadL1Problem(Q=np.eye(2), b=np.ones(2), penalty_scale=np.inf)
     with pytest.raises(ValueError, match="penalty must be finite"):
-        solve_quad_l1(prob)
+        solve_one(np.eye(2), np.ones(2), np.inf)
 
 
 def test_cd_shared_one_sweep_names_worst_rows():

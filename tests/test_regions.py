@@ -1,45 +1,50 @@
-"""Credible-region construction: norms, radii, intervals, model frequencies."""
+"""Credible intervals, norms and model frequencies from projected draws."""
 
+import math
 import warnings
 
 import numpy as np
 import pytest
 
 from sparseproj.regions import (
-    ProjectedSample,
     component_interval,
     component_intervals,
-    minkowski_norm,
+    minkowski_norms,
     model_probabilities,
-    radius_quantile,
-    rectangle_levels,
 )
 from sparseproj.types import NormSelector
 
 
-def sample_from_distances(values, n=1, level=0.8):
-    """1-d sample whose component-0 distances are exactly `values` (center 0)."""
-    draws = np.asarray(values, dtype=float)[:, None]
-    return ProjectedSample(draws=draws, center=np.zeros(1), n=n, level=level)
+def sample_from_distances(values):
+    """(R, 1) draws whose distances from the center 0 are exactly `values`."""
+    return np.asarray(values, dtype=float)[:, None]
 
 
-# --- minkowski_norm ----------------------------------------------------------
+def radius_quantile(draws, level):
+    """Credible radius of a 1-d sample centered at 0: the half-width of its
+    component interval."""
+    lo, hi = component_interval(draws, np.zeros(1), 0, level)
+    assert lo == -hi
+    return hi
+
+
+# --- minkowski_norms ---------------------------------------------------------
 
 def test_norm_examples():
     x = np.array([3.0, -4.0])
-    assert minkowski_norm(x, NormSelector.euclidean()) == 5.0
-    assert minkowski_norm(x, NormSelector.component(1)) == 4.0
-    assert minkowski_norm(np.array([1.0, -2.0, 0.5]), NormSelector.l1()) == 3.5
-    assert minkowski_norm(x, NormSelector.max_norm()) == 4.0
-    assert minkowski_norm(x, NormSelector.rectangle([0])) == 3.0
-    assert minkowski_norm(x, NormSelector.rectangle([0, 1])) == 4.0
+    assert minkowski_norms(x, NormSelector.euclidean()) == 5.0
+    assert minkowski_norms(x, NormSelector.component(1)) == 4.0
+    assert minkowski_norms(np.array([1.0, -2.0, 0.5]), NormSelector.l1()) == 3.5
+    assert minkowski_norms(x, NormSelector.max_norm()) == 4.0
+    assert minkowski_norms(x, NormSelector.rectangle([0])) == 3.0
+    assert minkowski_norms(x, NormSelector.rectangle([0, 1])) == 4.0
 
 
 def test_norm_bounds_checked_at_evaluation():
     with pytest.raises(ValueError):
-        minkowski_norm(np.ones(2), NormSelector.component(2))
+        minkowski_norms(np.ones(2), NormSelector.component(2))
     with pytest.raises(ValueError):
-        minkowski_norm(np.ones(2), NormSelector.rectangle([0, 5]))
+        minkowski_norms(np.ones(2), NormSelector.rectangle([0, 5]))
 
 
 def test_norms_are_nonnegative_and_scale():
@@ -48,30 +53,31 @@ def test_norms_are_nonnegative_and_scale():
     for sel in (NormSelector.max_norm(), NormSelector.euclidean(),
                 NormSelector.l1(), NormSelector.component(2),
                 NormSelector.rectangle([1, 3])):
-        v = minkowski_norm(x, sel)
+        v = minkowski_norms(x, sel)
         assert v >= 0.0
-        assert minkowski_norm(2.0 * x, sel) == pytest.approx(2.0 * v, rel=1e-12)
-        assert minkowski_norm(np.zeros(4), sel) == 0.0
+        assert minkowski_norms(2.0 * x, sel) == pytest.approx(2.0 * v, rel=1e-12)
+        assert minkowski_norms(np.zeros(4), sel) == 0.0
 
 
-# --- radius_quantile ---------------------------------------------------------
+# --- radius quantile ---------------------------------------------------------
 
 def test_radius_quantile_order_statistic():
-    s = sample_from_distances([0.0, 0.0, 0.0, 0.1, 0.2], level=0.8)
-    assert radius_quantile(s, NormSelector.component(0)) == pytest.approx(0.1)
+    s = sample_from_distances([0.0, 0.0, 0.0, 0.1, 0.2])
+    assert radius_quantile(s, 0.8) == pytest.approx(0.1)
+    # a level-fraction of draws at the center leaves a radius of exactly 0
+    assert radius_quantile(sample_from_distances([0.0, 0.0, 0.0, 0.0, 1.0]), 0.8) == 0.0
 
 
 def test_radius_quantile_level_one_is_max():
-    s = sample_from_distances([0.3, 0.1, 0.5, 0.2], level=0.5)
-    assert radius_quantile(s, NormSelector.component(0), level=1.0) == 0.5
+    s = sample_from_distances([0.3, 0.1, 0.5, 0.2])
+    assert radius_quantile(s, level=1.0) == 0.5
 
 
 def test_radius_quantile_monotone_in_level():
     rng = np.random.default_rng(1)
     s = sample_from_distances(rng.exponential(size=200))
-    sel = NormSelector.component(0)
     levels = [0.1, 0.3, 0.5, 0.7, 0.9, 0.99]
-    radii = [radius_quantile(s, sel, level=l) for l in levels]
+    radii = [radius_quantile(s, level=l) for l in levels]
     assert all(radii[i + 1] >= radii[i] for i in range(len(radii) - 1))
 
 
@@ -80,9 +86,8 @@ def test_radius_quantile_mass_rule():
     rng = np.random.default_rng(2)
     vals = rng.standard_normal(173)
     s = sample_from_distances(np.abs(vals))
-    sel = NormSelector.component(0)
     for level in (0.31, 0.5, 0.777, 0.95):
-        r = radius_quantile(s, sel, level=level)
+        r = radius_quantile(s, level=level)
         d = np.abs(vals)
         assert (d <= r).mean() >= level
         assert (d < r).mean() < level
@@ -90,32 +95,17 @@ def test_radius_quantile_mass_rule():
 
 def test_radius_quantile_normal_draws():
     rng = np.random.default_rng(3)
-    s = sample_from_distances(np.abs(rng.standard_normal(100_000)), level=0.95)
-    r = radius_quantile(s, NormSelector.component(0))
+    s = sample_from_distances(np.abs(rng.standard_normal(100_000)))
+    r = radius_quantile(s, 0.95)
     assert r == pytest.approx(1.95996, abs=0.02)
-
-
-def test_radius_quantile_degenerate_warns():
-    s = sample_from_distances([0.0, 0.0, 0.0, 0.0, 1.0], level=0.8)
-    with pytest.warns(UserWarning):
-        r = radius_quantile(s, NormSelector.component(0))
-    assert r == 0.0
-
-
-def test_radius_quantile_scales_with_sqrt_n():
-    draws = np.array([[0.0], [1.0], [2.0], [3.0]])
-    s1 = ProjectedSample(draws=draws, center=np.zeros(1), n=1, level=0.75)
-    s4 = ProjectedSample(draws=draws, center=np.zeros(1), n=4, level=0.75)
-    sel = NormSelector.component(0)
-    assert radius_quantile(s4, sel) == pytest.approx(2.0 * radius_quantile(s1, sel))
 
 
 def test_radius_quantile_level_validation():
     s = sample_from_distances([0.1, 0.2])
     with pytest.raises(ValueError):
-        radius_quantile(s, NormSelector.component(0), level=0.0)
+        radius_quantile(s, level=0.0)
     with pytest.raises(ValueError):
-        radius_quantile(s, NormSelector.component(0), level=1.1)
+        radius_quantile(s, level=1.1)
 
 
 # --- component_interval ------------------------------------------------------
@@ -123,9 +113,9 @@ def test_radius_quantile_level_validation():
 def test_interval_degenerate_when_draws_equal_center():
     center = np.array([0.7, -0.2])
     draws = np.tile(center, (10, 1))
-    s = ProjectedSample(draws=draws, center=center, n=25, level=0.9)
-    with pytest.warns(UserWarning):
-        lo, hi = component_interval(s, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a degenerate interval is a value, not a warning
+        lo, hi = component_interval(draws, center, 0, 0.9)
     assert lo == hi == 0.7
 
 
@@ -134,27 +124,26 @@ def test_interval_symmetric_two_point():
     center = np.array([1.0])
     c = 0.3
     draws = np.array([[1.0 + c], [1.0 - c]] * 8)
-    s = ProjectedSample(draws=draws, center=center, n=16, level=0.9)
-    lo, hi = component_interval(s, 0)
+    lo, hi = component_interval(draws, center, 0, 0.9)
     assert (lo, hi) == (pytest.approx(1.0 - c), pytest.approx(1.0 + c))
-    lo, hi = component_interval(s, 0, level=0.4)
+    lo, hi = component_interval(draws, center, 0, 0.4)
     assert (lo, hi) == (pytest.approx(1.0 - c), pytest.approx(1.0 + c))
 
 
 def test_interval_uses_sqrt_n_rescale():
     draws = np.array([[0.0], [2.0], [2.0], [2.0]])
-    s = ProjectedSample(draws=draws, center=np.zeros(1), n=100, level=0.75)
-    lo, hi = component_interval(s, 0)
-    # distance quantile is sqrt(100)*2 = 20, interval half-width 20/sqrt(100)
+    lo, hi = component_interval(draws, np.zeros(1), 0, 0.75)
+    # at n = 100 the distance quantile is sqrt(100)*2 = 20 and the half-width
+    # 20/sqrt(100): the scaling cancels, so it is read off unscaled
     assert (lo, hi) == (-2.0, 2.0)
 
 
 def test_interval_index_validation():
     s = sample_from_distances([0.1, 0.2])
     with pytest.raises(ValueError):
-        component_interval(s, 1)
+        component_interval(s, np.zeros(1), 1, 0.9)
     with pytest.raises(ValueError):
-        component_interval(s, -1)
+        component_interval(s, np.zeros(1), -1, 0.9)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -168,14 +157,10 @@ def test_component_intervals_equal_per_coordinate_calls(seed):
     at_center = rng.random(p) < 0.3
     draws[:, at_center] = center[at_center]
     levels = rng.choice([0.5, 0.9, 0.95, 1.0, int(rng.integers(1, R + 1)) / R], size=p)
-    s = ProjectedSample(draws=draws, center=center, n=int(rng.integers(1, 500)), level=0.9)
-    lo, hi, degenerate = component_intervals(s, levels.tolist())
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        for j in range(p):
-            caught.clear()
-            assert component_interval(s, j, level=levels[j]) == (lo[j], hi[j])
-            assert degenerate[j] == bool(caught)
+    lo, hi, degenerate = component_intervals(draws, center, levels.tolist())
+    for j in range(p):
+        assert component_interval(draws, center, j, levels[j]) == (lo[j], hi[j])
+        assert degenerate[j] == (lo[j] == hi[j])
 
 
 @pytest.mark.parametrize("center", [0.0928380279369452, -0.0928380279369452])
@@ -183,9 +168,8 @@ def test_zero_draw_on_the_boundary_puts_the_endpoint_at_zero(center):
     # the draw at 0 sets the radius; sqrt(500)*|c|/sqrt(500) rounds to |c|
     # plus one ulp here, which used to leave 0 just outside the interval
     draws = np.array([[center]] * 9 + [[0.0]])
-    s = ProjectedSample(draws=draws, center=np.array([center]), n=500, level=0.95)
-    lo, hi, _ = component_intervals(s, [0.95])
-    assert (lo[0], hi[0]) == component_interval(s, 0)
+    lo, hi, _ = component_intervals(draws, np.array([center]), [0.95])
+    assert (lo[0], hi[0]) == component_interval(draws, np.array([center]), 0, 0.95)
     assert (lo[0] == 0.0) if center > 0 else (hi[0] == 0.0)
     assert hi[0] - lo[0] == 2.0 * abs(center)
 
@@ -193,26 +177,9 @@ def test_zero_draw_on_the_boundary_puts_the_endpoint_at_zero(center):
 def test_component_intervals_validation():
     s = sample_from_distances([0.1, 0.2])
     with pytest.raises(ValueError):
-        component_intervals(s, [0.9, 0.9])
+        component_intervals(s, np.zeros(1), [0.9, 0.9])
     with pytest.raises(ValueError):
-        component_intervals(s, [1.1])
-
-
-# --- rectangle_levels --------------------------------------------------------
-
-def test_rectangle_levels_values():
-    assert rectangle_levels(1, 0.95) == 0.95
-    assert rectangle_levels(2, 0.9) == pytest.approx(0.9487, abs=5e-5)
-    assert rectangle_levels(2, 0.9) == pytest.approx(0.9486832980505138, abs=1e-12)
-    assert rectangle_levels(5, 0.95) == pytest.approx(0.98979, abs=5e-6)
-    assert rectangle_levels(5, 0.95) == pytest.approx(0.9897937816869885, abs=1e-12)
-
-
-def test_rectangle_levels_validation():
-    with pytest.raises(ValueError):
-        rectangle_levels(0, 0.9)
-    with pytest.raises(ValueError):
-        rectangle_levels(3, 1.0)
+        component_intervals(s, np.zeros(1), [1.1])
 
 
 # --- model_probabilities -----------------------------------------------------
@@ -224,8 +191,7 @@ def test_model_probabilities_example():
         [0.5, 0.0],
         [1.0, 2.0],
     ])
-    s = ProjectedSample(draws=draws, center=np.zeros(2), n=4, level=0.9)
-    probs = model_probabilities(s)
+    probs = model_probabilities(draws)
     assert probs[frozenset()] == 0.25
     assert probs[frozenset({0})] == 0.5
     assert probs[frozenset({0, 1})] == 0.25
@@ -233,16 +199,14 @@ def test_model_probabilities_example():
 
 def test_model_probabilities_single_support():
     draws = np.array([[1.0, 0.0]] * 6)
-    s = ProjectedSample(draws=draws, center=np.zeros(2), n=6, level=0.9)
-    assert model_probabilities(s) == {frozenset({0}): 1.0}
+    assert model_probabilities(draws) == {frozenset({0}): 1.0}
 
 
 def test_model_probabilities_sum_to_one():
     rng = np.random.default_rng(4)
     draws = rng.standard_normal((500, 3))
     draws[rng.random((500, 3)) < 0.5] = 0.0
-    s = ProjectedSample(draws=draws, center=np.zeros(3), n=10, level=0.9)
-    probs = model_probabilities(s)
+    probs = model_probabilities(draws)
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
     assert all(v > 0 for v in probs.values())
 
@@ -252,35 +216,23 @@ def test_model_probabilities_sum_to_one():
 def test_rectangle_ball_is_intersection_of_components():
     rng = np.random.default_rng(5)
     draws = rng.standard_normal((400, 3))
-    s = ProjectedSample(draws=draws, center=np.zeros(3), n=7, level=0.9)
     idx = (0, 2)
-    r = radius_quantile(s, NormSelector.rectangle(idx), level=0.85)
     scaled = np.sqrt(7) * draws
-    in_ball = np.abs(scaled[:, idx]).max(axis=1) <= r
+    rect = minkowski_norms(scaled, NormSelector.rectangle(idx))
+    r = np.sort(rect)[math.ceil(400 * 0.85) - 1]
+    in_ball = rect <= r
     in_all = np.all(np.abs(scaled[:, idx]) <= r, axis=1)
     np.testing.assert_array_equal(in_ball, in_all)
 
 
-def test_radius_quantile_ball_norms():
-    rng = np.random.default_rng(7)
-    draws = rng.standard_normal((60, 2))
-    s = ProjectedSample(draws=draws, center=np.zeros(2), n=4, level=0.9)
-    for sel in (NormSelector.max_norm(), NormSelector.euclidean(), NormSelector.l1()):
-        r = radius_quantile(s, sel)
-        d = np.array([minkowski_norm(2.0 * row, sel) for row in draws])
-        assert r > 0
-        assert (d <= r).mean() >= 0.9 and (d < r).mean() < 0.9
-
-
-# --- ProjectedSample ---------------------------------------------------------
+# --- draw-sample checks ------------------------------------------------------
 
 def test_sample_validation():
-    with pytest.raises(ValueError):
-        ProjectedSample(draws=np.zeros((1, 2)), center=np.zeros(2), n=4, level=0.9)
-    with pytest.raises(ValueError):
-        ProjectedSample(draws=np.zeros((3, 2)), center=np.zeros(3), n=4, level=0.9)
-    with pytest.raises(ValueError):
-        ProjectedSample(draws=np.zeros((3, 2)), center=np.zeros(2), n=0, level=0.9)
-    with pytest.raises(ValueError):
-        ProjectedSample(draws=np.zeros((3, 2)), center=np.zeros(2), n=4, level=1.0)
+    for draws, center in ((np.zeros((1, 2)), np.zeros(2)),   # one draw
+                          (np.zeros((3, 2)), np.zeros(3)),   # center's p differs
+                          (np.zeros(3), np.zeros(3))):       # not an (R, p) matrix
+        with pytest.raises(ValueError):
+            component_intervals(draws, center, [0.9] * center.size)
+        with pytest.raises(ValueError):
+            component_interval(draws, center, 0, 0.9)
 
