@@ -43,9 +43,10 @@ for lam0 in (0.5, 1.0, 2.0):
     print(f"   {lam0:4.1f}    {est:.4f}    {exact:.4f}")
 
 # 3. the coverage verification sweep the CLI exposes as `sparseproj
-#    limitcheck`: for each penalty, calibrate the level for 0.95, then
-#    estimate per-coordinate coverage by nested Monte Carlo and set it
-#    against the analytic value
+#    limitcheck`: calibrate each penalty's level for 0.95, then estimate
+#    every penalty's per-coordinate coverage in one nested Monte-Carlo pass
+#    (each outer draw is generated once and solved at every penalty) and
+#    set it against the analytic value
 rows = limitcheck_rows(lambda lam: LimitSpec(C=np.eye(3), sigma0=1.0,
                                              lambda0=lam,
                                              theta0_signs=(1, -1, 0)),

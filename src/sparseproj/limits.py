@@ -16,12 +16,11 @@ the LASSO estimate, same scaling) converges given the data to
 limiting_coverage_mc estimates the probability, over Delta, that the
 conditional T*-mass of the credible ball around xi reaches a given level,
 which is exactly the asymptotic coverage the calibrated level controls.  It
-takes several norms at once: each outer draw of Delta solves xi and its
-inner T* batch once, in one column-major coordinate-descent batch whose row
-0 is xi and whose other rows are the T* draws, and counts the hits of every
-norm on them, with the square-root factors of C computed once per call.
-xi is solved only there, as row 0; sample_t_star draws T* alone, for
-zero_mass_probability.
+makes one pass across penalties and norms: Delta and W* do not depend on
+lambda0, so each outer draw is generated once; each penalty then solves xi
+and the T* draws in one column-major coordinate-descent batch (row 0 is xi)
+and counts the conditional masses of every norm on it.  sample_t_star draws
+T* alone, for zero_mass_probability.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -92,20 +92,14 @@ def _sqrt_factors(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _solve_limit_batch(spec: LimitSpec, B: np.ndarray, tol: float = 1e-10,
                        max_sweeps: int = 10_000) -> np.ndarray:
     """Minimize u'Cu - 2u'B_i + lambda0*pen(u) for every row of B."""
-    signs = spec.theta0_signs
+    B = np.atleast_2d(B)
     if spec.lambda0 == 0.0:
         return np.linalg.solve(spec.C, B.T).T
-    U, _ = _cd_shared(spec.C, np.atleast_2d(B), spec.lambda0, signs,
-                      np.zeros_like(np.atleast_2d(B)), tol, max_sweeps)
+    U, _ = _cd_shared(spec.C, B, spec.lambda0, spec.theta0_signs,
+                      np.broadcast_to(0.0, B.shape), tol, max_sweeps)
     U[np.abs(U) < _SNAP] = 0.0
     return U
 
-
-def _sample_w_star(spec: LimitSpec, delta: np.ndarray, count: int,
-                   rng: np.random.Generator) -> np.ndarray:
-    _, Cinvhalf = _sqrt_factors(spec.C)
-    Z = rng.standard_normal((count, spec.p))
-    return spec.sigma0 * (delta + Z) @ Cinvhalf  # C^{-1/2} symmetric
 
 def sample_t_star(spec: LimitSpec, delta: np.ndarray, seed: int,
                   count: int = 1) -> np.ndarray:
@@ -113,76 +107,83 @@ def sample_t_star(spec: LimitSpec, delta: np.ndarray, seed: int,
     penalized quadratic with b = C W*.  Returns an array of shape (count, p)."""
     delta = np.asarray(delta, dtype=float).ravel()
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x75)))
-    W = _sample_w_star(spec, delta, count, rng)
+    _, Cinvhalf = _sqrt_factors(spec.C)  # C^{-1/2} is symmetric
+    W = spec.sigma0 * (delta + rng.standard_normal((count, spec.p))) @ Cinvhalf
     return _solve_limit_batch(spec, W @ spec.C)
 
 
-def _coverage_hits(spec: LimitSpec, selectors: tuple[NormSelector, ...],
-                   level: float, outer_index: int, inner: int, seed: int,
-                   factors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Per selector, 1 if the conditional credible-ball mass at this outer
-    draw is <= level.  xi and the inner T* batch are solved once and shared,
-    in one column-major batch: row 0 holds xi's right-hand side, rows
-    1..inner those of the T* draws."""
-    try:
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(outer_index))))
-        delta = rng.standard_normal(spec.p)
-        Chalf, Cinvhalf = factors
-        W = spec.sigma0 * (delta + rng.standard_normal((inner, spec.p))) @ Cinvhalf
-        B = np.empty((inner + 1, spec.p), order="F")
-        B[0] = spec.sigma0 * (Chalf @ delta)
-        np.matmul(W, spec.C, out=B[1:])
-        U = _solve_limit_batch(spec, B)
-    except SparseProjError as exc:
-        raise type(exc)(f"outer draw {outer_index} (lambda0={spec.lambda0:g}, "
-                        f"seed={seed}): {exc}") from exc
-    xi = U[0]
-    D = U[1:] - xi
-    hits = np.empty(len(selectors), dtype=np.int64)
-    for k, selector in enumerate(selectors):
-        r0 = minkowski_norms(xi, selector)
-        q = np.count_nonzero(minkowski_norms(D, selector) <= r0)  # mass, in counts
-        hits[k] = q <= level * inner
-    return hits
+def _coverage_masses(specs: tuple[LimitSpec, ...], selectors: tuple[NormSelector, ...],
+                     outer_index: int, inner: int, seed: int,
+                     factors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """(L, S) conditional masses of one outer draw, in counts: [l, k] is
+    #{||T* - xi|| <= ||xi||} in selectors[k]'s norm under specs[l].  The
+    right-hand sides are drawn once for all specs, row 0 xi's, rows 1.. the
+    T* draws'; each spec solves them in one batch."""
+    first = specs[0]
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(outer_index))))
+    delta = rng.standard_normal(first.p)
+    Chalf, Cinvhalf = factors
+    B = np.empty((inner + 1, first.p), order="F")
+    B[0] = first.sigma0 * (Chalf @ delta)
+    np.matmul(first.sigma0 * (delta + rng.standard_normal((inner, first.p))) @ Cinvhalf,
+              first.C, out=B[1:])
+    masses = np.empty((len(specs), len(selectors)), dtype=np.int64)
+    for spec, row in zip(specs, masses):
+        try:
+            U = _solve_limit_batch(spec, B)
+        except SparseProjError as exc:
+            raise type(exc)(f"outer draw {outer_index} (lambda0={spec.lambda0:g}, "
+                            f"seed={seed}): {exc}") from exc
+        xi = U[0]
+        U[1:] -= xi  # rows 1.. now hold T* - xi; freed before the next solve
+        for k, selector in enumerate(selectors):
+            r0 = minkowski_norms(xi, selector)
+            row[k] = np.count_nonzero(minkowski_norms(U[1:], selector) <= r0)
+        del U, xi
+    return masses
 
 
-def limiting_coverage_mc(spec: LimitSpec, selectors: Sequence[NormSelector],
-                         level: float, outer: int, inner: int, seed: int,
+def limiting_coverage_mc(spec: LimitSpec | Sequence[LimitSpec], selectors: Sequence[NormSelector],
+                         level: float | Sequence[float], outer: int, inner: int, seed: int,
                          workers: int = 1) -> np.ndarray:
-    """Estimate the limiting coverage bound by nested Monte Carlo, once per
-    selector, in one pass.
+    """Estimate the limiting coverage bound by nested Monte Carlo, for every
+    penalty and selector in one pass.
 
-    For each of `outer` draws of Delta, the conditional probability
-    q(Delta) = P(||T* - xi|| <= ||xi|| | Delta) is estimated from `inner`
-    draws of W*, and entry k of the returned array is the fraction of Delta
-    draws with q(Delta) <= level in the norm of selectors[k].  Every selector
-    reads the same xi and T* draws, so each outer draw costs one solve
-    whatever the number of selectors.  Each outer draw owns an RNG stream
-    keyed by (seed, outer index), so the result is identical for any worker
-    count, and each entry equals a single-selector call.
+    For each of `outer` draws of Delta, q(Delta) = P(||T* - xi|| <= ||xi||
+    | Delta) is estimated from `inner` draws of W*, and entry k is the
+    fraction of Delta draws with q(Delta) <= level in selectors[k]'s norm.
+    One spec and one level give shape (S,); specs that differ only in
+    lambda0, with one level each, give (L, S), and every spec reads the same
+    Delta and W* draws.  Outer draw i owns the RNG stream (seed, i), so the
+    result is identical for any worker count, and each entry equals a
+    single-spec, single-selector call.
     """
+    single = isinstance(spec, LimitSpec)
+    specs = (spec,) if single else tuple(spec)
+    levels = np.array([level] if single else level, dtype=float)
     selectors = tuple(selectors)
+    if not specs or levels.shape != (len(specs),):
+        raise ValueError("give one level per spec")
+    for s in specs[1:]:
+        if not (s.sigma0 == specs[0].sigma0 and np.array_equal(s.C, specs[0].C)
+                and np.array_equal(s.theta0_signs, specs[0].theta0_signs)):
+            raise ValueError(f"spec at lambda0={s.lambda0:g} differs from the first in "
+                             "C, sigma0 or theta0_signs, so it cannot share its draws")
     if outer < 100 or inner < 100:
         raise ValueError("outer and inner must each be at least 100")
-    if not 0.0 < level < 1.0:
+    if not np.all((0.0 < levels) & (levels < 1.0)):
         raise ValueError("level must lie in (0, 1)")
-    factors = _sqrt_factors(spec.C)
-    args = [(spec, selectors, level, i, inner, seed, factors) for i in range(outer)]
-    hits = np.zeros(len(selectors), dtype=np.int64)
+    draw = partial(_coverage_masses, specs, selectors, inner=inner, seed=seed,
+                   factors=_sqrt_factors(specs[0].C))
+    bounds = levels[:, None] * inner  # hit: mass <= level, in counts
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for h in pool.map(_coverage_hits_star, args,
-                              chunksize=max(1, outer // (8 * workers))):
-                hits += h
+            chunk = max(1, outer // (8 * workers))
+            hits = sum(q <= bounds for q in pool.map(draw, range(outer), chunksize=chunk))
     else:
-        for a in args:
-            hits += _coverage_hits(*a)
-    return hits / outer
-
-
-def _coverage_hits_star(args) -> np.ndarray:
-    return _coverage_hits(*args)
+        hits = sum(draw(i) <= bounds for i in range(outer))
+    return hits[0] / outer if single else hits / outer
 
 
 def zero_mass_probability(spec: LimitSpec, delta: np.ndarray, inner: int,
@@ -211,22 +212,21 @@ def limitcheck_rows(spec_builder, lambdas, target: float, outer: int, inner: int
     (lambda0, coordinate) with the MC estimate and its analytic benchmark."""
     from .calibration import CalibrationQuery, solve_gamma
 
+    lambdas = list(lambdas)
+    if not lambdas:
+        return []
+    specs = [spec_builder(lam) for lam in lambdas]
+    results = [solve_gamma(CalibrationQuery(lambda0=lam, target=target)) for lam in lambdas]
+    estimates = limiting_coverage_mc(
+        specs, [NormSelector.component(j) for j in range(specs[0].p)],
+        [res.gamma_level for res in results], outer, inner, seed, workers=workers)
     rows = []
-    for lam in lambdas:
-        spec = spec_builder(lam)
-        res = solve_gamma(CalibrationQuery(lambda0=lam, target=target))
-        estimates = limiting_coverage_mc(
-            spec, [NormSelector.component(j) for j in range(spec.p)],
-            res.gamma_level, outer, inner, seed, workers=workers)
-        for j, est in enumerate(estimates.tolist()):
+    for lam, spec, res, row in zip(lambdas, specs, results, estimates.tolist()):
+        for j, est in enumerate(row):
             is_noise = spec.theta0_signs[j] == 0
-            rows.append({
-                "lambda0": lam,
-                "coordinate": j,
-                "role": "noise" if is_noise else "signal",
-                "level": res.gamma_level,
-                "estimate": est,
-                "mc_se": float(np.sqrt(est * (1.0 - est) / outer)),
-                "analytic": res.psi0_at_gamma if is_noise else res.psi_at_gamma,
-            })
+            rows.append({"lambda0": lam, "coordinate": j,
+                         "role": "noise" if is_noise else "signal",
+                         "level": res.gamma_level, "estimate": est,
+                         "mc_se": float(np.sqrt(est * (1.0 - est) / outer)),
+                         "analytic": res.psi0_at_gamma if is_noise else res.psi_at_gamma})
     return rows

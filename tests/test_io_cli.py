@@ -577,6 +577,31 @@ def test_cli_limitcheck_layout(tmp_path):
             float(cell)
 
 
+LIMITCHECK_PINNED = """\
+lambda0,coordinate,role,level,estimate,mc_se,analytic
+0,0,signal,0.95,0.93,0.02551470164,0.95
+0,1,signal,0.95,0.95,0.02179449472,0.95
+0,2,noise,0.95,0.89,0.03128897569,0.95
+0.5,0,signal,0.9565868183,0.96,0.01959591794,0.95
+0.5,1,signal,0.9565868183,0.94,0.02374868417,0.95
+0.5,2,noise,0.9565868183,0.92,0.02712931993,0.9625785733
+2,0,signal,0.9918585222,0.96,0.01959591794,0.95
+2,1,signal,0.9918585222,0.95,0.02179449472,0.95
+2,2,noise,0.9918585222,1,0,0.9993328893
+"""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cli_limitcheck_bytes_pinned(tmp_path, threads):
+    # The whole CSV of a three-penalty sweep, lambda0 = 0 (the linear-solve
+    # branch) included: restructuring the Monte-Carlo pass must not move a byte.
+    out = tmp_path / "limit.csv"
+    assert main(["--threads", threads, "limitcheck", "--lambda0", "0,0.5,2",
+                 "--signs", "1,-1,0", "--outer", "100", "--inner", "200",
+                 "--seed", "3", "--out", str(out)]) == 0
+    assert out.read_bytes() == LIMITCHECK_PINNED.encode("utf-8")
+
+
 # --- console-script entry point, in a fresh interpreter ----------------------
 # main() calls logging.basicConfig, which pytest's log capture would hide
 # in-process, so these runs need their own interpreter.

@@ -271,7 +271,8 @@ def test_merged_batch_hits_equal_separate_solves_at_identity(lambda0):
     level = solve_gamma(CalibrationQuery(lambda0=lambda0, target=0.95)).gamma_level
     factors = limits._sqrt_factors(spec.C)
     for outer_index in range(40):
-        got = limits._coverage_hits(spec, selectors, level, outer_index, 300, 5, factors)
+        masses = limits._coverage_masses((spec,), selectors, outer_index, 300, 5, factors)
+        got = (masses[0] <= level * 300).astype(np.int64)
         want = separate_solves_hits(spec, selectors, level, outer_index, 300, 5)
         assert np.array_equal(got, want), outer_index
 
@@ -292,9 +293,10 @@ def test_merged_batch_xi_certified_for_correlated_gram(seed, monkeypatch):
         return U
 
     monkeypatch.setattr(limits, "_solve_limit_batch", spy)
-    limits._coverage_hits(spec, (NormSelector.component(2),), 0.9, 7, 200, seed,
-                          limits._sqrt_factors(spec.C))
+    masses = limits._coverage_masses((spec,), (NormSelector.component(2),), 7, 200, seed,
+                                     limits._sqrt_factors(spec.C))
     monkeypatch.undo()
+    assert masses.shape == (1, 1) and 0 <= masses[0, 0] <= 200
     assert len(calls) == 1
     B, U = calls[0]
     assert B.shape == U.shape == (201, 4)
@@ -316,6 +318,94 @@ def test_coverage_one_kernel_call_per_outer_draw(monkeypatch):
     limiting_coverage_mc(eye_spec([1.0, 0.0], lambda0=0.5), [NormSelector.component(0)],
                          0.9, outer=100, inner=150, seed=3)
     assert calls == [(151, 2)] * 100
+
+
+# --- one pass across penalties -----------------------------------------------
+
+SWEEP = (0.5, 1.0, 2.0)
+
+
+def sweep_specs(lambdas=SWEEP):
+    return [eye_spec([1.0, -1.0, 0.0], lambda0=lam) for lam in lambdas]
+
+
+def test_sweep_draws_each_outer_stream_once(monkeypatch):
+    streams = []
+    seed_sequence = np.random.SeedSequence
+
+    def spy(entropy, *args, **kwargs):
+        streams.append(tuple(entropy))
+        return seed_sequence(entropy, *args, **kwargs)
+
+    monkeypatch.setattr(limits.np.random, "SeedSequence", spy)
+    limitcheck_rows(lambda lam: sweep_specs([lam])[0], SWEEP, target=0.95,
+                    outer=100, inner=100, seed=9)
+    assert streams == [(9, i) for i in range(100)]  # not 3 x 100
+
+
+def test_sweep_solves_every_penalty_per_outer_draw_in_order(monkeypatch):
+    calls = []
+    solve = limits._cd_shared
+
+    def spy(Q, B, lam, *args):
+        calls.append((lam, B.shape))
+        return solve(Q, B, lam, *args)
+
+    monkeypatch.setattr(limits, "_cd_shared", spy)
+    limiting_coverage_mc(sweep_specs(), [NormSelector.component(0)], [0.9] * 3,
+                         outer=100, inner=150, seed=3)
+    assert calls == [(lam, (151, 3)) for _ in range(100) for lam in SWEEP]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_rows_equal_single_spec_calls(workers):
+    lambdas, levels = (0.0, 0.7, 2.0), (0.9, 0.95, 0.99)
+    selectors = [NormSelector.component(0), NormSelector.component(2),
+                 NormSelector.euclidean()]
+    sweep = limiting_coverage_mc(sweep_specs(lambdas), selectors, levels, outer=100,
+                                 inner=100, seed=13, workers=workers)
+    assert sweep.shape == (3, 3)
+    for row, spec, level in zip(sweep, sweep_specs(lambdas), levels):
+        single = limiting_coverage_mc(spec, selectors, level, outer=100, inner=100,
+                                      seed=13)
+        assert np.array_equal(row, single)
+
+
+def test_sweep_rejects_specs_that_cannot_share_draws():
+    def builder(lam):  # sigma0 moves with the penalty: W* would differ
+        return eye_spec([1.0, 0.0], sigma0=1.0 + (lam > 0.7), lambda0=lam)
+
+    with pytest.raises(ValueError, match=r"lambda0=1 differs from the first"):
+        limitcheck_rows(builder, [0.5, 0.6, 1.0, 2.0], target=0.95, outer=100,
+                        inner=100, seed=0)
+    sel = [NormSelector.component(0)]
+    first = eye_spec([1.0, 0.0], lambda0=0.5)
+    for other in (eye_spec([-1.0, 0.0], lambda0=2.0),
+                  LimitSpec(C=np.diag([1.0, 2.0]), sigma0=1.0, lambda0=2.0,
+                            theta0_signs=np.array([1.0, 0.0]))):
+        with pytest.raises(ValueError, match=r"lambda0=2 differs"):
+            limiting_coverage_mc([first, other], sel, [0.9, 0.9], outer=100,
+                                 inner=100, seed=0)
+    with pytest.raises(ValueError, match="one level per spec"):
+        limiting_coverage_mc([first, first], sel, [0.9], outer=100, inner=100, seed=0)
+    with pytest.raises(ValueError, match="one level per spec"):
+        limiting_coverage_mc([], sel, [], outer=100, inner=100, seed=0)
+    assert limitcheck_rows(builder, [], target=0.95, outer=100, inner=100, seed=0) == []
+
+
+def test_sweep_failure_names_penalty(monkeypatch):
+    solve = limits._cd_shared
+
+    def fail_at_two(Q, B, lam, *args):
+        if lam == 2.0:
+            raise NoConvergence("residual 1.0e-03 > tol 1.0e-10")
+        return solve(Q, B, lam, *args)
+
+    monkeypatch.setattr(limits, "_cd_shared", fail_at_two)
+    with pytest.raises(NoConvergence,
+                       match=r"outer draw 0 \(lambda0=2, seed=21\): residual"):
+        limiting_coverage_mc(sweep_specs(), [NormSelector.component(0)], [0.9] * 3,
+                             outer=100, inner=100, seed=21)
 
 
 def test_coverage_failure_names_outer_draw(monkeypatch):
