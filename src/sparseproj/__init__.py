@@ -20,8 +20,8 @@ from .limits import (LimitSpec, limiting_coverage_mc, limitcheck_rows,
 from .normal import norm_cdf, norm_pdf, norm_ppf
 from .posterior import (PosteriorFactorization, factorize,
                         sample_posterior_arrays)
-from .projection import (SolverSettings, cross_validate_lambda,
-                         default_lambda_grid, fit_lasso, project_draws)
+from .projection import (cross_validate_lambda, default_lambda_grid, fit_lasso,
+                         project_draws)
 from .regions import (component_interval, component_intervals,
                       model_probabilities)
 from .simulate import (CoverageReport, FitResult, ReplicationRecord, Scenario,
@@ -44,8 +44,8 @@ __all__ = [
     "zero_mass_probability",
     "norm_cdf", "norm_pdf", "norm_ppf",
     "PosteriorFactorization", "factorize", "sample_posterior_arrays",
-    "SolverSettings", "cross_validate_lambda", "default_lambda_grid",
-    "fit_lasso", "project_draws",
+    "cross_validate_lambda", "default_lambda_grid", "fit_lasso",
+    "project_draws",
     "component_interval", "component_intervals", "model_probabilities",
     "CoverageReport", "FitResult", "ReplicationRecord", "Scenario", "aggregate",
     "fit_dataset", "generate_data", "report_to_csv", "run_replication",

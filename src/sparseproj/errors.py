@@ -18,7 +18,8 @@ class SingularSystem(SparseProjError):
 
 
 class NoConvergence(SparseProjError):
-    """Coordinate descent exhausted max_sweeps with KKT residual above tol."""
+    """A solve ran projection.MAX_SWEEPS coordinate-descent sweeps and left a
+    row's KKT residual above projection.TOL; the message names the worst rows."""
 
 
 class DegenerateDiagonal(SparseProjError):

@@ -18,9 +18,10 @@ conditional T*-mass of the credible ball around xi reaches a given level,
 which is exactly the asymptotic coverage the calibrated level controls.  It
 makes one pass across penalties and norms: Delta and W* do not depend on
 lambda0, so each outer draw is generated once; each penalty then solves xi
-and the T* draws in one column-major coordinate-descent batch (row 0 is xi)
-and counts the conditional masses of every norm on it.  sample_t_star draws
-T* alone, for zero_mass_probability.
+and the T* draws in one shared-Q call of the projection solver _solve, a
+column-major coordinate-descent batch (row 0 is xi), and counts the
+conditional masses of every norm on it.  sample_t_star draws T* alone, for
+zero_mass_probability.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from .errors import SparseProjError
-from .projection import _cd_shared
+from .projection import _solve
 from .regions import minkowski_norms
 from .types import NormSelector, frozen_copy
 
@@ -89,14 +90,12 @@ def _sqrt_factors(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (V * root) @ V.T, (V / root) @ V.T
 
 
-def _solve_limit_batch(spec: LimitSpec, B: np.ndarray, tol: float = 1e-10,
-                       max_sweeps: int = 10_000) -> np.ndarray:
+def _solve_limit_batch(spec: LimitSpec, B: np.ndarray) -> np.ndarray:
     """Minimize u'Cu - 2u'B_i + lambda0*pen(u) for every row of B."""
     B = np.atleast_2d(B)
     if spec.lambda0 == 0.0:
         return np.linalg.solve(spec.C, B.T).T
-    U, _ = _cd_shared(spec.C, B, spec.lambda0, spec.theta0_signs,
-                      np.broadcast_to(0.0, B.shape), tol, max_sweeps)
+    U, _ = _solve(spec.C, B, spec.lambda0, spec.theta0_signs, np.broadcast_to(0.0, B.shape))
     U[np.abs(U) < _SNAP] = 0.0
     return U
 

@@ -93,6 +93,8 @@ def sample_posterior_arrays(
     """
     if count < 1:
         raise ValueError("count must be at least 1")
+    if shards < 1:
+        raise ValueError(f"shards must be at least 1, got {shards}")
     if fact.gamma_shape <= 0 or fact.gamma_rate <= 0:
         raise SingularSystem(
             "sigma posterior is degenerate (gamma_shape and gamma_rate must be positive)"

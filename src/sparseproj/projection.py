@@ -13,61 +13,58 @@ factor) differ by a factor of 2; a lam fitted elsewhere must be doubled, or
 halved, accordingly before it is passed in here.
 
 The entry points are project_draws, fit_lasso and cross_validate_lambda;
-the limit experiment calls the shared-Q batch kernel _cd_shared directly.
+the limit experiment calls _solve directly.  All of them run one certified
+loop (_solve) around one cyclic coordinate-descent sweep (_sweep), either on
+a batch of right-hand sides sharing one Q (projected posterior draws; the
+limit experiment's xi with its T* draws) or on a stack with one Q per row
+(the CV folds of one penalty; the LASSO center).
 
 Convergence is certified by the KKT residual (max subgradient violation),
-not by parameter change.  The descent solvers are vectorized across batches
-of right-hand sides sharing one Q, which is how posterior draws are projected
-and how the limit experiment solves each outer draw's xi together with its
-T* draws.  The shared-Q batch is column-major: its (m, p) solution and work
-buffers are F-ordered, so a coordinate update touches one contiguous column
-and the certificate's per-row maximum reduces across columns.
+not by parameter change: a solve ends when every row is within TOL and
+raises NoConvergence after MAX_SWEEPS sweeps.  The certificate is one
+branch-free formula for every coordinate kind (see _kkt_rows).  A shared-Q
+batch is column-major: its (m, p) solution and work buffers are F-ordered
+and allocated once per call, so a coordinate update touches one contiguous
+column and a sweep allocates no array of the batch's size.
 
-The certificate is one branch-free formula for every coordinate kind (see
-_kkt_rows), evaluated after each sweep in place, in work buffers the solver
-allocates once per call, so a sweep allocates no array of the batch's size.
-
-The cross-validation path runs few folds at many penalties, and the LASSO
-center is a single row; there Python-level coordinate updates cost far more
-than their arithmetic.  So _newton_cd_solve, which serves both, has each
-row take the homotopy step of Osborne, Presnell & Turlach (2000): keep the
-warm start's sign pattern, add the zero coordinates whose gradient breaks
-KKT at the new penalty (as strong rules would screen them, Tibshirani et
-al. 2012), and solve the stationarity equations on that active set with
-numpy.linalg.solve (LU with partial pivoting).  A row keeps its point when
-that solve reports a singular matrix, returns a non-finite value or flips
-an assumed sign; otherwise it moves to the solution.  The step is accepted
-only if the row's full KKT residual is then within tol.  A row that is not
-accepted runs coordinate-descent sweeps, retrying the Newton step after
-each one.  Projected draws each have their own support, so they stay on
-batched coordinate descent.
+The CV path runs few folds at many penalties, and the LASSO center is a
+single row; there Python-level coordinate updates cost far more than their
+arithmetic.  So on a stack each row also takes the sign-pattern step of
+Osborne, Presnell & Turlach (2000): keep the warm start's sign pattern, add
+the zero coordinates whose gradient breaks KKT at the new penalty (as strong
+rules would screen them, Tibshirani et al. 2012), and solve the stationarity
+equations on that active set with numpy.linalg.solve (LU with partial
+pivoting).  The step is accepted only by the row's KKT residual; a row that
+fails runs sweeps, retrying the step after each.  Projected draws each have
+their own support, so they stay on batched coordinate descent.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDiagonal, InsufficientData, NoConvergence
+from .errors import DegenerateDiagonal, InsufficientData, NoConvergence, SparseProjError
 from .types import Dataset
 
-
-@dataclass(frozen=True)
-class SolverSettings:
-    tol: float = 1e-10
-    max_sweeps: int = 10_000
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.max_sweeps < 1:
-            raise ValueError("max_sweeps must be at least 1")
+TOL = 1e-10          # certified bound on every row's KKT residual
+MAX_SWEEPS = 10_000  # coordinate-descent sweeps before NoConvergence
 
 
 def _soft(x: np.ndarray, t: float) -> np.ndarray:
     return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+
+
+def _residual(Q: np.ndarray, B: np.ndarray, U: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = UQ - B row by row, for a shared (p, p) Q or a (K, p, p) stack
+    with one Q per row; returns out."""
+    if Q.ndim == 3:
+        np.matmul(U[:, None], Q, out=out[:, None])
+    else:
+        np.matmul(U, Q, out=out)
+    out -= B
+    return out
 
 
 def _kkt_rows(G: np.ndarray, U: np.ndarray, lam: float, signs: np.ndarray,
@@ -106,60 +103,33 @@ def _worst_rows(kkt: np.ndarray, tol: float, label: str, limit: int = 5) -> str:
     return f"{bad.size} of {kkt.size} {label}s above tol, worst: {listed}"
 
 
-def _cd_shared(Q: np.ndarray, B: np.ndarray, lam: float, signs: np.ndarray,
-               U0: np.ndarray, tol: float, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic coordinate descent on a batch of problems sharing Q.
+def _sweep(Q: np.ndarray, B: np.ndarray, U: np.ndarray, lam: float,
+           signs: np.ndarray) -> None:
+    """One cyclic coordinate-descent sweep over the rows of U, in place.
 
-    B and U0 are (m, p); returns (solutions, per-row KKT residual).  Each
-    coordinate update is exact minimization, so the objective is monotone
-    along the sweep for every row.
-
-    The batch is column-major: U and the certificate buffers are F-ordered,
-    so each coordinate update reads and writes one contiguous column and the
-    certificate's per-row maximum runs across p columns instead of over m
-    short rows.  B is read as given, in either order (an F-ordered B keeps
-    its columns contiguous too), and the solutions are returned F-ordered.
+    Q is one (p, p) matrix that every row shares or a (K, p, p) stack with
+    one matrix per row; B and U are (m, p).  Each coordinate update is exact
+    minimization, so the objective is monotone along the sweep for every
+    row.  On an F-ordered U each update reads and writes one contiguous
+    column.
     """
-    diag = np.diag(Q).copy()
-    if np.any(diag <= 0.0):
-        raise DegenerateDiagonal("Q has a nonpositive diagonal entry")
-    p = Q.shape[0]
-    U = np.array(U0, dtype=float, order="F", copy=True)
-    G = np.empty_like(U)  # certificate buffers, reused by every sweep
-    S = np.empty_like(U)
-    half = 0.5 * lam
-    for _ in range(max_sweeps):
-        for j in range(p):
-            r = B[:, j] - U @ Q[:, j] + U[:, j] * diag[j]
-            if signs[j] == 0:
-                U[:, j] = _soft(r, half) / diag[j]
-            else:
-                U[:, j] = (r - half * signs[j]) / diag[j]
-        np.matmul(U, Q, out=G)
-        G -= B
-        kkt = _kkt_rows(G, U, lam, signs, S)
-        if kkt.max() <= tol:
-            return U, kkt
-    raise NoConvergence(
-        f"coordinate descent: residual {kkt.max():.3e} > tol {tol:.1e} "
-        f"after {max_sweeps} sweeps; {_worst_rows(kkt, tol, 'row')}"
-    )
-
-
-def _cd_sweep(Qs: np.ndarray, Bs: np.ndarray, U: np.ndarray, lam: float) -> None:
-    """One cyclic coordinate-descent sweep, in place, over rows of U that
-    each own a Q: Qs is (K, p, p), Bs and U are (K, p), every coordinate
-    unsigned."""
-    diag = np.einsum("kjj->kj", Qs)
+    diag = np.diagonal(Q, axis1=-2, axis2=-1).T  # diag[j]: Q_jj, per row for a stack
     half = 0.5 * lam
     for j in range(U.shape[1]):
-        r = Bs[:, j] - np.einsum("kp,kp->k", U, Qs[:, :, j]) + U[:, j] * diag[:, j]
-        U[:, j] = _soft(r, half) / diag[:, j]
+        if Q.ndim == 2:
+            uq = U @ Q[:, j]
+        else:
+            uq = np.einsum("kp,kp->k", U, Q[:, :, j])
+        r = B[:, j] - uq + U[:, j] * diag[j]
+        if signs[j] == 0:
+            U[:, j] = _soft(r, half) / diag[j]
+        else:
+            U[:, j] = (r - half * signs[j]) / diag[j]
 
 
-def _newton_step(Qs: np.ndarray, Bs: np.ndarray, lam: float, U: np.ndarray) -> np.ndarray:
-    """Sign-pattern Newton step for each row of U, in place; returns the
-    rows' KKT residuals after it.
+def _newton_step(Q: np.ndarray, B: np.ndarray, U: np.ndarray, lam: float) -> None:
+    """Sign-pattern Newton step for each row of U, in place; Q is a (K, p, p)
+    stack with one matrix per row, every coordinate unsigned.
 
     With g = 2(Qu - b), a row's pattern s is sign(u) plus every zero
     coordinate that breaks KKT (|g_j| > lam), taken at -sign(g_j).  On the
@@ -167,60 +137,72 @@ def _newton_step(Qs: np.ndarray, Bs: np.ndarray, lam: float, U: np.ndarray) -> n
     solved by numpy.linalg.solve.  The row keeps its point when that solve
     raises LinAlgError (an exactly singular pivot), when the solution is not
     finite, or when its signs differ from s_A.  Otherwise the solution
-    replaces it.  When Q_AA is nonsingular, which for a positive semidefinite
-    Q means positive definite, that solution minimizes the objective over the
-    face of the orthant that holds the old point, so the objective cannot
-    rise.  The caller accepts a row only by its KKT residual.
+    replaces it.  When Q_AA is nonsingular, which for a positive
+    semidefinite Q means positive definite, that solution minimizes the
+    objective over the face of the orthant that holds the old point, so the
+    objective cannot rise.  The caller accepts a row only by its KKT residual.
     """
-    K, p = U.shape
-    G = np.einsum("kp,kpq->kq", U, Qs) - Bs
+    G = _residual(Q, B, U, np.empty_like(U))
     S = np.sign(U)
     grow = (S == 0.0) & (2.0 * np.abs(G) > lam)
     S[grow] = -np.sign(G[grow])
     half = 0.5 * lam
-    for k in range(K):
+    for k in range(U.shape[0]):
         A = np.flatnonzero(S[k])
         try:
-            uA = np.linalg.solve(Qs[k][np.ix_(A, A)], Bs[k, A] - half * S[k, A])
+            uA = np.linalg.solve(Q[k][A[:, None], A], B[k, A] - half * S[k, A])
         except np.linalg.LinAlgError:
             continue
-        if not (np.isfinite(uA).all() and np.array_equal(np.sign(uA), S[k, A])):
-            continue
-        U[k] = 0.0
-        U[k, A] = uA
-    G = np.einsum("kp,kpq->kq", U, Qs) - Bs
-    return _kkt_rows(G, U, lam, np.zeros(p), S)
+        if np.isfinite(uA).all() and (np.sign(uA) == S[k, A]).all():
+            U[k] = 0.0
+            U[k, A] = uA
 
 
-def _newton_cd_solve(Qs: np.ndarray, Bs: np.ndarray, lam: float, U0: np.ndarray,
-                     tol: float, max_sweeps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Unsigned solutions of K rows that each own a Q, warm-started at U0;
-    returns (solutions, per-row KKT residual).
+def _solve(Q: np.ndarray, B: np.ndarray, lam: float, signs: np.ndarray,
+           U0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Certified solutions of min u'Qu - 2u'b + lam*penalty(u) for every row
+    b of the (m, p) B, from the rows of U0; returns (solutions, per-row KKT
+    residual).
 
-    Qs is (K, p, p), Bs and U0 are (K, p): the folds of one penalty of the
-    CV path, or the single row of the LASSO center.  Every row first takes a
-    sign-pattern Newton step (_newton_step) and is done when its KKT
-    residual is <= tol.  The rows left over run batched coordinate-descent
-    sweeps, each followed by a Newton step from the sweep's point, until
-    they are done or max_sweeps sweeps have run.  The caller checks the
-    residuals.
+    Q is one (p, p) matrix that every row shares or a (K, p, p) stack with
+    one matrix per row, whose coordinates must all be unsigned.  Each pass
+    runs a sweep, then, on a stack, a sign-pattern Newton step, then the
+    certificate; a stack's first pass takes the Newton step from U0 without
+    a sweep.  A shared batch is swept whole, F-ordered, until every row is
+    within TOL; a stack's rows drop out once within TOL.  Raises
+    DegenerateDiagonal for a nonpositive diagonal entry of Q and
+    NoConvergence, naming the worst rows (folds, on a stack), when
+    MAX_SWEEPS sweeps leave a row above TOL.
     """
-    U = np.array(U0, dtype=float, copy=True)
-    kkt = _newton_step(Qs, Bs, lam, U)
-    todo = np.flatnonzero(~(kkt <= tol))  # NaN counts as unconverged
-    for _ in range(max_sweeps):
-        if todo.size == 0:
-            break
-        sub = U[todo]
-        _cd_sweep(Qs[todo], Bs[todo], sub, lam)
-        kkt[todo] = _newton_step(Qs[todo], Bs[todo], lam, sub)
-        U[todo] = sub
-        todo = todo[~(kkt[todo] <= tol)]
-    return U, kkt
+    stack = Q.ndim == 3
+    if stack and signs.any():
+        raise ValueError("a stack of Q takes unsigned coordinates only")
+    if (np.diagonal(Q, axis1=-2, axis2=-1) <= 0.0).any():
+        raise DegenerateDiagonal("Q has a nonpositive diagonal entry")
+    U = np.array(U0, dtype=float, order="C" if stack else "F", copy=True)
+    G = np.empty_like(U)  # certificate buffers, reused by every pass
+    S = np.empty_like(U)
+    kkt = np.empty(U.shape[0])
+    rows = slice(None)  # the rows a pass works on; only a stack's shrink
+    Qr, Br, Ur, Gr, Sr = Q, B, U, G, S
+    for sweeps in range(0 if stack else 1, MAX_SWEEPS + 1):
+        if sweeps:
+            _sweep(Qr, Br, Ur, lam, signs)
+        if stack:
+            _newton_step(Qr, Br, Ur, lam)
+        kkt[rows] = _kkt_rows(_residual(Qr, Br, Ur, Gr), Ur, lam, signs, Sr)
+        if stack:
+            U[rows] = Ur
+            rows = np.flatnonzero(~(kkt <= TOL))  # NaN counts as unconverged
+            Qr, Br, Ur, Gr, Sr = Q[rows], B[rows], U[rows], G[rows], S[rows]
+        if kkt.max() <= TOL:
+            return U, kkt
+    worst = f"; {_worst_rows(kkt, TOL, 'fold' if stack else 'row')}" if kkt.size > 1 else ""
+    raise NoConvergence(f"residual {kkt.max():.3e} > tol {TOL:.1e} "
+                        f"after {MAX_SWEEPS} sweeps{worst}")
 
 
 def project_draws(dataset: Dataset, thetas: np.ndarray, lambda_n: float,
-                  settings: SolverSettings = SolverSettings(),
                   warm: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Project a batch of dense coefficient draws to their sparse representatives.
 
@@ -228,7 +210,8 @@ def project_draws(dataset: Dataset, thetas: np.ndarray, lambda_n: float,
     (1/n)||X theta - Xu||^2 + lambda_n*||u||_1, i.e. Q = C_n and b = C_n theta;
     all rows are solved in one vectorized descent.  Returns (theta_star
     matrix (m, p), F-ordered, and kkt residuals (m,)).  warm optionally
-    seeds the whole batch, e.g. with the LASSO center.
+    seeds the whole batch, e.g. with the LASSO center.  NoConvergence names
+    the penalty and the worst rows.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if lambda_n <= 0:
@@ -238,32 +221,30 @@ def project_draws(dataset: Dataset, thetas: np.ndarray, lambda_n: float,
         raise ValueError(f"thetas have {p} columns, expected {dataset.p}")
     B = np.matmul(thetas, dataset.gram, out=np.empty((m, p), order="F"))
     U0 = np.broadcast_to(0.0 if warm is None else warm, (m, p))
-    return _cd_shared(dataset.gram, B, lambda_n, np.zeros(p), U0,
-                      settings.tol, settings.max_sweeps)
+    try:
+        return _solve(dataset.gram, B, lambda_n, np.zeros(p), U0)
+    except SparseProjError as exc:
+        raise type(exc)(f"projection at lambda_n={lambda_n:.3e}: {exc}") from exc
 
 
-def fit_lasso(dataset: Dataset, lambda_n: float,
-              settings: SolverSettings = SolverSettings()) -> np.ndarray:
+def fit_lasso(dataset: Dataset, lambda_n: float) -> np.ndarray:
     """LASSO estimate: minimizer of (1/n)||Y - Xu||^2 + lambda_n*||u||_1.
 
     Same quadratic form as project_draws but with b = X'Y/n, which is the
-    projection of the least-squares solution.  Solved as one row of
-    _newton_cd_solve from zero: a sign-pattern Newton step accepted by its
-    KKT residual, with coordinate-descent sweeps as the fallback.  Raises
-    DegenerateDiagonal if a Gram diagonal entry is <= 0 and NoConvergence,
-    naming the center, if the residual is still above tol after max_sweeps
-    sweeps.
+    projection of the least-squares solution.  Solved by _solve as a stack
+    of one Q, from zero: a sign-pattern Newton step accepted by its KKT
+    residual, with coordinate-descent sweeps as the fallback.  Raises
+    DegenerateDiagonal if a Gram diagonal entry is <= 0 and NoConvergence if
+    the residual is still above TOL after MAX_SWEEPS sweeps; both name the
+    center.
     """
     if lambda_n <= 0:
         raise ValueError("lambda_n must be positive")
-    if np.any(np.diag(dataset.gram) <= 0.0):
-        raise DegenerateDiagonal("the Gram matrix has a nonpositive diagonal entry")
-    U, kkt = _newton_cd_solve(dataset.gram[None], dataset.xty[None], lambda_n,
-                              np.zeros((1, dataset.p)), settings.tol, settings.max_sweeps)
-    if not kkt[0] <= settings.tol:
-        raise NoConvergence(
-            f"LASSO center at lambda_n={lambda_n:.3e}: residual {kkt[0]:.3e} > tol "
-            f"{settings.tol:.1e} after {settings.max_sweeps} sweeps")
+    try:
+        U, _ = _solve(dataset.gram[None], dataset.xty[None], lambda_n,
+                      np.zeros(dataset.p), np.zeros((1, dataset.p)))
+    except SparseProjError as exc:
+        raise type(exc)(f"LASSO center at lambda_n={lambda_n:.3e}: {exc}") from exc
     return U[0]
 
 
@@ -304,8 +285,7 @@ def _held_out_error(U: np.ndarray, G: np.ndarray, c: np.ndarray, yy: float) -> f
 
 
 def cross_validate_lambda(dataset: Dataset, grid: np.ndarray | None = None,
-                          folds: int = 10, seed: int = 0,
-                          settings: SolverSettings = SolverSettings()) -> float:
+                          folds: int = 10, seed: int = 0) -> float:
     """Pick the penalty by K-fold cross-validated squared prediction error.
 
     Folds come from a seeded permutation of the rows.  The error for a grid
@@ -320,14 +300,14 @@ def cross_validate_lambda(dataset: Dataset, grid: np.ndarray | None = None,
     so scoring a grid value costs O(K p^2) rather than a pass over the rows.
 
     The grid is solved from the largest penalty down, each fold warm-started
-    at its solution for the previous value.  At each value every fold takes
-    a sign-pattern Newton step: one linear solve on the warm start's support
-    grown by the KKT violators.  The step is accepted only when the
+    at its solution for the previous value.  At each value _solve gives every
+    fold a sign-pattern Newton step: one linear solve on the warm start's
+    support grown by the KKT violators.  The step is accepted only when the
     solution's signs match the assumed pattern and the fold's KKT residual
-    is <= settings.tol.  Folds that fail fall back to coordinate-descent
-    sweeps, retrying the step after each; NoConvergence names the grid value
-    (its index in the descending grid) and the folds still above tol after
-    settings.max_sweeps sweeps.
+    is <= TOL.  Folds that fail fall back to coordinate-descent sweeps,
+    retrying the step after each.  DegenerateDiagonal and NoConvergence name
+    the grid value (its index in the descending grid); NoConvergence also
+    names the folds still above TOL after MAX_SWEEPS sweeps.
     """
     if folds < 2:
         raise ValueError("folds must be at least 2")
@@ -348,18 +328,13 @@ def cross_validate_lambda(dataset: Dataset, grid: np.ndarray | None = None,
     Qs = (dataset.gram * dataset.n - G) / n_tr[:, None, None]
     Bs = (dataset.xty * dataset.n - c) / n_tr[:, None]
 
-    if np.any(np.einsum("kjj->kj", Qs) <= 0.0):
-        raise DegenerateDiagonal("a fold Gram matrix has a nonpositive diagonal entry")
-
     errs = np.zeros(lam_desc.size)
     U = np.zeros((folds, dataset.p))
     for g, lam in enumerate(lam_desc):
-        U, kkt = _newton_cd_solve(Qs, Bs, float(lam), U, settings.tol, settings.max_sweeps)
-        if not kkt.max() <= settings.tol:
-            raise NoConvergence(
-                f"CV path at lambda[{g}]={lam:.3e}: residual {kkt.max():.3e} > tol "
-                f"{settings.tol:.1e} after {settings.max_sweeps} sweeps; "
-                f"{_worst_rows(kkt, settings.tol, 'fold')}")
+        try:
+            U, _ = _solve(Qs, Bs, float(lam), np.zeros(dataset.p), U)
+        except SparseProjError as exc:
+            raise type(exc)(f"CV path at lambda[{g}]={lam:.3e}: {exc}") from exc
         errs[g] = _held_out_error(U, G, c, yy)
     best = errs.min()
     winners = lam_desc[errs <= best]

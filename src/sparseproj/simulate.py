@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 import time
 from dataclasses import dataclass, replace
 
@@ -123,10 +124,18 @@ class Scenario:
             raise ValueError(f"unknown design {self.design!r}")
         if self.design == "ar1" and not abs(self.rho) < 1:
             raise ValueError("ar1 requires |rho| < 1")
+        for name in ("n", "replications", "draws_per_rep", "cv_folds"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if self.draws_per_rep < 2:
             raise ValueError("draws_per_rep must be at least 2")
+        if self.cv_folds < 2:
+            raise ValueError("cv_folds must be at least 2")
         if not 0.0 < self.target_coverage < 1.0:
             raise ValueError("target_coverage must lie in (0, 1)")
         if not 0.0 < self.error_sd < math.inf:

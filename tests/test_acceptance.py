@@ -31,7 +31,7 @@ from sparseproj.calibration import (
 from sparseproj.cli import main
 from sparseproj.limits import LimitSpec, limitcheck_rows, zero_mass_probability
 from sparseproj.posterior import factorize, sample_posterior_arrays
-from sparseproj.projection import SolverSettings, _cd_shared, fit_lasso
+from sparseproj.projection import _solve, fit_lasso
 from sparseproj.simulate import Scenario, report_to_csv, run_scenario, signal_vector
 from sparseproj.types import PriorConfig, validate_dataset
 
@@ -237,7 +237,6 @@ def test_criterion_3_projection_vs_enumeration():
     problems: list[str] = []
     worst_kkt = 0.0
     worst_gap = -math.inf
-    settings = SolverSettings()
     for k in range(1000):
         p = int(rng.integers(1, 9))
         Q = random_spd(rng, p)
@@ -245,8 +244,7 @@ def test_criterion_3_projection_vs_enumeration():
         lam = float(rng.uniform(0.05, 2.0))
         signs = np.where(rng.random(p) < 0.35,
                          rng.choice([-1, 1], size=p), 0).astype(int)
-        U, _ = _cd_shared(Q, b[None], lam, signs.astype(float), np.zeros((1, p)),
-                          settings.tol, settings.max_sweeps)
+        U, _ = _solve(Q, b[None], lam, signs.astype(float), np.zeros((1, p)))
         u = U[0]
         kkt = float(kkt_batch_reference(Q, b[None], lam, signs, U)[0])
         _, f_ref = enumerate_min(Q, b, lam, signs)
@@ -271,15 +269,14 @@ def test_criterion_4_least_squares_projection_is_lasso():
     rng = np.random.default_rng(271828)
     problems: list[str] = []
     worst = 0.0
-    settings = SolverSettings()
     for k in range(100):
         X = rng.standard_normal((200, 5))
         Y = X @ rng.standard_normal(5) + rng.standard_normal(200)
         ds = validate_dataset(X, Y)
         lam = float(rng.uniform(0.05, 1.0))
         theta_ls = np.linalg.solve(ds.gram, ds.xty)
-        U, _ = _cd_shared(ds.gram, (ds.gram @ theta_ls)[None], lam, np.zeros(5),
-                          np.zeros((1, 5)), settings.tol, settings.max_sweeps)
+        U, _ = _solve(ds.gram, (ds.gram @ theta_ls)[None], lam, np.zeros(5),
+                      np.zeros((1, 5)))
         via_projection = U[0]
         direct = fit_lasso(ds, lam)
         dev = float(np.abs(via_projection - direct).max())

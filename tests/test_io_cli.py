@@ -693,11 +693,12 @@ def test_console_script_usage_error():
 # solver, region and calibration API that no command called, deleted from src/
 DELETED_API = {
     "projection": ("QuadL1Problem", "solve_quad_l1", "kkt_check", "objective_value",
-                   "_kkt_batch"),
+                   "_kkt_batch", "SolverSettings", "_cd_shared", "_cd_sweep",
+                   "_newton_cd_solve"),
     "regions": ("ProjectedSample", "radius_quantile", "_distances", "_warn_degenerate",
                 "minkowski_norm", "rectangle_levels"),
     "calibration": ("h_minus",),
-    "limits": ("sample_xi",),
+    "limits": ("sample_xi", "_cd_shared"),
 }
 
 

@@ -308,13 +308,13 @@ def test_merged_batch_xi_certified_for_correlated_gram(seed, monkeypatch):
 
 def test_coverage_one_kernel_call_per_outer_draw(monkeypatch):
     calls = []
-    solve = limits._cd_shared
+    solve = limits._solve
 
     def count(*args):
         calls.append(args[1].shape)
         return solve(*args)
 
-    monkeypatch.setattr(limits, "_cd_shared", count)
+    monkeypatch.setattr(limits, "_solve", count)
     limiting_coverage_mc(eye_spec([1.0, 0.0], lambda0=0.5), [NormSelector.component(0)],
                          0.9, outer=100, inner=150, seed=3)
     assert calls == [(151, 2)] * 100
@@ -345,13 +345,13 @@ def test_sweep_draws_each_outer_stream_once(monkeypatch):
 
 def test_sweep_solves_every_penalty_per_outer_draw_in_order(monkeypatch):
     calls = []
-    solve = limits._cd_shared
+    solve = limits._solve
 
     def spy(Q, B, lam, *args):
         calls.append((lam, B.shape))
         return solve(Q, B, lam, *args)
 
-    monkeypatch.setattr(limits, "_cd_shared", spy)
+    monkeypatch.setattr(limits, "_solve", spy)
     limiting_coverage_mc(sweep_specs(), [NormSelector.component(0)], [0.9] * 3,
                          outer=100, inner=150, seed=3)
     assert calls == [(lam, (151, 3)) for _ in range(100) for lam in SWEEP]
@@ -394,14 +394,14 @@ def test_sweep_rejects_specs_that_cannot_share_draws():
 
 
 def test_sweep_failure_names_penalty(monkeypatch):
-    solve = limits._cd_shared
+    solve = limits._solve
 
     def fail_at_two(Q, B, lam, *args):
         if lam == 2.0:
             raise NoConvergence("residual 1.0e-03 > tol 1.0e-10")
         return solve(Q, B, lam, *args)
 
-    monkeypatch.setattr(limits, "_cd_shared", fail_at_two)
+    monkeypatch.setattr(limits, "_solve", fail_at_two)
     with pytest.raises(NoConvergence,
                        match=r"outer draw 0 \(lambda0=2, seed=21\): residual"):
         limiting_coverage_mc(sweep_specs(), [NormSelector.component(0)], [0.9] * 3,
@@ -412,7 +412,7 @@ def test_coverage_failure_names_outer_draw(monkeypatch):
     def fail(*args, **kwargs):
         raise NoConvergence("residual 1.0e-03 > tol 1.0e-10")
 
-    monkeypatch.setattr("sparseproj.limits._cd_shared", fail)
+    monkeypatch.setattr("sparseproj.limits._solve", fail)
     spec = eye_spec([1.0, 0.0], lambda0=0.5)
     with pytest.raises(NoConvergence,
                        match=r"outer draw 0 \(lambda0=0.5, seed=21\): residual"):

@@ -106,6 +106,14 @@ def test_sampling_rejects_bad_count():
         sample_posterior_arrays(fact, 0, seed=0)
 
 
+def test_sampling_rejects_bad_shard_count():
+    # shards=-1 used to return uninitialised rows; shards=0 divided by zero
+    fact = factorize(make_dataset(), PriorConfig())
+    for shards in (-1, 0):
+        with pytest.raises(ValueError, match=f"shards must be at least 1, got {shards}"):
+            sample_posterior_arrays(fact, 10, seed=0, shards=shards)
+
+
 def test_sampling_deterministic():
     fact = factorize(make_dataset(seed=2), PriorConfig())
     t1, s1 = sample_posterior_arrays(fact, 64, seed=11)

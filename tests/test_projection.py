@@ -17,12 +17,10 @@ from oracles import (cd_multi_reference, cv_errors_reference, enumerate_min, gri
 from sparseproj import projection
 from sparseproj.errors import DegenerateDiagonal, InsufficientData, NoConvergence
 from sparseproj.projection import (
-    _cd_shared,
-    _newton_cd_solve,
     _fold_statistics,
     _newton_step,
     _held_out_error,
-    SolverSettings,
+    _solve,
     cross_validate_lambda,
     default_lambda_grid,
     fit_lasso,
@@ -31,15 +29,22 @@ from sparseproj.projection import (
 from sparseproj.types import validate_dataset
 
 
-def solve_one(Q, b, lam, signs=None, warm=None, settings=SolverSettings()):
-    """One problem through the shared-Q batch kernel, from zero or warm;
+def solve_one(Q, b, lam, signs=None, warm=None):
+    """One problem through the shared-Q batch solver, from zero or warm;
     returns (solution, KKT residual)."""
     p = len(b)
     signs = np.zeros(p) if signs is None else np.asarray(signs, dtype=float)
     U0 = np.zeros((1, p)) if warm is None else np.reshape(warm, (1, p))
-    U, kkt = _cd_shared(Q, np.reshape(b, (1, p)), lam, signs, U0,
-                        settings.tol, settings.max_sweeps)
+    U, kkt = _solve(Q, np.reshape(b, (1, p)), lam, signs, U0)
     return U[0], float(kkt[0])
+
+
+def solver_limits(mp, tol=None, max_sweeps=None):
+    """Patch the solver's certified tolerance and sweep cap."""
+    if tol is not None:
+        mp.setattr(projection, "TOL", tol)
+    if max_sweeps is not None:
+        mp.setattr(projection, "MAX_SWEEPS", max_sweeps)
 
 
 def kkt_at(Q, b, lam, u, signs=None):
@@ -142,14 +147,15 @@ def test_project_draws_rejects_nonpositive_lambda():
         project_draws(ds, np.ones((2, 2)), 0.0)
 
 
-def test_project_draws_no_convergence_names_rows():
+def test_project_draws_no_convergence_names_rows(monkeypatch):
     rng = np.random.default_rng(2)
     X = rng.standard_normal((30, 4))
     X[:, 1] = X[:, 0] + 0.1 * X[:, 1]  # correlated columns need many sweeps
     ds = validate_dataset(X, rng.standard_normal(30))
     thetas = rng.standard_normal((12, 4))
+    solver_limits(monkeypatch, max_sweeps=1)
     with pytest.raises(NoConvergence, match=r"of 12 rows above tol, worst: row \d+ \("):
-        project_draws(ds, thetas, 0.05, SolverSettings(max_sweeps=1))
+        project_draws(ds, thetas, 0.05)
 
 
 # --- one problem through the batch kernel ------------------------------------
@@ -205,12 +211,18 @@ def test_degenerate_diagonal_raises():
         solve_one(Q, np.ones(2), 0.1)
 
 
-def test_no_convergence_raises():
+def test_stacked_q_rejects_signed_coordinates():
+    # the per-row Newton step assumes unsigned coordinates
+    with pytest.raises(ValueError, match="unsigned coordinates only"):
+        _solve(np.eye(2)[None], np.ones((1, 2)), 0.1, np.array([1.0, 0.0]), np.zeros((1, 2)))
+
+
+def test_no_convergence_raises(monkeypatch):
     rng = np.random.default_rng(3)
     Q = random_spd(rng, 4, cond_cap=200.0)
+    solver_limits(monkeypatch, tol=1e-14, max_sweeps=1)
     with pytest.raises(NoConvergence):
-        solve_one(Q, rng.standard_normal(4), 0.01,
-                  settings=SolverSettings(tol=1e-14, max_sweeps=1))
+        solve_one(Q, rng.standard_normal(4), 0.01)
 
 
 # --- the KKT certificate -----------------------------------------------------
@@ -287,9 +299,10 @@ def test_fit_lasso_newton_center_matches_cd(seed, p, shape, frac):
         X[:, -1] = X[:, 0]  # a singular Gram with a tied pair of columns
     ds = validate_dataset(X, X @ rng.standard_normal(p) + rng.standard_normal(n))
     lam = frac * 2.0 * float(np.abs(ds.xty).max()) + 1e-12
-    settings = SolverSettings(tol=1e-12, max_sweeps=100_000)
-    u = fit_lasso(ds, lam, settings)
-    ref, _ = solve_one(ds.gram, ds.xty, lam, settings=settings)
+    with pytest.MonkeyPatch.context() as mp:
+        solver_limits(mp, tol=1e-12, max_sweeps=100_000)
+        u = fit_lasso(ds, lam)
+        ref, _ = solve_one(ds.gram, ds.xty, lam)
     zero = np.zeros(p)
     assert kkt_batch_reference(ds.gram, ds.xty[None], lam, zero, u[None])[0] <= 1e-12
     # rounding scales with the larger of the cancelling terms
@@ -300,14 +313,15 @@ def test_fit_lasso_newton_center_matches_cd(seed, p, shape, frac):
     assert abs(f_new - f_ref) <= 1e-12 * scale
 
 
-def test_fit_lasso_no_convergence_names_the_center():
+def test_fit_lasso_no_convergence_names_the_center(monkeypatch):
     rng = np.random.default_rng(6)
     X = rng.standard_normal((40, 5))
     ds = validate_dataset(X, X @ np.array([1.0, -0.5, 0.3, 0.0, 0.0])
                           + rng.standard_normal(40))
+    solver_limits(monkeypatch, tol=1e-300, max_sweeps=1)
     with pytest.raises(NoConvergence, match=r"LASSO center at lambda_n=1\.000e-01: "
                                             r"residual .* > tol 1\.0e-300 after 1 sweeps"):
-        fit_lasso(ds, 0.1, SolverSettings(tol=1e-300, max_sweeps=1))
+        fit_lasso(ds, 0.1)
 
 
 def test_fit_lasso_rejects_zero_column():
@@ -432,12 +446,37 @@ def test_cd_shared_same_bits_for_row_and_column_major_inputs(seed, p, m, lam, si
     signs = rng.choice([-1.0, 0.0, 1.0], size=p) if signed else np.zeros(p)
     B = 2.0 * rng.standard_normal((m, p))
     U0 = np.where(rng.random((m, p)) < 0.5, rng.standard_normal((m, p)), 0.0)
-    U_c, kkt_c = _cd_shared(Q, B, lam, signs, U0, 1e-10, 10_000)
-    U_f, kkt_f = _cd_shared(Q, np.asfortranarray(B), lam, signs, np.asfortranarray(U0),
-                            1e-10, 10_000)
+    U_c, kkt_c = _solve(Q, B, lam, signs, U0)
+    U_f, kkt_f = _solve(Q, np.asfortranarray(B), lam, signs, np.asfortranarray(U0))
     assert U_c.flags.f_contiguous and U_f.flags.f_contiguous
     assert np.array_equal(U_c, U_f) and np.array_equal(kkt_c, kkt_f)
     assert kkt_c.max() <= 1e-10
+
+
+@hyp_settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=6),
+       st.floats(min_value=0.01, max_value=2.0), st.booleans())
+def test_solve_shared_and_stacked_q_reach_same_objective(seed, p, m, lam, warm):
+    # one Q shared by the batch (sweeps alone) against the same Q once per
+    # row (Newton steps, then sweeps): both certified, same objective per row
+    rng = np.random.default_rng(seed)
+    Q = random_spd(rng, p)
+    signs = np.zeros(p)
+    B = 2.0 * rng.standard_normal((m, p))
+    U0 = rng.standard_normal((m, p)) if warm else np.zeros((m, p))
+    shared, kkt_shared = _solve(Q, B, lam, signs, U0)
+    stacked, kkt_stacked = _solve(np.broadcast_to(Q, (m, p, p)), B, lam, signs, U0)
+    for U, kkt in ((shared, kkt_shared), (stacked, kkt_stacked)):
+        assert kkt.max() <= 1e-10
+        assert kkt_batch_reference(Q, B, lam, signs, U).max() <= 1e-10
+    for i in range(m):
+        f_shared = objective(Q, B[i], lam, signs, shared[i])
+        f_stacked = objective(Q, B[i], lam, signs, stacked[i])
+        # rounding scales with the larger of the cancelling terms
+        scale = max(abs(u @ Q @ u) + 2.0 * abs(u @ B[i]) + lam * np.abs(u).sum()
+                    for u in (shared[i], stacked[i]))
+        assert abs(f_shared - f_stacked) <= 1e-12 * scale
 
 
 def test_kkt_rejects_infinite_penalty():
@@ -445,19 +484,21 @@ def test_kkt_rejects_infinite_penalty():
         solve_one(np.eye(2), np.ones(2), np.inf)
 
 
-def test_cd_shared_one_sweep_names_worst_rows():
+def test_cd_shared_one_sweep_names_worst_rows(monkeypatch):
     rng = np.random.default_rng(5)
     Q = random_spd(rng, 4, cond_cap=200.0)
     signs = np.array([0.0, 1.0, 0.0, -1.0])
     B = 2.0 * rng.standard_normal((9, 4))
     # rows are solved independently, so the finite rows' state after one
     # sweep comes from the same batch without its NaN row
-    U1, _ = _cd_shared(Q, B, 0.1, signs, np.zeros_like(B), np.inf, 1)
+    solver_limits(monkeypatch, tol=np.inf, max_sweeps=1)
+    U1, _ = _solve(Q, B, 0.1, signs, np.zeros_like(B))
     want = kkt_batch_reference(Q, B, 0.1, signs, U1)
     B[4, 2] = np.nan
     want[4] = np.nan
+    solver_limits(monkeypatch, tol=1e-14)
     with pytest.raises(NoConvergence) as info:
-        _cd_shared(Q, B, 0.1, signs, np.zeros_like(B), 1e-14, 1)
+        _solve(Q, B, 0.1, signs, np.zeros_like(B))
     message = str(info.value)
     bad = np.flatnonzero(~(want <= 1e-14))
     assert f"after 1 sweeps; {bad.size} of 9 rows above tol, worst: " in message
@@ -476,7 +517,7 @@ def test_cd_shared_sweeps_allocate_no_batch_sized_array():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _cd_shared(Q, B, 0.05, np.zeros(p), U0, 1e-10, 10_000)
+        _solve(Q, B, 0.05, np.zeros(p), U0)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -584,7 +625,7 @@ def test_cv_gram_errors_match_direct_residuals(case, seed):
     Qs = (ds.gram * ds.n - G) / (ds.n - sizes)[:, None, None]
     Bs = (ds.xty * ds.n - c) / (ds.n - sizes)[:, None]
     lam = 0.1 * float(np.abs(Bs).max()) + 1e-3  # leaves some coordinates active
-    fitted, _ = _newton_cd_solve(Qs, Bs, lam, np.zeros((folds, ds.p)), 1e-10, 10_000)
+    fitted, _ = _solve(Qs, Bs, lam, np.zeros(ds.p), np.zeros((folds, ds.p)))
     for U in (fitted, rng.standard_normal((folds, ds.p)), np.zeros((folds, ds.p))):
         direct = cv_errors_reference(ds.X, ds.Y, chunks, U)
         # rounding scales with the larger of the cancelling terms
@@ -624,7 +665,9 @@ def test_cv_path_step_matches_cd_reference(seed, folds, p, shape, frac, warm):
     U0 = cd_multi_reference(Qs, Bs, 1.5 * lam, np.zeros((folds, p)), tol, 100_000) \
         if warm else np.zeros((folds, p))
     ref = cd_multi_reference(Qs, Bs, lam, U0, tol, 100_000)
-    U, kkt = _newton_cd_solve(Qs, Bs, lam, U0, tol, 100_000)
+    with pytest.MonkeyPatch.context() as mp:
+        solver_limits(mp, tol=tol, max_sweeps=100_000)
+        U, kkt = _solve(Qs, Bs, lam, np.zeros(p), U0)
     assert kkt.max() <= tol
     zero = np.zeros(p)
     for k in range(folds):
@@ -650,13 +693,11 @@ def test_newton_step_keeps_row_on_singular_system_or_sign_flip():
                    [1.0, 0.5, 0.0]])
     U0 = np.array([[0.3, 0.3, 0.0], [0.5, 0.1, 0.0], [0.0, 0.0, 0.0]])
     U = U0.copy()
-    kkt = _newton_step(Qs, Bs, lam, U)
+    zero = np.zeros(3)
+    _newton_step(Qs, Bs, U, lam)
     np.testing.assert_array_equal(U[:2], U0[:2])
     np.testing.assert_allclose(U[2], [0.9, 0.4, 0.0], atol=1e-15)
-    zero = np.zeros(3)
-    for k in range(3):
-        assert kkt[k] == pytest.approx(
-            kkt_batch_reference(Qs[k], Bs[k:k + 1], lam, zero, U[k:k + 1])[0], abs=1e-15)
+    kkt = [kkt_batch_reference(Qs[k], Bs[k:k + 1], lam, zero, U[k:k + 1])[0] for k in range(3)]
     assert kkt[0] > 0.1 and kkt[1] > 0.1 and kkt[2] <= 1e-15
 
 
@@ -669,13 +710,13 @@ def test_cv_path_newton_step_carries_most_solves(monkeypatch):
     theta[:5] = (-2.0, -1.5, 0.5, 1.0, 2.0)
     ds = validate_dataset(X, X @ theta + rng.standard_normal(400))
     swept = []
-    sweep = projection._cd_sweep
+    sweep = projection._sweep
 
-    def counting_sweep(Qs, Bs, U, lam):
+    def counting_sweep(Q, B, U, lam, signs):
         swept.append(U.shape[0])
-        return sweep(Qs, Bs, U, lam)
+        return sweep(Q, B, U, lam, signs)
 
-    monkeypatch.setattr(projection, "_cd_sweep", counting_sweep)
+    monkeypatch.setattr(projection, "_sweep", counting_sweep)
     cross_validate_lambda(ds, folds=10, seed=3)
     solves = default_lambda_grid(ds).size * 10
     # each fold a sweep touches counts once per sweep, so this bounds the
@@ -683,15 +724,15 @@ def test_cv_path_newton_step_carries_most_solves(monkeypatch):
     assert sum(swept) < solves / 10
 
 
-def test_cv_no_convergence_names_grid_point_and_folds():
+def test_cv_no_convergence_names_grid_point_and_folds(monkeypatch):
     rng = np.random.default_rng(8)
     X = rng.standard_normal((60, 4))
     ds = validate_dataset(X, X @ np.array([1.0, 0.0, -0.5, 0.0]) + 0.3 * rng.standard_normal(60))
     grid = default_lambda_grid(ds, num=8)
+    solver_limits(monkeypatch, tol=1e-300, max_sweeps=1)
     with pytest.raises(NoConvergence) as exc:
         # given ascending, the index still counts in the descending grid
-        cross_validate_lambda(ds, grid=grid[::-1], folds=5,
-                              settings=SolverSettings(max_sweeps=1, tol=1e-300))
+        cross_validate_lambda(ds, grid=grid[::-1], folds=5)
     msg = str(exc.value)
     m = re.match(r"CV path at lambda\[(\d+)\]=(\S+): residual ", msg)
     assert m, msg

@@ -54,6 +54,13 @@ def test_scenario_validation():
         for value in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
                 make_scenario(**{field: value})
+    for folds in (1, 0):
+        with pytest.raises(ValueError, match="cv_folds must be at least 2"):
+            make_scenario(cv_folds=folds)
+    for field in ("n", "replications", "draws_per_rep", "cv_folds"):
+        for value in (2.5, 10.0, "10"):
+            with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+                make_scenario(**{field: value})
 
 
 def test_signal_vector_layout():
