@@ -7,15 +7,14 @@ whether the true coefficient is a signal or a zero:
     signal coverage   psi(gamma, lam0)  = Phi(lam0/2 + z) - Phi(lam0/2 - z)
     zero coverage     psi_zero(gamma, lam0) = P(h_zero(lam0, Z) <= 1 - gamma)
 
-with z = z_{gamma/2} and Z standard normal.  solve_gamma inverts psi in
-gamma so a requested coverage target is hit exactly in the limit, by a
-scalar bisection on z, and reports psi and psi_zero at the solution; the
-calibration table, `calibrate` and `limitcheck` go through it.  The fit
-pipeline needs only the levels of all p components at once: solve_levels
-runs one safeguarded Newton iteration on z over the whole array of
-effective penalties, with the normal CDF taken per element from math.erfc,
-and computes no psi_zero.  The bisection and the Newton iteration are
-independent routes to the same root, so each checks the other.
+with z = z_{gamma/2} and Z standard normal.  Calibration inverts psi in
+gamma so a requested coverage target is hit exactly in the limit.  There is
+one root solve, _newton_zeros: a safeguarded Newton iteration on z over a
+whole array of effective penalties, with the normal CDF taken per element
+from math.erfc.  solve_levels returns its levels for all p components of a
+fit at once, calibration_table takes one column per target from it, and
+solve_gamma reads one query's level from it and reports psi and psi_zero
+there (`calibrate`, `limitcheck`).
 
 Since psi < 1 - gamma for lam0 > 0, the requested credibility must exceed
 the coverage target; a table row says by how much.
@@ -141,23 +140,14 @@ def psi_zero(alpha: float, lambda0: float) -> float:
     return 2.0 * (norm_cdf(z2) - norm_cdf(z1))
 
 
-def _zero_of_psi(lambda_eff: float, target: float) -> float:
-    """Solve Phi(l/2 + z) - Phi(l/2 - z) = target for z >= 0 by bisection.
-
-    The left side is strictly increasing in z from 0 to 1, so the root is
-    unique.
-    """
-    half = 0.5 * lambda_eff
-    return _bisect(lambda z: norm_cdf(half + z) - norm_cdf(half - z) - target, 0.0, _Z_HI)
-
-
 def _cdf(x: np.ndarray) -> np.ndarray:
     """norm_cdf of every element, so arrays and scalars round alike."""
     return np.fromiter((norm_cdf(v) for v in x.tolist()), float, x.size)
 
 
 def _newton_zeros(lambda_eff: np.ndarray, target: float) -> np.ndarray:
-    """_zero_of_psi for every penalty of a 1-d array at once.
+    """The root z >= 0 of Phi(l/2 + z) - Phi(l/2 - z) = target at every penalty
+    l of a 1-d array; the left side rises strictly from 0 to 1 in z.
 
     Each root is bracketed in [0, _Z_HI] and starts at the exact root for
     penalty 0, norm_ppf(0.5 + target/2).  Every iteration evaluates the
@@ -201,11 +191,10 @@ def _clipped_gamma(cdf_z):
 
 def solve_levels(lambda_eff, target: float) -> np.ndarray:
     """Credibility level of each component from its effective penalty
-    lambda0*sqrt(c_j)/sigma0: the level solve_gamma finds, for a whole array
-    of penalties in one vectorized Newton solve (_newton_zeros), without
-    solve_gamma's psi and psi_zero.  The penalties must be finite and
-    nonnegative, and target must lie in (0, 1), as CalibrationQuery
-    requires.
+    lambda0*sqrt(c_j)/sigma0, for a whole array of penalties in one
+    vectorized Newton solve (_newton_zeros), without solve_gamma's psi and
+    psi_zero.  The penalties must be finite and nonnegative, and target must
+    lie in (0, 1), as CalibrationQuery requires.
     """
     lam = np.asarray(lambda_eff, dtype=float)
     if not 0.0 < target < 1.0:
@@ -221,13 +210,13 @@ def solve_levels(lambda_eff, target: float) -> np.ndarray:
 def solve_gamma(query: CalibrationQuery) -> CalibrationResult:
     """Find the credibility level whose limiting signal coverage equals target.
 
-    Inverts psi at the effective penalty lambda0*sqrt(c_j)/sigma0 by monotone
-    bisection on z_{gamma/2} (tolerance 1e-12) and reports the level 1 - gamma
-    together with psi and psi_zero evaluated at the solution.
+    Inverts psi at the effective penalty lambda0*sqrt(c_j)/sigma0 by the
+    Newton solve of solve_levels and reports the level 1 - gamma together
+    with psi and psi_zero evaluated at the solution.
     """
     lam = query.effective_lambda
-    z = _zero_of_psi(lam, query.target)
-    gamma = float(_clipped_gamma(norm_cdf(z)))
+    z = _newton_zeros(np.array([lam]), query.target)
+    gamma = float(_clipped_gamma(_cdf(z))[0])
     return CalibrationResult(
         gamma_level=1.0 - gamma,
         psi_at_gamma=psi(gamma, lam),
@@ -247,14 +236,10 @@ TABLE_TARGETS = (0.9, 0.925, 0.95, 0.975, 0.99)
 
 
 def calibration_table(lambdas=TABLE_LAMBDAS, targets=TABLE_TARGETS) -> list[list[float]]:
-    """gamma_level over the grid; one row per lambda, one column per target."""
+    """gamma_level over the grid: one row per lambda, one solve_levels column per target."""
     if not lambdas or not targets:
         raise ValueError("lambdas and targets must be nonempty")
-    return [
-        [solve_gamma(CalibrationQuery(lambda0=lam, target=t)).gamma_level
-         for t in targets]
-        for lam in lambdas
-    ]
+    return np.column_stack([solve_levels(lambdas, t) for t in targets]).tolist()
 
 
 def display_level(level: float) -> str:

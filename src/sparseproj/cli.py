@@ -113,6 +113,7 @@ def _attach_lists(argv: list[str]) -> list[str]:
 
 _threads_flag = _checked("--threads", "an integer >= 1", lambda k: k >= 1, kind=int)
 _threads_env = _checked("SPARSEPROJ_THREADS", "an integer >= 1", lambda k: k >= 1, kind=int)
+_seed_flag = _checked("--seed", "an integer >= 0", lambda k: k >= 0, kind=int)
 
 
 def cmd_fit(args) -> int:
@@ -249,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--draws", type=_checked("--draws", "an integer >= 2",
                                                 lambda k: k >= 2, kind=int),
                        default=2000, help="posterior draw count")
-    p_fit.add_argument("--seed", type=int, default=0)
+    p_fit.add_argument("--seed", type=_seed_flag, default=0)
     p_fit.add_argument("--standardize", action="store_true",
                        help="center and scale predictor columns")
     p_fit.add_argument("--out", default=None, help="output JSON path (default stdout)")
@@ -301,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     for flag in ("--outer", "--inner"):
         p_lim.add_argument(flag, type=_checked(flag, "an integer >= 100", lambda k: k >= 100,
                                                kind=int), default=2000)
-    p_lim.add_argument("--seed", type=int, default=0)
+    p_lim.add_argument("--seed", type=_seed_flag, default=0)
     p_lim.add_argument("--out", default=None)
     p_lim.set_defaults(func=cmd_limitcheck)
     return parser

@@ -59,6 +59,9 @@ class LimitSpec:
             raise ValueError("theta0_signs must name at least one coordinate")
         if C.ndim != 2 or C.shape[0] != C.shape[1] or C.shape[0] != signs.shape[0]:
             raise ValueError("C must be p x p matching theta0_signs")
+        if not np.isfinite(C).all():
+            i, j = np.argwhere(~np.isfinite(C))[0]
+            raise ValueError(f"C must be finite, got {C[i, j]} at ({i}, {j})")
         if float(np.abs(C - C.T).max()) > 1e-10 * max(1.0, float(np.abs(C).max())):
             raise ValueError("C must be symmetric")
         if not np.all(np.isin(signs, (-1.0, 0.0, 1.0))):

@@ -136,17 +136,18 @@ def _newton_step(Q: np.ndarray, B: np.ndarray, U: np.ndarray, lam: float) -> Non
     support A of s the stationarity system Q_AA u_A = b_A - (lam/2) s_A is
     solved by numpy.linalg.solve.  The row keeps its point when that solve
     raises LinAlgError (an exactly singular pivot), when the solution is not
-    finite, or when its signs differ from s_A.  Otherwise the solution
-    replaces it.  When Q_AA is nonsingular, which for a positive
-    semidefinite Q means positive definite, that solution minimizes the
-    objective over the face of the orthant that holds the old point, so the
-    objective cannot rise.  The caller accepts a row only by its KKT residual.
+    finite, when its signs differ from s_A, or when it raises the objective
+    by more than rounding; the exact solution minimizes the objective over
+    the face of the orthant that holds the old point, so only a numerically
+    singular Q_AA (a fold with fewer rows than its support) fails that last
+    test.  The caller accepts a row only by its KKT residual.
     """
     G = _residual(Q, B, U, np.empty_like(U))
     S = np.sign(U)
     grow = (S == 0.0) & (2.0 * np.abs(G) > lam)
     S[grow] = -np.sign(G[grow])
     half = 0.5 * lam
+    V = U.copy()
     for k in range(U.shape[0]):
         A = np.flatnonzero(S[k])
         try:
@@ -154,8 +155,13 @@ def _newton_step(Q: np.ndarray, B: np.ndarray, U: np.ndarray, lam: float) -> Non
         except np.linalg.LinAlgError:
             continue
         if np.isfinite(uA).all() and (np.sign(uA) == S[k, A]).all():
-            U[k] = 0.0
-            U[k, A] = uA
+            V[k] = 0.0
+            V[k, A] = uA
+    # u'Qu - 2u'b + lam*|u|_1 per row, as u'(G - b) + lam*|u|_1 with G = uQ - b
+    f_old = (U * (G - B) + lam * np.abs(U)).sum(axis=1)
+    f_new = (V * (_residual(Q, B, V, G) - B) + lam * np.abs(V)).sum(axis=1)
+    keep = f_new <= f_old + 1e-9 * (1.0 + np.abs(f_old))
+    U[keep] = V[keep]
 
 
 def _solve(Q: np.ndarray, B: np.ndarray, lam: float, signs: np.ndarray,
@@ -318,8 +324,10 @@ def cross_validate_lambda(dataset: Dataset, grid: np.ndarray | None = None,
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("grid must be nonempty")
-    if np.any(grid <= 0):
-        raise ValueError("grid values must be positive")
+    bad = np.flatnonzero(~((grid > 0.0) & (grid < math.inf)))
+    if bad.size:
+        raise ValueError("grid values must be positive and finite, "
+                         f"got {grid[bad[0]]} at index {bad[0]}")
     order = np.argsort(-grid)  # solve large to small so warm starts carry over
     lam_desc = grid[order]
 

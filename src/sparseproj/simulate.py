@@ -124,7 +124,7 @@ class Scenario:
             raise ValueError(f"unknown design {self.design!r}")
         if self.design == "ar1" and not abs(self.rho) < 1:
             raise ValueError("ar1 requires |rho| < 1")
-        for name in ("n", "replications", "draws_per_rep", "cv_folds"):
+        for name in ("n", "replications", "draws_per_rep", "cv_folds", "seed"):
             value = getattr(self, name)
             try:
                 operator.index(value)
@@ -136,6 +136,8 @@ class Scenario:
             raise ValueError("draws_per_rep must be at least 2")
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be at least 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed}")
         if not 0.0 < self.target_coverage < 1.0:
             raise ValueError("target_coverage must lie in (0, 1)")
         if not 0.0 < self.error_sd < math.inf:

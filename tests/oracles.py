@@ -16,10 +16,13 @@ against it by objective value and KKT residual.  It borrows only the
 package's soft-threshold and its KKT certificate, which kkt_batch_reference
 pins.  sample_xi is different: it solves the limit experiment's xi for
 one draw alone through the package's limit solver, the reference for row 0
-of the merged xi/T* batch.
+of the merged xi/T* batch.  level_by_bisection is the calibration oracle: a
+scalar bisection for the credibility level, checked against the package's
+one Newton level solve.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -125,6 +128,28 @@ def prox_gradient_min(Q, b, lam, signs, iters=20000):
         y = x_new + (mom - 1.0) / mom_new * (x_new - x)
         x, mom, f_prev = x_new, mom_new, f_new
     return x, f_prev
+
+
+def level_by_bisection(lambda_eff, target):
+    """Credibility level 1 - gamma whose limiting signal coverage
+    Phi(l/2 + z) - Phi(l/2 - z) equals target at penalty l = lambda_eff, with
+    z = z_{gamma/2}.  The coverage is increasing in z, so plain midpoint
+    bisection on [0, 40] to width 1e-12 finds z; gamma = 2(1 - Phi(z)) is
+    clipped to [1e-15, 1 - 1e-15] as the package clips it.  Phi comes from
+    math.erfc here, not from the package."""
+    def cdf(x):
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+    half = 0.5 * lambda_eff
+    lo, hi = 0.0, 40.0
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if cdf(half + mid) - cdf(half - mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    gamma = 2.0 * (1.0 - cdf(0.5 * (lo + hi)))
+    return 1.0 - min(max(gamma, 1e-15), 1.0 - 1e-15)
 
 
 def random_spd(rng, p, cond_cap=50.0):

@@ -19,13 +19,12 @@ import time
 import numpy as np
 import pytest
 
-from oracles import enumerate_min, kkt_batch_reference, objective, random_spd
+from oracles import (enumerate_min, kkt_batch_reference, level_by_bisection, objective,
+                     random_spd)
 from sparseproj.calibration import (
     TABLE_TARGETS,
-    CalibrationQuery,
     psi,
     psi_zero,
-    solve_gamma,
     solve_levels,
 )
 from sparseproj.cli import main
@@ -183,14 +182,14 @@ def test_criterion_1_calibration_table(capsys):
         problems.append(
             f"cells beyond 5e-4: {sorted(flagged)}, expected {sorted(KNOWN_BAD_CELLS)}")
 
-    # on the flagged cells the two independent root solvers must agree with
-    # each other at full precision while both contradicting the print
+    # on the flagged cells the package's level solve and the independent
+    # bisection oracle must agree at full precision while both contradict
+    # the print
     ref_by_cell = {(row[0], tgt): ref
                    for row in REFERENCE_ROWS
                    for tgt, ref in zip(TABLE_TARGETS, row[1:])}
     for lam, tgt in sorted(flagged):
-        q = CalibrationQuery(lambda0=lam, target=tgt)
-        bis = solve_gamma(q).gamma_level
+        bis = level_by_bisection(lam, tgt)
         newt = float(solve_levels([lam], tgt)[0])
         if abs(bis - newt) > 1e-9:
             problems.append(

@@ -4,7 +4,9 @@ Oracles: psi_zero is checked against direct adaptive quadrature of its
 defining integral (indicator of the h_zero level set times the normal
 density, scipy end to end), and solve_gamma against a scipy brentq inversion
 of the coverage formula.  Neither route touches the package's normal
-functions or bisection code.
+functions or bisection code.  solve_gamma and solve_levels share the
+package's one Newton level solve, so both are also held to the scalar
+bisection of oracles.level_by_bisection.
 """
 
 import re
@@ -16,6 +18,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 from scipy.stats import norm as scipy_norm
 
+from oracles import level_by_bisection
 from sparseproj.calibration import (
     TABLE_LAMBDAS,
     TABLE_TARGETS,
@@ -256,9 +259,9 @@ def test_solve_gamma_methods_agree():
     for lam in (0.05, 0.5, 1.3, 2.0, 4.0):
         for target in TABLE_TARGETS:
             q = CalibrationQuery(lambda0=lam, target=target)
-            b = solve_gamma(q).gamma_level
-            n = float(solve_levels([lam], target)[0])
-            assert b == pytest.approx(n, abs=1e-9)
+            b = level_by_bisection(lam, target)
+            assert solve_gamma(q).gamma_level == pytest.approx(b, abs=1e-9)
+            assert float(solve_levels([lam], target)[0]) == pytest.approx(b, abs=1e-9)
 
 
 def test_query_validation():
@@ -301,7 +304,7 @@ def test_solve_levels_matches_bisection(lambdas, target):
     assert levels.shape == (len(lambdas),)
     R = 2000
     for lam, level in zip(lambdas, levels.tolist()):
-        ref = solve_gamma(CalibrationQuery(lambda0=lam, target=target)).gamma_level
+        ref = level_by_bisection(lam, target)
         assert abs(level - ref) <= 1e-12
         # the intervals read the order statistic at rank ceil(R*level - 1e-9);
         # two levels 1e-12 apart can only take different ranks when a rank
@@ -353,6 +356,17 @@ def test_table_monotone_in_lambda_and_target():
     rows = np.array(calibration_table())
     assert np.all(np.diff(rows, axis=0) > 0)   # level grows with the penalty
     assert np.all(np.diff(rows, axis=1) > 0)   # and with the target
+
+
+def test_table_and_calibrate_agree_on_every_cell():
+    # the table takes its columns from solve_levels and `calibrate` reads one
+    # query through solve_gamma; both must print the same level everywhere
+    rows = calibration_table()
+    for lam, row in zip(TABLE_LAMBDAS, rows):
+        for target, level in zip(TABLE_TARGETS, row):
+            one = solve_gamma(CalibrationQuery(lambda0=lam, target=target)).gamma_level
+            assert display_level(one) == display_level(level), (lam, target)
+            assert abs(one - level) <= 1e-15, (lam, target)
 
 
 def test_table_rejects_empty():

@@ -314,6 +314,8 @@ def test_cli_calibrate_prints_table_value(capsys):
     ("limitcheck", "--outer", "500.5", "an integer >= 100"),
     ("limitcheck", "--inner", "99", "an integer >= 100"),
     ("limitcheck", "--sigma0", "nan", "a positive finite number"),
+    ("limitcheck", "--seed", "-1", "an integer >= 0"),
+    ("limitcheck", "--seed", "2.5", "an integer >= 0"),
     # a comma list that starts with a minus sign, also as the flag's next word
     ("limitcheck", "--lambda0", "-1,2", "comma-separated finite numbers >= 0"),
     ("limitcheck", "--signs", "-1,2", "comma-separated signs in {-1, 0, 1}"),
@@ -441,6 +443,8 @@ def test_cli_fit_rejects_non_finite_or_non_positive_lambda(value, demo_csv, caps
     ("--an", "-1", "a finite number >= 0"),
     ("--an", "nan", "a finite number >= 0"),
     ("--an", "inf", "a finite number >= 0"),
+    ("--seed", "-1", "an integer >= 0"),
+    ("--seed", "1.5", "an integer >= 0"),
 ])
 def test_cli_fit_rejects_bad_flag_before_reading_data(flag, value, rule, tmp_path, capsys):
     # the data file does not exist: exit status 2 shows the flag was checked

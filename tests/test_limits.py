@@ -6,6 +6,8 @@ compare coordinate by coordinate.  Conditional coverage probabilities are
 checked against the analytic h/psi functions at Monte-Carlo precision.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,14 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         LimitSpec(C=np.eye(3), sigma0=1.0, lambda0=1.0,
                   theta0_signs=np.array([1.0, 0.0]))
+    # a NaN off-diagonal passes the symmetry and eigenvalue checks, and an
+    # inf diagonal the eigenvalue check, so finiteness is checked first
+    nan, inf = float("nan"), float("inf")
+    for C, message in (([[1.0, nan], [nan, 1.0]], "got nan at (0, 1)"),
+                       ([[1.0, 0.0], [0.0, inf]], "got inf at (1, 1)")):
+        with pytest.raises(ValueError, match=re.escape(f"C must be finite, {message}")):
+            LimitSpec(C=np.array(C), sigma0=1.0, lambda0=1.0,
+                      theta0_signs=np.array([1.0, 0.0]))
 
 
 def test_spec_properties():

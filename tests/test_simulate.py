@@ -57,7 +57,9 @@ def test_scenario_validation():
     for folds in (1, 0):
         with pytest.raises(ValueError, match="cv_folds must be at least 2"):
             make_scenario(cv_folds=folds)
-    for field in ("n", "replications", "draws_per_rep", "cv_folds"):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0, got -3"):
+        make_scenario(seed=-3)
+    for field in ("n", "replications", "draws_per_rep", "cv_folds", "seed"):
         for value in (2.5, 10.0, "10"):
             with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
                 make_scenario(**{field: value})
