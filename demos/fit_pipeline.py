@@ -33,8 +33,9 @@ with tempfile.TemporaryDirectory() as tmp:
         for i in range(n):
             f.write(",".join(repr(float(v)) for v in X[i]) + f",{float(Y[i])!r}\n")
 
-    # 2. load the CSV: numpy's C parser reads it in blocks of rows, and the Gram
-    #    accumulator's sums over row chunks are checked against the dataset's Gram
+    # 2. load the CSV: numpy's C parser reads it in blocks of rows, and each
+    #    block is folded into the dataset's sufficient statistics (X'X, X'Y,
+    #    Y'Y and the same per cross-validation fold) and dropped
     ds, names = dataset_from_csv(csv_path, response="y")
 print(f"loaded {ds.n} rows, predictors {names}")
 

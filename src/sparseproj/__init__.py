@@ -10,8 +10,7 @@ from .calibration import (CalibrationQuery, CalibrationResult, TABLE_LAMBDAS,
                           TABLE_TARGETS, calibration_table,
                           calibration_table_csv, display_level, h_plus,
                           h_zero, psi, psi_zero, solve_gamma)
-from .dataio import (CsvFormatError, GramAccumulator, dataset_from_csv,
-                     ingest_chunk, read_csv)
+from .dataio import CsvFormatError, dataset_from_csv, read_csv
 from .errors import (DegenerateDiagonal, DimensionMismatch, InsufficientData,
                      NoConvergence, NonFiniteInput, SingularSystem,
                      SparseProjError)
@@ -28,7 +27,8 @@ from .simulate import (CoverageReport, FitResult, ReplicationRecord, Scenario,
                        aggregate, fit_dataset, generate_data, report_to_csv,
                        run_replication, run_scenario, signal_vector,
                        sparsity_sweep, sweep_to_csv)
-from .types import Dataset, NormSelector, PriorConfig, validate_dataset
+from .types import (Dataset, DatasetAccumulator, NormSelector, PriorConfig,
+                    validate_dataset)
 
 __version__ = "0.1.0"
 
@@ -36,8 +36,7 @@ __all__ = [
     "CalibrationQuery", "CalibrationResult", "TABLE_LAMBDAS", "TABLE_TARGETS",
     "calibration_table", "calibration_table_csv", "display_level", "h_plus",
     "h_zero", "psi", "psi_zero", "solve_gamma",
-    "CsvFormatError", "GramAccumulator", "dataset_from_csv", "ingest_chunk",
-    "read_csv",
+    "CsvFormatError", "dataset_from_csv", "read_csv",
     "DegenerateDiagonal", "DimensionMismatch", "InsufficientData",
     "NoConvergence", "NonFiniteInput", "SingularSystem", "SparseProjError",
     "LimitSpec", "limiting_coverage_mc", "limitcheck_rows", "sample_t_star",
@@ -50,6 +49,7 @@ __all__ = [
     "CoverageReport", "FitResult", "ReplicationRecord", "Scenario", "aggregate",
     "fit_dataset", "generate_data", "report_to_csv", "run_replication",
     "run_scenario", "signal_vector", "sparsity_sweep", "sweep_to_csv",
-    "Dataset", "NormSelector", "PriorConfig", "validate_dataset",
+    "Dataset", "DatasetAccumulator", "NormSelector", "PriorConfig",
+    "validate_dataset",
     "__version__",
 ]

@@ -117,15 +117,15 @@ _seed_flag = _checked("--seed", "an integer >= 0", lambda k: k >= 0, kind=int)
 
 
 def cmd_fit(args) -> int:
-    ds, names = dataset_from_csv(args.data, args.response, standardize=args.standardize)
-
     state = np.random.SeedSequence((int(args.seed), 0xF17)).generate_state(2)
     cv_seed, post_seed = int(state[0]), int(state[1])
+    ds, names = dataset_from_csv(args.data, args.response, standardize=args.standardize,
+                                 fold_seed=cv_seed)
 
     if args.lambda_n == "auto":
         # half the CV minimizer: the penalty is taken on the classical
         # (2n)-normalized LASSO scale (see the same rule in the harness)
-        lam = 0.5 * cross_validate_lambda(ds, seed=cv_seed)
+        lam = 0.5 * cross_validate_lambda(ds)
     else:
         lam = float(args.lambda_n)
     fit = fit_dataset(ds, lam, args.draws, post_seed, PriorConfig(a_n=args.an),

@@ -1,9 +1,9 @@
-"""File formats and chunked ingestion: CSV reading and Gram accumulation.
+"""CSV reading, streamed into a Dataset's sufficient statistics.
 
-CSV files are UTF-8 with one header row, read by the csv module; header
-names are stripped of whitespace and must be distinct.  The data lines are
-handed to numpy's C parser (np.loadtxt) in blocks of rows and the blocks are
-concatenated.  A cell is a decimal or exponent float literal, optionally
+CSV files are UTF-8, with or without a byte-order mark, with one header row,
+read by the csv module; header names are stripped of whitespace and must be
+distinct.  The data lines are handed to numpy's C parser (np.loadtxt) in
+blocks of rows.  A cell is a decimal or exponent float literal, optionally
 padded with whitespace or wrapped in double quotes; forms that Python's
 float() also takes, such as 1_000 or non-ASCII digits, are non-numeric here.
 Lines holding only a line ending are skipped.  Errors name the file line:
@@ -11,21 +11,20 @@ CsvFormatError for a ragged row or a non-numeric cell (found by re-parsing
 the failing block line by line with the same parser), and NonFiniteInput,
 with the column, for a cell that parses to NaN or infinity (nan, inf, 1e400).
 
-The Gram accumulator keeps only X'X, X'Y, Y'Y and the row count, which is
-all the fitting pipeline needs, so chunks of any size (from any number of
-machines) can be summed and merged in any grouping.
+dataset_from_csv feeds each parsed block to a DatasetAccumulator and drops
+it, so its memory does not grow with the number of rows; read_csv
+concatenates the same blocks into X and Y.
 """
 
 from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteInput, SparseProjError
-from .types import Dataset, frozen_copy, validate_dataset
+from .errors import NonFiniteInput, SparseProjError
+from .types import Dataset, DatasetAccumulator
 
 
 class CsvFormatError(SparseProjError):
@@ -37,61 +36,6 @@ class CsvFormatError(SparseProjError):
 _BLOCK_LINES = 1024
 
 
-@dataclass(frozen=True)
-class GramAccumulator:
-    """Running cross products over ingested rows.
-
-    Merging accumulators adds fields elementwise, so merge is associative
-    and commutative up to float rounding regardless of chunk boundaries.
-    """
-
-    p: int
-    sum_xtx: np.ndarray
-    sum_xty: np.ndarray
-    sum_yy: float
-    count: int
-
-    def __post_init__(self):
-        xtx = frozen_copy(self.sum_xtx)
-        xty = frozen_copy(self.sum_xty).ravel()
-        if xtx.shape != (self.p, self.p) or xty.shape != (self.p,):
-            raise DimensionMismatch("accumulator fields disagree with p")
-        object.__setattr__(self, "sum_xtx", xtx)
-        object.__setattr__(self, "sum_xty", xty)
-
-    @classmethod
-    def empty(cls, p: int) -> "GramAccumulator":
-        return cls(p=p, sum_xtx=np.zeros((p, p)), sum_xty=np.zeros(p),
-                   sum_yy=0.0, count=0)
-
-    def merge(self, other: "GramAccumulator") -> "GramAccumulator":
-        if other.p != self.p:
-            raise DimensionMismatch(f"cannot merge p = {self.p} with p = {other.p}")
-        return GramAccumulator(p=self.p,
-                               sum_xtx=self.sum_xtx + other.sum_xtx,
-                               sum_xty=self.sum_xty + other.sum_xty,
-                               sum_yy=self.sum_yy + other.sum_yy,
-                               count=self.count + other.count)
-
-
-def ingest_chunk(acc: GramAccumulator, X_chunk: np.ndarray,
-                 Y_chunk: np.ndarray) -> GramAccumulator:
-    """Fold a block of rows into the accumulator; empty chunks are no-ops."""
-    X = np.atleast_2d(np.asarray(X_chunk, dtype=float))
-    Y = np.asarray(Y_chunk, dtype=float).ravel()
-    if X.size == 0 and Y.size == 0:
-        return acc
-    if X.shape[1] != acc.p:
-        raise DimensionMismatch(f"chunk has {X.shape[1]} columns, expected {acc.p}")
-    if X.shape[0] != Y.shape[0]:
-        raise DimensionMismatch("chunk X and Y row counts differ")
-    return GramAccumulator(p=acc.p,
-                           sum_xtx=acc.sum_xtx + X.T @ X,
-                           sum_xty=acc.sum_xty + X.T @ Y,
-                           sum_yy=acc.sum_yy + float(Y @ Y),
-                           count=acc.count + X.shape[0])
-
-
 def read_csv(path: str, response: str,
              standardize: bool = False) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """Read a UTF-8 CSV with a header row into (X, Y, predictor_names).
@@ -101,21 +45,12 @@ def read_csv(path: str, response: str,
     distinct after stripping whitespace.  Data lines are parsed in blocks of
     _BLOCK_LINES by numpy's C parser; blank lines are skipped.  A ragged row,
     a non-numeric cell or a NaN/infinite value is rejected with its file line.
+    standardize centers and scales each predictor by its mean and population
+    standard deviation, in two passes over X.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file, header row required") from None
-        header = [h.strip() for h in header]
-        dupes = sorted({h for h in header if header.count(h) > 1})
-        if dupes:
-            raise CsvFormatError(f"{path}: duplicate column names {dupes} in header")
-        if response not in header:
-            raise CsvFormatError(f"{path}: response column {response!r} not in header {header}")
-        data = _read_rows(fh, path, header, first_line=reader.line_num + 1)
-    y_col = header.index(response)
+    with _open_csv(path) as fh:
+        header, y_col, first_line = _read_header(fh, path, response)
+        data = np.concatenate(list(_blocks(fh, path, header, first_line)))
     Y = data[:, y_col]
     X = np.delete(data, y_col, axis=1)
     names = [h for i, h in enumerate(header) if i != y_col]
@@ -123,10 +58,94 @@ def read_csv(path: str, response: str,
         mu = X.mean(axis=0)
         sd = X.std(axis=0)
         if np.any(sd == 0):
-            flat = names[int(np.argmax(sd == 0))]
-            raise CsvFormatError(f"{path}: cannot standardize constant column {flat!r}")
+            raise _constant_column(path, names, sd)
         X = (X - mu) / sd
     return X, Y, names
+
+
+def dataset_from_csv(path: str, response: str, standardize: bool = False,
+                     folds: int = 10, fold_seed: int = 0) -> tuple[Dataset, list[str]]:
+    """Read a CSV as read_csv does, straight into a Dataset with `folds` CV
+    folds drawn from fold_seed, and return it with the predictor names.
+
+    Each parsed block goes to a DatasetAccumulator and is dropped, so no
+    buffer grows with the number of rows.  With standardize, the predictors
+    are centered and scaled by their mean and population standard deviation
+    as read_csv does, from the statistics of the rows shifted by the first
+    data row (no one-pass cancellation for a column whose mean is large
+    against its spread); a constant column raises CsvFormatError naming it.
+    """
+    with _open_csv(path) as fh:
+        header, y_col, first_line = _read_header(fh, path, response)
+        names = [h for i, h in enumerate(header) if i != y_col]
+        if not names:
+            raise CsvFormatError(f"{path}: no predictor column besides {response!r}")
+        acc = DatasetAccumulator(len(names) + standardize, folds, fold_seed)
+        shift = None
+        for block in _blocks(fh, path, header, first_line):
+            Y = block[:, y_col]
+            X = np.delete(block, y_col, axis=1)
+            if standardize:
+                shift = X[0].copy() if shift is None else shift
+                X = np.column_stack([X - shift, np.ones(X.shape[0])])
+            acc.add(X, Y)
+    ds = acc.dataset()
+    return (_standardized(ds, path, names) if standardize else ds), names
+
+
+def _standardized(ds: Dataset, path: str, names: list[str]) -> Dataset:
+    """The Dataset of the standardized predictors, from ds, whose columns are
+    the predictors shifted by a reference row then a column of ones.
+
+    With Z = X - 1s' the shifted rows and d = Z'1/n their mean, the centered
+    predictors are Z - 1d', so X_c'X_c/n = Z'Z/n - dd' and X_c'Y/n =
+    Z'Y/n - d*mean(Y), and per fold X_ck'X_ck = Z_k'Z_k - t_k d' - d t_k' +
+    n_k dd' with t_k = Z_k'1 and X_ck'Y_k = Z_k'Y_k - d*sum(Y_k); the ones
+    column holds d, t_k, mean(Y) and sum(Y_k).  Every term is of the size of
+    the spread around s, not of the raw values.
+    """
+    p = ds.p - 1
+    d = ds.gram[:p, p]
+    var = np.diag(ds.gram)[:p] - d * d
+    sd = np.sqrt(np.maximum(var, 0.0))
+    if np.any(sd == 0):
+        raise _constant_column(path, names, sd)
+    scale = np.outer(sd, sd)
+    t = ds.fold_gram[:, :p, p]
+    dd = np.outer(d, d)
+    fold_gram = (ds.fold_gram[:, :p, :p] - t[:, :, None] * d - d[:, None] * t[:, None, :]
+                 + ds.fold_n[:, None, None] * dd) / scale
+    fold_xty = (ds.fold_xty[:, :p] - ds.fold_xty[:, p, None] * d) / sd
+    return Dataset(n=ds.n, p=p, gram=(ds.gram[:p, :p] - dd) / scale,
+                   xty=(ds.xty[:p] - ds.xty[p] * d) / sd, yty=ds.yty,
+                   fold_gram=fold_gram, fold_xty=fold_xty, fold_n=ds.fold_n)
+
+
+def _constant_column(path: str, names: list[str], sd: np.ndarray) -> CsvFormatError:
+    flat = names[int(np.argmax(sd == 0))]
+    return CsvFormatError(f"{path}: cannot standardize constant column {flat!r}")
+
+
+def _open_csv(path: str):
+    # utf-8-sig drops the byte-order mark that spreadsheet exports put first
+    return open(path, newline="", encoding="utf-8-sig")
+
+
+def _read_header(fh, path: str, response: str) -> tuple[list[str], int, int]:
+    """The stripped header names, the response's column index and the file
+    line number of the first data line; leaves fh at that line."""
+    reader = csv.reader(fh)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CsvFormatError(f"{path}: empty file, header row required") from None
+    header = [h.strip() for h in header]
+    dupes = sorted({h for h in header if header.count(h) > 1})
+    if dupes:
+        raise CsvFormatError(f"{path}: duplicate column names {dupes} in header")
+    if response not in header:
+        raise CsvFormatError(f"{path}: response column {response!r} not in header {header}")
+    return header, header.index(response), reader.line_num + 1
 
 
 def _is_blank(line: str) -> bool:
@@ -143,22 +162,23 @@ def _cells(line: str) -> list[str]:
     return _loadtxt([line], dtype=object)[0].tolist()
 
 
-def _read_rows(fh, path: str, header: list[str], first_line: int) -> np.ndarray:
-    """Parse the lines left in fh block by block into one (rows, width) array.
+def _blocks(fh, path: str, header: list[str], first_line: int):
+    """Parse the lines left in fh block by block, yielding (rows, width)
+    arrays; raises CsvFormatError if there is no data row.
 
     first_line is the file line number of the next line in fh; errors name
     file lines, counting the blank ones.
     """
-    blocks = []
     lineno = first_line
+    parsed = False
     while lines := list(itertools.islice(fh, _BLOCK_LINES)):
         # an all-blank block would make the parser warn about missing data
         if not all(map(_is_blank, lines)):
-            blocks.append(_parse_block(lines, path, header, lineno))
+            yield _parse_block(lines, path, header, lineno)
+            parsed = True
         lineno += len(lines)
-    if not blocks:
+    if not parsed:
         raise CsvFormatError(f"{path}: no data rows")
-    return np.concatenate(blocks)
 
 
 def _parse_block(lines: list[str], path: str, header: list[str], lineno: int) -> np.ndarray:
@@ -198,18 +218,3 @@ def _first_bad_line(lines: list[str], path: str, width: int, lineno: int) -> Csv
                 return CsvFormatError(f"{path}, row {lineno + i}: non-numeric cell {cell!r}")
     return CsvFormatError(f"{path}, rows {lineno}-{lineno + len(lines) - 1}: "
                           "rejected by the CSV parser")
-
-
-def dataset_from_csv(path: str, response: str, standardize: bool = False,
-                     chunk_rows: int = 4096) -> tuple[Dataset, list[str]]:
-    """Read a CSV and build a Dataset, running the rows through the chunked
-    Gram accumulator (whose sums are checked against the dataset's)."""
-    X, Y, names = read_csv(path, response, standardize=standardize)
-    acc = GramAccumulator.empty(X.shape[1])
-    for start in range(0, X.shape[0], chunk_rows):
-        acc = ingest_chunk(acc, X[start:start + chunk_rows], Y[start:start + chunk_rows])
-    ds = validate_dataset(X, Y)
-    scale = max(1.0, float(np.abs(ds.gram).max()))
-    if float(np.abs(acc.sum_xtx / acc.count - ds.gram).max()) > 1e-10 * scale:
-        raise SparseProjError("accumulated Gram disagrees with direct computation")
-    return ds, names

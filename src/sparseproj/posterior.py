@@ -63,8 +63,7 @@ def factorize(dataset: Dataset, prior: PriorConfig) -> PosteriorFactorization:
     # L h = n X'Y as the upper system J L J (J h) = J n X'Y, J the reversal
     half = np.linalg.solve(chol[::-1, ::-1], xty_full[::-1])[::-1]
     ridge_mean = np.linalg.solve(chol.T, half)
-    yty = float(dataset.Y @ dataset.Y)
-    gamma_rate = prior.b2 + 0.5 * (yty - float(xty_full @ ridge_mean))
+    gamma_rate = prior.b2 + 0.5 * (dataset.yty - float(xty_full @ ridge_mean))
     gamma_rate = max(gamma_rate, 0.0)  # clip fp dust when Y lies in span(X)
     gamma_shape = prior.b1 + 0.5 * n
     return PosteriorFactorization(

@@ -17,7 +17,9 @@ the limit experiment calls _solve directly.  All of them run one certified
 loop (_solve) around one cyclic coordinate-descent sweep (_sweep), either on
 a batch of right-hand sides sharing one Q (projected posterior draws; the
 limit experiment's xi with its T* draws) or on a stack with one Q per row
-(the CV folds of one penalty; the LASSO center).
+(the CV folds of one penalty; the LASSO center).  They read a dataset's
+sufficient statistics only: C_n and X'Y/n, and for CV its per-fold cross
+products and Y'Y.
 
 Convergence is certified by the KKT residual (max subgradient violation),
 not by parameter change: a solve ends when every row is within TOL and
@@ -25,7 +27,7 @@ raises NoConvergence after MAX_SWEEPS sweeps.  The certificate is one
 branch-free formula for every coordinate kind (see _kkt_rows).  A shared-Q
 batch is column-major: its (m, p) solution and work buffers are F-ordered
 and allocated once per call, so a coordinate update touches one contiguous
-column and a sweep allocates no array of the batch's size.
+column and a sweep allocates only two (m,) work vectors.
 
 The CV path runs few folds at many penalties, and the LASSO center is a
 single row; there Python-level coordinate updates cost far more than their
@@ -50,10 +52,6 @@ from .types import Dataset
 
 TOL = 1e-10          # certified bound on every row's KKT residual
 MAX_SWEEPS = 10_000  # coordinate-descent sweeps before NoConvergence
-
-
-def _soft(x: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
 
 
 def _residual(Q: np.ndarray, B: np.ndarray, U: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -110,21 +108,30 @@ def _sweep(Q: np.ndarray, B: np.ndarray, U: np.ndarray, lam: float,
     Q is one (p, p) matrix that every row shares or a (K, p, p) stack with
     one matrix per row; B and U are (m, p).  Each coordinate update is exact
     minimization, so the objective is monotone along the sweep for every
-    row.  On an F-ordered U each update reads and writes one contiguous
-    column.
+    row.  The update r = B_j - UQ_j + U_j Q_jj, its soft threshold
+    r - clip(r, -lam/2, lam/2) and the division by Q_jj run in two (m,)
+    work vectors allocated once per sweep; on an F-ordered U each update
+    reads and writes one contiguous column.
     """
     diag = np.diagonal(Q, axis1=-2, axis2=-1).T  # diag[j]: Q_jj, per row for a stack
     half = 0.5 * lam
+    r = np.empty(U.shape[0])
+    t = np.empty(U.shape[0])
     for j in range(U.shape[1]):
         if Q.ndim == 2:
-            uq = U @ Q[:, j]
+            np.matmul(U, Q[:, j], out=r)
         else:
-            uq = np.einsum("kp,kp->k", U, Q[:, :, j])
-        r = B[:, j] - uq + U[:, j] * diag[j]
+            np.einsum("kp,kp->k", U, Q[:, :, j], out=r)
+        np.subtract(B[:, j], r, out=r)
+        np.multiply(U[:, j], diag[j], out=t)
+        r += t
         if signs[j] == 0:
-            U[:, j] = _soft(r, half) / diag[j]
+            np.minimum(r, half, out=t)
+            np.maximum(t, -half, out=t)
+            r -= t
         else:
-            U[:, j] = (r - half * signs[j]) / diag[j]
+            r -= half * signs[j]
+        np.divide(r, diag[j], out=U[:, j])
 
 
 def _newton_step(Q: np.ndarray, B: np.ndarray, U: np.ndarray, lam: float) -> None:
@@ -262,41 +269,20 @@ def default_lambda_grid(dataset: Dataset, num: int = 100) -> np.ndarray:
     return np.geomspace(lam_max, lam_max * 1e-3, num=num)
 
 
-def _fold_statistics(dataset: Dataset, folds: int,
-                     seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Held-out cross products of the seeded CV folds.
-
-    The rows are split by a seeded permutation into `folds` near-equal
-    folds.  Returns (G, c, sizes, yy): G[k] = X_k'X_k and c[k] = X_k'Y_k over
-    the rows of fold k, sizes[k] its row count, and yy the sum of Y_k'Y_k
-    over all folds.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x5CF0)))
-    chunks = np.array_split(rng.permutation(dataset.n), folds)
-    G = np.empty((folds, dataset.p, dataset.p))
-    c = np.empty((folds, dataset.p))
-    yy = 0.0
-    for k, test_idx in enumerate(chunks):
-        Xt, Yt = dataset.X[test_idx], dataset.Y[test_idx]
-        G[k] = Xt.T @ Xt
-        c[k] = Xt.T @ Yt
-        yy += float(Yt @ Yt)
-    return G, c, np.array([idx.size for idx in chunks]), yy
-
-
 def _held_out_error(U: np.ndarray, G: np.ndarray, c: np.ndarray, yy: float) -> float:
     """Pooled held-out squared error sum_k ||Y_k - X_k U_k||^2 of the fold
     solutions U (K, p), from the fold statistics alone in O(K p^2)."""
     return yy + float(np.einsum("kp,kp->", U, np.einsum("kpq,kq->kp", G, U) - 2.0 * c))
 
 
-def cross_validate_lambda(dataset: Dataset, grid: np.ndarray | None = None,
-                          folds: int = 10, seed: int = 0) -> float:
+def cross_validate_lambda(dataset: Dataset, grid: np.ndarray | None = None) -> float:
     """Pick the penalty by K-fold cross-validated squared prediction error.
 
-    Folds come from a seeded permutation of the rows.  The error for a grid
-    value pools squared residuals on held-out rows over all folds; ties are
-    broken toward the larger penalty.  Raises InsufficientData if n < folds.
+    The folds are the dataset's: their rows were assigned by a seeded
+    stream when it was built (see types.DatasetAccumulator), and it keeps
+    each fold's X_k'X_k, X_k'Y_k and row count.  The error for a grid value
+    pools squared residuals on held-out rows over all folds; ties are
+    broken toward the larger penalty.  Raises InsufficientData if n < K.
 
     Each fold is fitted on the Gram statistics of the other folds, and its
     held-out error comes from the identity
@@ -315,8 +301,7 @@ def cross_validate_lambda(dataset: Dataset, grid: np.ndarray | None = None,
     the grid value (its index in the descending grid); NoConvergence also
     names the folds still above TOL after MAX_SWEEPS sweeps.
     """
-    if folds < 2:
-        raise ValueError("folds must be at least 2")
+    folds = dataset.fold_n.size
     if dataset.n < folds:
         raise InsufficientData(f"n = {dataset.n} rows cannot form {folds} folds")
     if grid is None:
@@ -331,8 +316,8 @@ def cross_validate_lambda(dataset: Dataset, grid: np.ndarray | None = None,
     order = np.argsort(-grid)  # solve large to small so warm starts carry over
     lam_desc = grid[order]
 
-    G, c, sizes, yy = _fold_statistics(dataset, folds, seed)
-    n_tr = dataset.n - sizes
+    G, c = dataset.fold_gram, dataset.fold_xty
+    n_tr = dataset.n - dataset.fold_n
     Qs = (dataset.gram * dataset.n - G) / n_tr[:, None, None]
     Bs = (dataset.xty * dataset.n - c) / n_tr[:, None]
 
@@ -343,7 +328,7 @@ def cross_validate_lambda(dataset: Dataset, grid: np.ndarray | None = None,
             U, _ = _solve(Qs, Bs, float(lam), np.zeros(dataset.p), U)
         except SparseProjError as exc:
             raise type(exc)(f"CV path at lambda[{g}]={lam:.3e}: {exc}") from exc
-        errs[g] = _held_out_error(U, G, c, yy)
+        errs[g] = _held_out_error(U, G, c, dataset.yty)
     best = errs.min()
     winners = lam_desc[errs <= best]
     return float(winners.max())

@@ -76,8 +76,11 @@ def fit_dataset(ds: Dataset, lam: float, draws: int, post_seed: int, prior: Prio
     lam0 = lam * math.sqrt(ds.n)
     fact = factorize(ds, prior)
     center = fit_lasso(ds, lam)
-    resid = ds.Y - ds.X @ fact.ridge_mean
-    sigma_hat = math.sqrt(float(resid @ resid) / ds.n)
+    m = fact.ridge_mean
+    # ||Y - Xm||^2/n from the statistics; rounding can take it below 0 when Y
+    # lies near the span of X
+    sigma_hat = math.sqrt(max(ds.yty / ds.n - 2.0 * float(m @ ds.xty)
+                              + float(m @ ds.gram @ m), 0.0))
     if target is None:
         levels = np.full(ds.p, float(level))
     else:
@@ -192,7 +195,16 @@ def _rep_streams(seed: int, rep_index: int) -> tuple[np.random.Generator, int, i
 
 
 def generate_data(scenario: Scenario, rep_index: int) -> Dataset:
-    """Simulate one dataset for the scenario, deterministic in (seed, rep_index)."""
+    """Simulate one dataset for the scenario, deterministic in (seed,
+    rep_index), with scenario.cv_folds CV folds drawn from the replication's
+    CV stream."""
+    X, Y = simulate_rows(scenario, rep_index)
+    _, cv_seed, _ = _rep_streams(scenario.seed, rep_index)
+    return validate_dataset(X, Y, folds=scenario.cv_folds, fold_seed=cv_seed)
+
+
+def simulate_rows(scenario: Scenario, rep_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """The design X and response Y behind generate_data(scenario, rep_index)."""
     rng, _, _ = _rep_streams(scenario.seed, rep_index)
     n, p = scenario.n, scenario.p
     if scenario.design == "independent":
@@ -205,7 +217,7 @@ def generate_data(scenario: Scenario, rep_index: int) -> Dataset:
         for k in range(1, p):  # stationary AR(1) across columns, unit variance
             X[:, k] = scenario.rho * X[:, k - 1] + scale * eps[:, k]
     Y = X @ scenario.theta0 + scenario.error_sd * rng.standard_normal(n)
-    return validate_dataset(X, Y)
+    return X, Y
 
 
 def run_replication(scenario: Scenario, rep_index: int) -> ReplicationRecord:
@@ -218,7 +230,7 @@ def run_replication(scenario: Scenario, rep_index: int) -> ReplicationRecord:
 
 def _run_replication(scenario: Scenario, rep_index: int) -> ReplicationRecord:
     ds = generate_data(scenario, rep_index)
-    _, cv_seed, post_seed = _rep_streams(scenario.seed, rep_index)
+    _, _, post_seed = _rep_streams(scenario.seed, rep_index)
 
     if scenario.lambda_n is not None:
         lam = float(scenario.lambda_n)
@@ -227,7 +239,7 @@ def _run_replication(scenario: Scenario, rep_index: int) -> ReplicationRecord:
         # projection takes the penalty on the classical (2n)-normalized LASSO
         # scale, i.e. half of that minimizer, keeping lambda0 = lambda_n*sqrt(n)
         # inside the calibrated range instead of over-shrinking the draws
-        lam = 0.5 * cross_validate_lambda(ds, folds=scenario.cv_folds, seed=cv_seed)
+        lam = 0.5 * cross_validate_lambda(ds)
     fit = fit_dataset(ds, lam, scenario.draws_per_rep, post_seed, PriorConfig(),
                       target=scenario.target_coverage)
 

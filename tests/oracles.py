@@ -8,17 +8,18 @@ coordinate descent: they are exhaustive grid search (p = 2), exact
 sign-pattern enumeration (any small p), and proximal gradient with momentum.  They exist so solver
 tests compare against arithmetic that cannot share a bug with the code under
 test.  cv_errors_reference scores cross-validation fold solutions from the
-held-out rows themselves, and kkt_batch_reference is the branch-per-case KKT
-certificate that the package's fused one must match bit for bit.
+held-out rows themselves, and fold_labels_reference assigns CV folds one run
+of rows at a time, as the streamed dataset must.  kkt_batch_reference is the
+branch-per-case KKT certificate that the package's fused one must match bit
+for bit.
 cd_multi_reference is the plain batched coordinate descent that once solved
 the cross-validation path; the sign-pattern Newton path solver is judged
 against it by objective value and KKT residual.  It borrows only the
-package's soft-threshold and its KKT certificate, which kkt_batch_reference
-pins.  sample_xi is different: it solves the limit experiment's xi for
-one draw alone through the package's limit solver, the reference for row 0
-of the merged xi/T* batch.  level_by_bisection is the calibration oracle: a
-scalar bisection for the credibility level, checked against the package's
-one Newton level solve.
+package's KKT certificate, which kkt_batch_reference pins.  sample_xi is
+different: it solves the limit experiment's xi for one draw alone through
+the package's limit solver, the reference for row 0 of the merged xi/T*
+batch.  level_by_bisection is the calibration oracle: a scalar bisection for
+the credibility level, checked against the package's one Newton level solve.
 """
 
 import itertools
@@ -28,7 +29,23 @@ import numpy as np
 
 from sparseproj.errors import DegenerateDiagonal, NoConvergence
 from sparseproj.limits import _solve_limit_batch, _sqrt_factors
-from sparseproj.projection import _kkt_rows, _soft, _worst_rows
+from sparseproj.projection import _kkt_rows, _worst_rows
+
+
+def _soft(x: np.ndarray, t: float) -> np.ndarray:
+    return np.sign(x) * np.maximum(np.abs(x) - t, 0.0)
+
+
+def fold_labels_reference(n: int, folds: int, seed: int) -> np.ndarray:
+    """The CV fold of each of n rows, one run of `folds` rows at a time:
+    each run takes the stable argsort of `folds` uniform draws from the
+    (seed, 0x5CF0) stream, a uniformly random permutation of the folds."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5CF0)))
+    labels = np.empty(n, dtype=int)
+    for start in range(0, n, folds):
+        perm = np.argsort(rng.random(folds), kind="stable")
+        labels[start:start + folds] = perm[:n - start]
+    return labels
 
 
 def objective(Q, b, lam, signs, u):

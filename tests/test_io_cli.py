@@ -1,4 +1,4 @@
-"""CSV ingestion, the chunked Gram accumulator, and the command-line entry
+"""CSV ingestion, the streamed dataset statistics, and the command-line entry
 points (mostly in-process via main(argv); a few subprocess runs exercise the
 console-script entry point that pyproject.toml declares and the demo scripts,
 in a fresh interpreter, with or without an install)."""
@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -21,17 +22,13 @@ import sparseproj
 from sparseproj import dataio
 from sparseproj.calibration import CalibrationQuery, solve_gamma
 from sparseproj.cli import main
-from sparseproj.dataio import (
-    CsvFormatError,
-    GramAccumulator,
-    dataset_from_csv,
-    ingest_chunk,
-    read_csv,
-)
+from sparseproj.dataio import CsvFormatError, dataset_from_csv, read_csv
 from sparseproj.errors import DimensionMismatch, NonFiniteInput
 from sparseproj.posterior import factorize
 from sparseproj.projection import cross_validate_lambda
-from sparseproj.types import PriorConfig, validate_dataset
+from sparseproj.types import DatasetAccumulator, PriorConfig, validate_dataset
+
+from oracles import fold_labels_reference
 
 
 def write_csv(path, X, Y, names=None):
@@ -54,63 +51,68 @@ def demo_csv(tmp_path):
     return path, X, Y
 
 
-# --- Gram accumulator --------------------------------------------------------
+# --- dataset accumulator -----------------------------------------------------
+
+def assert_same_statistics(got, want, rel=1e-12):
+    assert got.n == want.n and got.p == want.p
+    np.testing.assert_array_equal(got.fold_n, want.fold_n)
+    for name in ("gram", "xty", "fold_gram", "fold_xty"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name), rtol=rel,
+                                   atol=rel * np.abs(getattr(want, name)).max(), err_msg=name)
+    assert got.yty == pytest.approx(want.yty, rel=rel)
+
+
+def reference_statistics(X, Y, folds, seed):
+    # two passes over the whole matrix, folds from the run-by-run oracle
+    n = X.shape[0]
+    labels = fold_labels_reference(n, folds, seed)
+    G = np.array([X[labels == k].T @ X[labels == k] for k in range(folds)])
+    c = np.array([X[labels == k].T @ Y[labels == k] for k in range(folds)])
+    sizes = np.bincount(labels, minlength=folds)
+    return X.T @ X / n, X.T @ Y / n, float(Y @ Y), G, c, sizes
+
 
 def test_chunked_equals_whole():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((57, 3))
     Y = rng.standard_normal(57)
-    whole = ingest_chunk(GramAccumulator.empty(3), X, Y)
-    parts = GramAccumulator.empty(3)
+    whole = validate_dataset(X, Y, folds=4, fold_seed=9)
+    acc = DatasetAccumulator(3, folds=4, fold_seed=9)
     for lo, hi in ((0, 20), (20, 41), (41, 57)):
-        parts = ingest_chunk(parts, X[lo:hi], Y[lo:hi])
-    assert parts.count == whole.count == 57
-    np.testing.assert_allclose(parts.sum_xtx, whole.sum_xtx, rtol=1e-12)
-    np.testing.assert_allclose(parts.sum_xty, whole.sum_xty, rtol=1e-12)
-    assert parts.sum_yy == pytest.approx(whole.sum_yy, rel=1e-12)
+        acc.add(X[lo:hi], Y[lo:hi])
+    parts = acc.dataset()
+    assert parts.n == whole.n == 57
+    assert_same_statistics(parts, whole)
+    gram, xty, yty, G, c, sizes = reference_statistics(X, Y, 4, 9)
+    np.testing.assert_array_equal(whole.fold_n, sizes)
+    np.testing.assert_allclose(whole.fold_gram, G, rtol=1e-12)
+    np.testing.assert_allclose(whole.fold_xty, c, rtol=1e-12)
 
 
 def test_empty_chunk_is_noop():
-    acc = ingest_chunk(GramAccumulator.empty(2), np.ones((3, 2)), np.ones(3))
-    again = ingest_chunk(acc, np.empty((0, 2)), np.empty(0))
-    assert again is acc
+    rng = np.random.default_rng(2)
+    acc = DatasetAccumulator(2, folds=3, fold_seed=1)
+    acc.add(rng.standard_normal((5, 2)), rng.standard_normal(5))
+    before = acc.dataset()
+    acc.add(np.empty((0, 2)), np.empty(0))
+    assert_same_statistics(acc.dataset(), before, rel=0.0)
 
 
 def test_wrong_width_rejected():
-    acc = GramAccumulator.empty(2)
+    acc = DatasetAccumulator(2)
     with pytest.raises(DimensionMismatch):
-        ingest_chunk(acc, np.ones((3, 4)), np.ones(3))
+        acc.add(np.ones((3, 4)), np.ones(3))
     with pytest.raises(DimensionMismatch):
-        ingest_chunk(acc, np.ones((3, 2)), np.ones(4))
+        acc.add(np.ones((3, 2)), np.ones(4))
+    with pytest.raises(DimensionMismatch):
+        acc.dataset()  # no rows yet
 
 
-def test_merge_commutes_and_associates():
-    rng = np.random.default_rng(1)
-    accs = []
-    for _ in range(3):
-        X = rng.standard_normal((11, 2))
-        accs.append(ingest_chunk(GramAccumulator.empty(2), X,
-                                 rng.standard_normal(11)))
-    a, b, c = accs
-    ab = a.merge(b)
-    ba = b.merge(a)
-    np.testing.assert_array_equal(ab.sum_xtx, ba.sum_xtx)
-    np.testing.assert_array_equal(ab.sum_xty, ba.sum_xty)
-    assert ab.sum_yy == ba.sum_yy and ab.count == ba.count
-    left = ab.merge(c)
-    right = a.merge(b.merge(c))
-    np.testing.assert_allclose(left.sum_xtx, right.sum_xtx, rtol=1e-12)
-    assert left.count == right.count == 33
-    with pytest.raises(DimensionMismatch):
-        a.merge(GramAccumulator.empty(5))
-
-
-def test_accumulator_shape_guard():
-    with pytest.raises(DimensionMismatch):
-        GramAccumulator(p=2, sum_xtx=np.zeros((3, 3)), sum_xty=np.zeros(2),
-                        sum_yy=0.0, count=0)
-    acc = GramAccumulator.empty(2)
-    assert not acc.sum_xtx.flags.writeable
+def test_fold_sizes_differ_by_at_most_one():
+    for n, folds in ((3, 10), (10, 10), (23, 5), (1001, 10)):
+        ds = validate_dataset(np.ones((n, 1)), np.ones(n), folds=folds, fold_seed=n)
+        assert ds.fold_n.sum() == n
+        assert ds.fold_n.max() - ds.fold_n.min() <= 1
 
 
 # --- CSV reading -------------------------------------------------------------
@@ -215,8 +217,9 @@ def test_read_csv_error_names_file_line_after_first_block(tmp_path, bad_line, me
     assert bad_lineno > dataio._BLOCK_LINES + 2
     path = tmp_path / "late.csv"
     path.write_text(text, encoding="utf-8")
-    with pytest.raises(CsvFormatError, match=f"row {bad_lineno}: {message}"):
-        read_csv(str(path), "y")
+    for reader in (read_csv, dataset_from_csv):
+        with pytest.raises(CsvFormatError, match=f"row {bad_lineno}: {message}"):
+            reader(str(path), "y")
 
 
 def test_read_csv_accepted_cell_syntax(tmp_path):
@@ -277,6 +280,101 @@ def test_dataset_from_csv(demo_csv):
     assert names == ["x0", "x1"]
     assert ds.n == 30 and ds.p == 2
     np.testing.assert_allclose(ds.gram, X.T @ X / 30, atol=1e-12)
+
+
+def test_csv_with_byte_order_mark(tmp_path):
+    # spreadsheet "CSV UTF-8" exports start with U+FEFF
+    path = tmp_path / "bom.csv"
+    path.write_bytes("y,x1\n1,2\n3,5\n".encode("utf-8-sig"))
+    X, Y, names = read_csv(str(path), "y")
+    assert names == ["x1"]
+    np.testing.assert_array_equal(Y, [1.0, 3.0])
+    ds, names = dataset_from_csv(str(path), "y")
+    assert names == ["x1"] and ds.n == 2
+    np.testing.assert_array_equal(ds.xty, [(2.0 + 15.0) / 2])
+
+
+def test_dataset_from_csv_needs_a_predictor(tmp_path):
+    path = tmp_path / "only_y.csv"
+    path.write_text("y\n1\n2\n", encoding="utf-8")
+    with pytest.raises(CsvFormatError, match="no predictor column besides 'y'"):
+        dataset_from_csv(str(path), "y")
+
+
+@pytest.mark.parametrize("block", [1, 7, 1024])
+def test_streamed_statistics_match_two_pass_reference(tmp_path, block):
+    # blank lines and \r\n endings; the folds and sums may not depend on
+    # where the blocks fall
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((97, 4))
+    Y = X @ np.array([1.0, 0.0, -2.0, 0.5]) + rng.standard_normal(97)
+    lines = ["x0,y,x1,x2,x3"]
+    for i, (row, y) in enumerate(zip(X, Y)):
+        lines.append(",".join(repr(float(v)) for v in (row[0], y, *row[1:])))
+        if i % 13 == 5:
+            lines.append("")
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    got_X, got_Y, _ = read_csv(str(path), "y")
+    np.testing.assert_array_equal(got_X, X)
+    with mock.patch.object(dataio, "_BLOCK_LINES", block):
+        ds, names = dataset_from_csv(str(path), "y", folds=6, fold_seed=5)
+    assert names == ["x0", "x1", "x2", "x3"]
+    gram, xty, yty, G, c, sizes = reference_statistics(got_X, got_Y, 6, 5)
+    np.testing.assert_array_equal(ds.fold_n, sizes)
+    assert ds.fold_n.max() - ds.fold_n.min() <= 1
+    for got, want in ((ds.gram, gram), (ds.xty, xty), (ds.fold_gram, G), (ds.fold_xty, c)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+    assert ds.yty == pytest.approx(yty, rel=1e-12)
+
+
+def _ingest_peak(path) -> int:
+    tracemalloc.start()
+    try:
+        dataset_from_csv(str(path), "y")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dataset_from_csv_memory_does_not_grow_with_rows(tmp_path):
+    rng = np.random.default_rng(4)
+    peaks = {}
+    for n in (5_000, 40_000):
+        data = rng.standard_normal((n, 21))
+        path = tmp_path / f"rows{n}.csv"
+        np.savetxt(path, data, delimiter=",", fmt="%.17g",
+                   header=",".join([f"x{j}" for j in range(20)] + ["y"]), comments="")
+        peaks[n] = _ingest_peak(path)
+    # 40 000 x 21 doubles alone are 6.7 MB; one block of lines is about 0.5 MB
+    assert peaks[40_000] <= 1.25 * peaks[5_000], peaks
+
+
+def test_standardize_large_mean_matches_two_pass(tmp_path):
+    # mean 1e6 and sd 1: X'X/n - mu^2 in one pass would keep about 4 digits
+    rng = np.random.default_rng(8)
+    Z = rng.standard_normal((500, 3)) * np.array([1.0, 3.0, 0.01])
+    X = Z + np.array([1e6, -20.0, 0.5])
+    Y = Z @ np.array([0.5, 1.0, 0.0]) + rng.standard_normal(500)
+    path = tmp_path / "offset.csv"
+    write_csv(path, X, Y)
+    Xs, Ys, _ = read_csv(str(path), "y", standardize=True)  # two passes
+    for block in (7, 1024):
+        with mock.patch.object(dataio, "_BLOCK_LINES", block):
+            ds, _ = dataset_from_csv(str(path), "y", standardize=True, folds=4, fold_seed=2)
+        _, _, yty, G, c, sizes = reference_statistics(Xs, Ys, 4, 2)
+        np.testing.assert_allclose(ds.gram, Xs.T @ Xs / 500, rtol=1e-9)
+        np.testing.assert_allclose(ds.xty, Xs.T @ Ys / 500, rtol=1e-9)
+        np.testing.assert_allclose(ds.fold_gram, G, rtol=1e-9, atol=1e-9 * np.abs(G).max())
+        np.testing.assert_allclose(ds.fold_xty, c, rtol=1e-9, atol=1e-9 * np.abs(c).max())
+        assert ds.yty == pytest.approx(yty, rel=1e-12)
+
+
+def test_dataset_from_csv_standardize_constant_column(tmp_path):
+    path = tmp_path / "flat.csv"
+    path.write_text("b,a,y\n1,1e6,1\n2,1e6,2\n", encoding="utf-8")
+    with pytest.raises(CsvFormatError, match="constant column 'a'"):
+        dataset_from_csv(str(path), "y", standardize=True)
 
 
 # --- CLI ---------------------------------------------------------------------
@@ -386,7 +484,7 @@ def test_cli_fit_full_shrinkage(tmp_path, demo_csv):
 
 
 def test_cli_fit_target_calibrates_levels(tmp_path, demo_csv):
-    path, _, _ = demo_csv
+    path, X, Y = demo_csv
     out = tmp_path / "fit.json"
     code = main(["fit", "--data", str(path), "--response", "y",
                  "--target", "0.95", "--lambda", "auto", "--draws", "100",
@@ -394,14 +492,14 @@ def test_cli_fit_target_calibrates_levels(tmp_path, demo_csv):
     assert code == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
 
-    ds, _ = dataset_from_csv(str(path), "y")
     state = np.random.SeedSequence((3, 0xF17)).generate_state(2)
-    lam = 0.5 * cross_validate_lambda(ds, seed=int(state[0]))
+    ds, _ = dataset_from_csv(str(path), "y", fold_seed=int(state[0]))
+    lam = 0.5 * cross_validate_lambda(ds)
     assert doc["lambda_n"] == pytest.approx(lam, rel=1e-12)
     assert doc["lambda0"] == pytest.approx(lam * math.sqrt(30), rel=1e-12)
 
     fact = factorize(ds, PriorConfig())
-    resid = ds.Y - ds.X @ fact.ridge_mean
+    resid = Y - X @ fact.ridge_mean
     sigma_hat = math.sqrt(float(resid @ resid) / ds.n)
     assert doc["sigma_hat"] == pytest.approx(sigma_hat, rel=1e-12)
     for j, iv in enumerate(doc["intervals"]):

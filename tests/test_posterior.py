@@ -20,11 +20,15 @@ from sparseproj.posterior import (
 from sparseproj.types import PriorConfig, validate_dataset
 
 
-def make_dataset(n=50, p=3, seed=0):
+def make_rows(n=50, p=3, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, p))
     Y = X @ rng.standard_normal(p) + rng.standard_normal(n)
-    return validate_dataset(X, Y)
+    return X, Y
+
+
+def make_dataset(n=50, p=3, seed=0):
+    return validate_dataset(*make_rows(n, p, seed))
 
 
 def test_identity_design_flat_prior_recovers_y():
@@ -46,10 +50,11 @@ def test_zero_design_gives_prior_gamma_parameters():
 
 
 def test_ridge_mean_matches_dense_solve():
-    ds = make_dataset()
+    X, Y = make_rows()
+    ds = validate_dataset(X, Y)
     for a_n in (0.0, 1.0, 17.3):
         fact = factorize(ds, PriorConfig(a_n=a_n))
-        expected = np.linalg.solve(ds.X.T @ ds.X + a_n * np.eye(ds.p), ds.X.T @ ds.Y)
+        expected = np.linalg.solve(X.T @ X + a_n * np.eye(ds.p), X.T @ Y)
         np.testing.assert_allclose(fact.ridge_mean, expected, atol=1e-10)
 
 
@@ -66,11 +71,12 @@ def test_ridge_mean_matches_two_triangular_solves():
 
 
 def test_gamma_rate_residual_identity():
-    ds = make_dataset(seed=5)
+    X, Y = make_rows(seed=5)
+    ds = validate_dataset(X, Y)
     prior = PriorConfig(a_n=2.0, b1=0.5, b2=0.25)
     fact = factorize(ds, prior)
     m = fact.ridge_mean
-    resid = ds.Y - ds.X @ m
+    resid = Y - X @ m
     expected = prior.b2 + 0.5 * (resid @ resid + prior.a_n * (m @ m))
     assert fact.gamma_rate == pytest.approx(expected, rel=1e-12)
     assert fact.gamma_shape == pytest.approx(prior.b1 + ds.n / 2)

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 
-from oracles import (cd_multi_reference, cv_errors_reference, enumerate_min, grid_min_2d,
-                     kkt_batch_reference, objective, prox_gradient_min, random_spd)
+from oracles import (_soft, cd_multi_reference, cv_errors_reference, enumerate_min,
+                     fold_labels_reference, grid_min_2d, kkt_batch_reference, objective,
+                     prox_gradient_min, random_spd)
 from sparseproj import projection
 from sparseproj.errors import DegenerateDiagonal, InsufficientData, NoConvergence
 from sparseproj.projection import (
-    _fold_statistics,
     _newton_step,
     _held_out_error,
     _solve,
@@ -479,6 +479,31 @@ def test_solve_shared_and_stacked_q_reach_same_objective(seed, p, m, lam, warm):
         assert abs(f_shared - f_stacked) <= 1e-12 * scale
 
 
+@hyp_settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=9),
+       st.floats(min_value=0.0, max_value=3.0), st.booleans(), st.booleans())
+def test_sweep_matches_soft_threshold_reference(seed, p, m, lam, stacked, signed):
+    # the in-place sweep against the plain formula it replaced,
+    # U_j = soft(B_j - UQ_j + U_j Q_jj, lam/2) / Q_jj, coordinate by coordinate
+    rng = np.random.default_rng(seed)
+    Q = np.stack([random_spd(rng, p) for _ in range(m)]) if stacked else random_spd(rng, p)
+    signs = rng.choice([-1.0, 0.0, 1.0], size=p) if signed and not stacked else np.zeros(p)
+    B = 2.0 * rng.standard_normal((m, p))
+    U0 = np.where(rng.random((m, p)) < 0.5, rng.standard_normal((m, p)), 0.0)
+    # the same memory order on both sides, as BLAS rounds by layout
+    U = U0.copy() if stacked else np.asfortranarray(U0)
+    want = U.copy(order="K")
+    for j in range(p):
+        Qj = Q[..., j]
+        uq = np.einsum("kp,kp->k", want, Qj) if stacked else want @ Qj
+        d = Q[:, j, j] if stacked else Q[j, j]
+        r = B[:, j] - uq + want[:, j] * d
+        want[:, j] = (_soft(r, 0.5 * lam) if signs[j] == 0 else r - 0.5 * lam * signs[j]) / d
+    projection._sweep(Q, B, U, lam, signs)
+    assert np.array_equal(U, want)
+
+
 def test_kkt_rejects_infinite_penalty():
     with pytest.raises(ValueError, match="penalty must be finite"):
         solve_one(np.eye(2), np.ones(2), np.inf)
@@ -544,10 +569,10 @@ def test_cv_pure_noise_prefers_max_penalty():
         rng = np.random.default_rng(1000 + s)
         X = rng.standard_normal((100, 3))
         Y = rng.standard_normal(100)
-        ds = validate_dataset(X, Y)
+        ds = validate_dataset(X, Y, folds=5, fold_seed=s)
         lam_max = 2.0 * np.abs(ds.xty).max()
         grid = lam_max * np.array([1.2, 1.6, 2.0])
-        lam = cross_validate_lambda(ds, grid=grid, folds=5, seed=s)
+        lam = cross_validate_lambda(ds, grid=grid)
         hits += lam == grid.max()
     assert hits >= 90
 
@@ -556,16 +581,16 @@ def test_cv_duplicate_rows_seed_independent():
     row = np.array([1.0, -0.5])
     X = np.tile(row, (12, 1))
     Y = np.full(12, 0.7)
-    ds = validate_dataset(X, Y)
     grid = np.array([0.01, 0.1, 1.0])
-    picks = {cross_validate_lambda(ds, grid=grid, folds=4, seed=s) for s in range(6)}
+    picks = {cross_validate_lambda(validate_dataset(X, Y, folds=4, fold_seed=s), grid=grid)
+             for s in range(6)}
     assert len(picks) == 1
 
 
 def test_cv_insufficient_rows():
-    ds = validate_dataset(np.ones((3, 1)), np.ones(3))
+    ds = validate_dataset(np.ones((3, 1)), np.ones(3), folds=5)
     with pytest.raises(InsufficientData):
-        cross_validate_lambda(ds, grid=np.array([0.1]), folds=5)
+        cross_validate_lambda(ds, grid=np.array([0.1]))
 
 
 def test_cv_grid_validation():
@@ -578,26 +603,26 @@ def test_cv_grid_validation():
         with pytest.raises(ValueError,
                            match=re.escape(f"grid values must be positive and finite, {message}")):
             cross_validate_lambda(ds, grid=np.array(grid))
-    with pytest.raises(ValueError):
-        cross_validate_lambda(ds, grid=np.array([0.1]), folds=1)
+    with pytest.raises(ValueError, match="folds must be at least 2"):
+        validate_dataset(np.ones((20, 1)), np.ones(20), folds=1)
 
 
 def test_cv_tie_breaks_to_larger_lambda():
     # duplicate grid values force an exact tie
     rng = np.random.default_rng(5)
     X = rng.standard_normal((30, 2))
-    ds = validate_dataset(X, rng.standard_normal(30))
-    lam = cross_validate_lambda(ds, grid=np.array([0.2, 0.2]), folds=5)
+    ds = validate_dataset(X, rng.standard_normal(30), folds=5)
+    lam = cross_validate_lambda(ds, grid=np.array([0.2, 0.2]))
     assert lam == 0.2
 
 
 def reference_folds(n, folds, seed):
-    # the fold assignment cross-validation has always used
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5CF0)))
-    return np.array_split(rng.permutation(n), folds)
+    # the rows of each fold, as the dataset assigns them
+    labels = fold_labels_reference(n, folds, seed)
+    return [np.flatnonzero(labels == k) for k in range(folds)]
 
 
-def cv_dataset(case, seed):
+def cv_rows(case, seed):
     # 40 x 4; "duplicate_rows" holds every row twice
     rng = np.random.default_rng(seed)
     if case == "duplicate_rows":
@@ -609,7 +634,7 @@ def cv_dataset(case, seed):
         Y = Y + 0.8 * rng.standard_normal(40)
     if case == "zero_response":
         Y = np.zeros(40)
-    return validate_dataset(X, Y)
+    return X, Y
 
 
 CV_CASES = [(case, s) for case in ("noisy", "duplicate_rows", "exact_fit") for s in range(6)] \
@@ -618,12 +643,13 @@ CV_CASES = [(case, s) for case in ("noisy", "duplicate_rows", "exact_fit") for s
 
 @pytest.mark.parametrize("case, seed", CV_CASES[::3])
 def test_cv_gram_errors_match_direct_residuals(case, seed):
-    ds = cv_dataset(case, seed)
+    X, Y = cv_rows(case, seed)
     folds = 5 + seed % 6
-    G, c, sizes, yy = _fold_statistics(ds, folds, seed)
+    ds = validate_dataset(X, Y, folds=folds, fold_seed=seed)
+    G, c, sizes, yy = ds.fold_gram, ds.fold_xty, ds.fold_n, ds.yty
     chunks = reference_folds(ds.n, folds, seed)
     assert sizes.tolist() == [idx.size for idx in chunks]
-    total = float(ds.Y @ ds.Y)
+    total = float(Y @ Y)
     assert yy == pytest.approx(total, rel=1e-12, abs=0.0)
     rng = np.random.default_rng(seed)
     Qs = (ds.gram * ds.n - G) / (ds.n - sizes)[:, None, None]
@@ -631,7 +657,7 @@ def test_cv_gram_errors_match_direct_residuals(case, seed):
     lam = 0.1 * float(np.abs(Bs).max()) + 1e-3  # leaves some coordinates active
     fitted, _ = _solve(Qs, Bs, lam, np.zeros(ds.p), np.zeros((folds, ds.p)))
     for U in (fitted, rng.standard_normal((folds, ds.p)), np.zeros((folds, ds.p))):
-        direct = cv_errors_reference(ds.X, ds.Y, chunks, U)
+        direct = cv_errors_reference(X, Y, chunks, U)
         # rounding scales with the larger of the cancelling terms
         assert abs(_held_out_error(U, G, c, yy) - direct) <= 1e-10 * max(total, direct)
 
@@ -715,7 +741,7 @@ def test_cv_path_newton_step_carries_most_solves(monkeypatch):
     X = rng.standard_normal((400, 20))
     theta = np.zeros(20)
     theta[:5] = (-2.0, -1.5, 0.5, 1.0, 2.0)
-    ds = validate_dataset(X, X @ theta + rng.standard_normal(400))
+    ds = validate_dataset(X, X @ theta + rng.standard_normal(400), folds=10, fold_seed=3)
     swept = []
     sweep = projection._sweep
 
@@ -724,7 +750,7 @@ def test_cv_path_newton_step_carries_most_solves(monkeypatch):
         return sweep(Q, B, U, lam, signs)
 
     monkeypatch.setattr(projection, "_sweep", counting_sweep)
-    cross_validate_lambda(ds, folds=10, seed=3)
+    cross_validate_lambda(ds)
     solves = default_lambda_grid(ds).size * 10
     # each fold a sweep touches counts once per sweep, so this bounds the
     # number of solves that took any sweep: at least nine in ten take none
@@ -734,12 +760,13 @@ def test_cv_path_newton_step_carries_most_solves(monkeypatch):
 def test_cv_no_convergence_names_grid_point_and_folds(monkeypatch):
     rng = np.random.default_rng(8)
     X = rng.standard_normal((60, 4))
-    ds = validate_dataset(X, X @ np.array([1.0, 0.0, -0.5, 0.0]) + 0.3 * rng.standard_normal(60))
+    ds = validate_dataset(X, X @ np.array([1.0, 0.0, -0.5, 0.0]) + 0.3 * rng.standard_normal(60),
+                          folds=5)
     grid = default_lambda_grid(ds, num=8)
     solver_limits(monkeypatch, tol=1e-300, max_sweeps=1)
     with pytest.raises(NoConvergence) as exc:
         # given ascending, the index still counts in the descending grid
-        cross_validate_lambda(ds, grid=grid[::-1], folds=5)
+        cross_validate_lambda(ds, grid=grid[::-1])
     msg = str(exc.value)
     m = re.match(r"CV path at lambda\[(\d+)\]=(\S+): residual ", msg)
     assert m, msg
@@ -752,8 +779,9 @@ def test_cv_no_convergence_names_grid_point_and_folds(monkeypatch):
 def test_cv_choice_matches_direct_residual_reference(case, seed):
     # reference: exact fold solutions by sign enumeration on Grams built from
     # the training rows, scored on the held-out rows
-    ds = cv_dataset(case, seed)
+    X, Y = cv_rows(case, seed)
     folds = 5 + seed % 6
+    ds = validate_dataset(X, Y, folds=folds, fold_seed=seed)
     grid = default_lambda_grid(ds, num=15)
     chunks = reference_folds(ds.n, folds, seed)
     errs = []
@@ -761,13 +789,13 @@ def test_cv_choice_matches_direct_residual_reference(case, seed):
         U = np.empty((folds, ds.p))
         for k, idx in enumerate(chunks):
             train = np.setdiff1d(np.arange(ds.n), idx)
-            Xtr, Ytr = ds.X[train], ds.Y[train]
+            Xtr, Ytr = X[train], Y[train]
             U[k], _ = enumerate_min(Xtr.T @ Xtr / train.size, Xtr.T @ Ytr / train.size,
                                     float(lam), np.zeros(ds.p))
-        errs.append(cv_errors_reference(ds.X, ds.Y, chunks, U))
+        errs.append(cv_errors_reference(X, Y, chunks, U))
     errs = np.array(errs)
     expected = grid[errs <= errs.min()].max()
-    assert cross_validate_lambda(ds, grid=grid, folds=folds, seed=seed) == expected
+    assert cross_validate_lambda(ds, grid=grid) == expected
 
 
 def test_default_grid_shape():

@@ -18,6 +18,7 @@ from sparseproj.simulate import (
     run_replication,
     run_scenario,
     signal_vector,
+    simulate_rows,
     sparsity_sweep,
     sweep_to_csv,
 )
@@ -80,8 +81,7 @@ def test_signal_vector_layout():
 
 def test_ar1_lag_one_correlation():
     sc = make_scenario(n=100_000, p=3, design="ar1", rho=0.7, replications=1)
-    ds = generate_data(sc, 0)
-    X = ds.X
+    X, _ = simulate_rows(sc, 0)
     for k in (0, 1):
         corr = np.corrcoef(X[:, k], X[:, k + 1])[0, 1]
         assert corr == pytest.approx(0.7, abs=0.01)
@@ -90,7 +90,7 @@ def test_ar1_lag_one_correlation():
 
 def test_independent_columns_uncorrelated():
     sc = make_scenario(n=100_000, p=3, replications=1)
-    X = generate_data(sc, 0).X
+    X, _ = simulate_rows(sc, 0)
     corr = np.corrcoef(X, rowvar=False)
     off = corr[~np.eye(3, dtype=bool)]
     assert np.abs(off).max() < 0.01
@@ -98,7 +98,7 @@ def test_independent_columns_uncorrelated():
 
 def test_null_signal_response_variance():
     sc = make_scenario(n=100_000, p=2, theta0=np.zeros(2), replications=1)
-    Y = generate_data(sc, 0).Y
+    _, Y = simulate_rows(sc, 0)
     assert Y.var() == pytest.approx(1.0, abs=0.02)
     assert Y.mean() == pytest.approx(0.0, abs=0.02)
 
@@ -107,10 +107,16 @@ def test_generate_data_deterministic():
     sc = make_scenario()
     a = generate_data(sc, 1)
     b = generate_data(sc, 1)
-    np.testing.assert_array_equal(a.X, b.X)
-    np.testing.assert_array_equal(a.Y, b.Y)
+    for name in ("gram", "xty", "yty", "fold_gram", "fold_xty", "fold_n"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     c = generate_data(sc, 2)
-    assert not np.array_equal(a.X, c.X)
+    assert not np.array_equal(a.gram, c.gram)
+    # one block: the Gram carries the bits of X'X itself
+    X, Y = simulate_rows(sc, 1)
+    gram = X.T @ X / sc.n
+    np.testing.assert_array_equal(a.gram, 0.5 * (gram + gram.T))
+    np.testing.assert_array_equal(a.xty, X.T @ Y / sc.n)
+    assert a.fold_n.size == sc.cv_folds
 
 
 # --- run_replication ---------------------------------------------------------

@@ -49,7 +49,7 @@ def test_validate_dataset_rejects_empty():
 
 def test_dataset_arrays_are_read_only():
     ds = validate_dataset(np.eye(3), np.arange(3.0))
-    for arr in (ds.X, ds.Y, ds.gram, ds.xty):
+    for arr in (ds.gram, ds.xty, ds.fold_gram, ds.fold_xty, ds.fold_n):
         with pytest.raises(ValueError):
             arr[0] = 99.0
 
@@ -59,7 +59,9 @@ def test_dataset_copies_input():
     Y = np.ones(2)
     ds = validate_dataset(X, Y)
     X[0, 0] = 7.0
-    assert ds.X[0, 0] == 1.0
+    Y[1] = 3.0
+    np.testing.assert_array_equal(ds.gram, np.eye(2) / 2)
+    np.testing.assert_array_equal(ds.xty, [0.5, 0.5])
 
 
 def test_errors_share_base_class():
@@ -101,6 +103,9 @@ def test_norm_selector_validation():
 
 
 def test_dataset_direct_construction_freezes():
-    ds = Dataset(n=1, p=1, X=np.array([[2.0]]), Y=np.array([1.0]),
-                 gram=np.array([[4.0]]), xty=np.array([2.0]))
-    assert not ds.gram.flags.writeable
+    ds = Dataset(n=1, p=1, gram=np.array([[4.0]]), xty=np.array([2.0]), yty=1.0,
+                 fold_gram=np.zeros((2, 1, 1)), fold_xty=np.zeros((2, 1)), fold_n=[1, 0])
+    assert not ds.gram.flags.writeable and not ds.fold_n.flags.writeable
+    with pytest.raises(DimensionMismatch):
+        Dataset(n=1, p=1, gram=np.array([[4.0]]), xty=np.array([2.0]), yty=1.0,
+                fold_gram=np.zeros((2, 1, 1)), fold_xty=np.zeros((3, 1)), fold_n=[1, 0])
