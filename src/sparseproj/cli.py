@@ -119,10 +119,11 @@ _seed_flag = _checked("--seed", "an integer >= 0", lambda k: k >= 0, kind=int)
 def cmd_fit(args) -> int:
     state = np.random.SeedSequence((int(args.seed), 0xF17)).generate_state(2)
     cv_seed, post_seed = int(state[0]), int(state[1])
+    cv = args.lambda_n == "auto"
     ds, names = dataset_from_csv(args.data, args.response, standardize=args.standardize,
-                                 fold_seed=cv_seed)
+                                 folds=10 if cv else 0, fold_seed=cv_seed)
 
-    if args.lambda_n == "auto":
+    if cv:
         # half the CV minimizer: the penalty is taken on the classical
         # (2n)-normalized LASSO scale (see the same rule in the harness)
         lam = 0.5 * cross_validate_lambda(ds)

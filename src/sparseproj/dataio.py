@@ -64,16 +64,18 @@ def read_csv(path: str, response: str,
 
 
 def dataset_from_csv(path: str, response: str, standardize: bool = False,
-                     folds: int = 10, fold_seed: int = 0) -> tuple[Dataset, list[str]]:
+                     folds: int = 0, fold_seed: int = 0) -> tuple[Dataset, list[str]]:
     """Read a CSV as read_csv does, straight into a Dataset with `folds` CV
-    folds drawn from fold_seed, and return it with the predictor names.
+    folds (0 for none) drawn from fold_seed, and return it with the
+    predictor names.
 
     Each parsed block goes to a DatasetAccumulator and is dropped, so no
     buffer grows with the number of rows.  With standardize, the predictors
     are centered and scaled by their mean and population standard deviation
     as read_csv does, from the statistics of the rows shifted by the first
-    data row (no one-pass cancellation for a column whose mean is large
-    against its spread); a constant column raises CsvFormatError naming it.
+    data row, response included (no one-pass cancellation for a column whose
+    mean is large against its spread); a constant column raises
+    CsvFormatError naming it.
     """
     with _open_csv(path) as fh:
         header, y_col, first_line = _read_header(fh, path, response)
@@ -83,26 +85,25 @@ def dataset_from_csv(path: str, response: str, standardize: bool = False,
         acc = DatasetAccumulator(len(names) + standardize, folds, fold_seed)
         shift = None
         for block in _blocks(fh, path, header, first_line):
-            Y = block[:, y_col]
-            X = np.delete(block, y_col, axis=1)
             if standardize:
-                shift = X[0].copy() if shift is None else shift
-                X = np.column_stack([X - shift, np.ones(X.shape[0])])
-            acc.add(X, Y)
+                shift = block[0].copy() if shift is None else shift
+                block = np.column_stack([block - shift, np.ones(block.shape[0])])
+            acc.add(np.delete(block, y_col, axis=1), block[:, y_col])
     ds = acc.dataset()
-    return (_standardized(ds, path, names) if standardize else ds), names
+    return (_standardized(ds, path, names, float(shift[y_col])) if standardize else ds), names
 
 
-def _standardized(ds: Dataset, path: str, names: list[str]) -> Dataset:
-    """The Dataset of the standardized predictors, from ds, whose columns are
-    the predictors shifted by a reference row then a column of ones.
+def _standardized(ds: Dataset, path: str, names: list[str], y0: float) -> Dataset:
+    """The Dataset of the standardized predictors, from ds, whose rows are
+    the predictors and the response shifted by a reference row (s, y0) and
+    whose columns are those predictors then a column of ones.
 
-    With Z = X - 1s' the shifted rows and d = Z'1/n their mean, the centered
-    predictors are Z - 1d', so X_c'X_c/n = Z'Z/n - dd' and X_c'Y/n =
-    Z'Y/n - d*mean(Y), and per fold X_ck'X_ck = Z_k'Z_k - t_k d' - d t_k' +
-    n_k dd' with t_k = Z_k'1 and X_ck'Y_k = Z_k'Y_k - d*sum(Y_k); the ones
-    column holds d, t_k, mean(Y) and sum(Y_k).  Every term is of the size of
-    the spread around s, not of the raw values.
+    With Z = X - 1s', V = Y - y0 1 and d = Z'1/n, the centered predictors
+    are Z - 1d', so X_c'X_c/n = Z'Z/n - dd', X_c'Y/n = Z'V/n - d*mean(V)
+    and Y'Y = V'V + 2 y0 sum(V) + n y0^2, and per fold X_ck'X_ck = Z_k'Z_k
+    - t_k d' - d t_k' + n_k dd' with t_k = Z_k'1 and X_ck'Y_k = Z_k'V_k -
+    d*sum(V_k) + y0 (t_k - n_k d); the ones column holds d, t_k, mean(V)
+    and sum(V_k).  No difference cancels terms of the raw values' size.
     """
     p = ds.p - 1
     d = ds.gram[:p, p]
@@ -115,9 +116,11 @@ def _standardized(ds: Dataset, path: str, names: list[str]) -> Dataset:
     dd = np.outer(d, d)
     fold_gram = (ds.fold_gram[:, :p, :p] - t[:, :, None] * d - d[:, None] * t[:, None, :]
                  + ds.fold_n[:, None, None] * dd) / scale
-    fold_xty = (ds.fold_xty[:, :p] - ds.fold_xty[:, p, None] * d) / sd
+    fold_xty = (ds.fold_xty[:, :p] - ds.fold_xty[:, p, None] * d
+                + y0 * (t - ds.fold_n[:, None] * d)) / sd
     return Dataset(n=ds.n, p=p, gram=(ds.gram[:p, :p] - dd) / scale,
-                   xty=(ds.xty[:p] - ds.xty[p] * d) / sd, yty=ds.yty,
+                   xty=(ds.xty[:p] - ds.xty[p] * d) / sd,
+                   yty=ds.yty + ds.n * y0 * (2.0 * ds.xty[p] + y0),
                    fold_gram=fold_gram, fold_xty=fold_xty, fold_n=ds.fold_n)
 
 

@@ -27,4 +27,5 @@ class DegenerateDiagonal(SparseProjError):
 
 
 class InsufficientData(SparseProjError):
-    """Not enough rows for the requested operation (e.g. fewer rows than folds)."""
+    """Not enough rows or statistics for the requested operation (e.g. fewer
+    rows than folds, or cross-validation on a dataset built without folds)."""

@@ -197,10 +197,12 @@ def _rep_streams(seed: int, rep_index: int) -> tuple[np.random.Generator, int, i
 def generate_data(scenario: Scenario, rep_index: int) -> Dataset:
     """Simulate one dataset for the scenario, deterministic in (seed,
     rep_index), with scenario.cv_folds CV folds drawn from the replication's
-    CV stream."""
+    CV stream when the replication cross-validates (lambda_n is None), and
+    none otherwise."""
     X, Y = simulate_rows(scenario, rep_index)
     _, cv_seed, _ = _rep_streams(scenario.seed, rep_index)
-    return validate_dataset(X, Y, folds=scenario.cv_folds, fold_seed=cv_seed)
+    folds = scenario.cv_folds if scenario.lambda_n is None else 0
+    return validate_dataset(X, Y, folds=folds, fold_seed=cv_seed)
 
 
 def simulate_rows(scenario: Scenario, rep_index: int) -> tuple[np.ndarray, np.ndarray]:

@@ -28,8 +28,9 @@ class Dataset:
     gram is C_n = X'X/n, xty is X'Y/n and yty is Y'Y.  Over the rows X_k,
     Y_k of cross-validation fold k (as DatasetAccumulator assigns rows),
     fold_gram[k] = X_k'X_k and fold_xty[k] = X_k'Y_k, unnormalized, and
-    fold_n[k] is the row count.  The posterior, the projection, the levels
-    and CV read only these, so neither X nor Y is kept.
+    fold_n[k] is the row count; a dataset built without folds has K = 0.
+    The posterior, the projection, the levels and CV read only these, so
+    neither X nor Y is kept.
     """
 
     n: int
@@ -57,23 +58,26 @@ class Dataset:
 class DatasetAccumulator:
     """Running cross products of rows fed in blocks, split into CV folds.
 
-    A row's fold comes from one stream seeded by (fold_seed, 0x5CF0): each
-    run of `folds` consecutive rows takes a uniformly random permutation of
-    0..folds-1 (the stable argsort of `folds` uniform draws).  So fold sizes
-    differ by at most one, and every row's fold, hence every statistic up
-    to rounding, is the same for any split of the rows into blocks.  The
-    total Gram is one X'X product per block, never a sum of fold Grams, so
-    a dataset fed as one block gets the bits of X'X itself.  Nothing kept
-    here grows with the number of rows.
+    Only cross-validation reads the fold statistics, so its caller asks
+    for them; with folds = 0 none are kept.  A row's fold comes from one
+    stream seeded by (fold_seed, 0x5CF0): each run of `folds` consecutive
+    rows takes a uniformly random permutation of 0..folds-1 (the stable
+    argsort of `folds` uniform draws).  So fold sizes differ by at most one,
+    and every row's fold, hence every statistic up to rounding, is the same
+    for any split of the rows into blocks.  The total Gram is one X'X
+    product per block, never a sum of fold Grams, so a dataset fed as one
+    block gets the bits of X'X itself.  Nothing kept here grows with the
+    number of rows.
     """
 
-    def __init__(self, p: int, folds: int = 10, fold_seed: int = 0):
+    def __init__(self, p: int, folds: int = 0, fold_seed: int = 0):
         if p < 1:
             raise DimensionMismatch(f"need p >= 1 predictors, got {p}")
-        if folds < 2:
-            raise ValueError(f"folds must be at least 2, got {folds}")
+        if folds < 0 or folds == 1:
+            raise ValueError(f"folds must be at least 2, or 0 for none, got {folds}")
         self.p, self.folds, self.n = p, folds, 0
-        self._rng = np.random.default_rng(np.random.SeedSequence((int(fold_seed), 0x5CF0)))
+        if folds:
+            self._rng = np.random.default_rng(np.random.SeedSequence((int(fold_seed), 0x5CF0)))
         self._pending = np.empty(0, dtype=np.intp)  # labels drawn for rows not yet fed
         self.xtx = np.zeros((p, p))
         self.xty = np.zeros(p)
@@ -100,6 +104,8 @@ class DatasetAccumulator:
         self.xty += X.T @ Y
         self.yty += float(Y @ Y)
         self.n += X.shape[0]
+        if not self.folds:
+            return
         labels = self._labels(X.shape[0])
         order = np.argsort(labels, kind="stable")
         Xs, Ys = X[order], Y[order]
@@ -121,10 +127,11 @@ class DatasetAccumulator:
                        fold_gram=self.fold_gram, fold_xty=self.fold_xty, fold_n=self.fold_n)
 
 
-def validate_dataset(X: np.ndarray, Y: np.ndarray, folds: int = 10,
+def validate_dataset(X: np.ndarray, Y: np.ndarray, folds: int = 0,
                      fold_seed: int = 0) -> Dataset:
     """Check finiteness, then build the Dataset of X and Y, fed as one block
-    to a DatasetAccumulator with `folds` CV folds drawn from fold_seed.
+    to a DatasetAccumulator with `folds` CV folds (0 for none) drawn from
+    fold_seed.
 
     Raises NonFiniteInput on any NaN or infinity, and DimensionMismatch if
     X has no row or column or rows(X) != len(Y).

@@ -12,9 +12,9 @@ held-out rows themselves, and fold_labels_reference assigns CV folds one run
 of rows at a time, as the streamed dataset must.  kkt_batch_reference is the
 branch-per-case KKT certificate that the package's fused one must match bit
 for bit.
-cd_multi_reference is the plain batched coordinate descent that once solved
-the cross-validation path; the sign-pattern Newton path solver is judged
-against it by objective value and KKT residual.  It borrows only the
+cd_multi_reference is plain batched coordinate descent, one Q per row; the
+exact LASSO path behind the CV folds and the center is judged against it by
+objective value and KKT residual.  It borrows only the
 package's KKT certificate, which kkt_batch_reference pins.  sample_xi is
 different: it solves the limit experiment's xi for one draw alone through
 the package's limit solver, the reference for row 0 of the merged xi/T*
@@ -205,8 +205,8 @@ def cd_multi_reference(Qs: np.ndarray, Bs: np.ndarray, lam: float, U0: np.ndarra
                        tol: float, max_sweeps: int) -> np.ndarray:
     """Unsigned coordinate descent across problems with distinct Q per row.
 
-    Qs is (K, p, p), Bs and U0 are (K, p); used by the cross-validation path
-    where each fold owns its own Gram matrix.
+    Qs is (K, p, p), Bs and U0 are (K, p): the reference for the path
+    solutions of CV folds, each with its own Gram matrix, and of the center.
     """
     diag = np.einsum("kjj->kj", Qs).copy()
     if np.any(diag <= 0.0):

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -370,6 +371,34 @@ def test_standardize_large_mean_matches_two_pass(tmp_path):
         assert ds.yty == pytest.approx(yty, rel=1e-12)
 
 
+def test_standardize_xty_exact_at_large_response_mean(tmp_path):
+    # mean(Y) about 5e5 with unit spread: X_c'Y/n formed from the unshifted
+    # Y cancels about ten digits (6.7e-10 relative); the reference is exact
+    # rational sums over the parsed values, scaled by the rounded sd
+    rng = np.random.default_rng(12)
+    n = 200
+    X = rng.standard_normal((n, 3)) + np.array([3.0, -1.0, 0.5])
+    Y = 5e5 + X @ np.array([0.4, 0.0, -0.3]) + rng.standard_normal(n)
+    path = tmp_path / "ymean.csv"
+    write_csv(path, X, Y)
+    ds, _ = dataset_from_csv(str(path), "y", standardize=True, folds=4, fold_seed=3)
+    Xf = [[Fraction(v) for v in row] for row in X.tolist()]
+    Yf = [Fraction(v) for v in Y.tolist()]
+    cols = list(zip(*Xf))
+    mean = [sum(col) / n for col in cols]
+    sd = [math.sqrt(sum((v - m) ** 2 for v in col) / n) for col, m in zip(cols, mean)]
+
+    def centered_xty(rows):
+        return np.array([float(sum((Xf[i][j] - mean[j]) * Yf[i] for i in rows)) / sd[j]
+                         for j in range(3)])
+
+    labels = fold_labels_reference(n, 4, 3)
+    for got, want in ((ds.xty, centered_xty(range(n)) / n),
+                      (ds.fold_xty, [centered_xty(np.flatnonzero(labels == k)) for k in range(4)])):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert ds.yty == pytest.approx(float(sum(y * y for y in Yf)), rel=1e-14)
+
+
 def test_dataset_from_csv_standardize_constant_column(tmp_path):
     path = tmp_path / "flat.csv"
     path.write_text("b,a,y\n1,1e6,1\n2,1e6,2\n", encoding="utf-8")
@@ -493,7 +522,7 @@ def test_cli_fit_target_calibrates_levels(tmp_path, demo_csv):
     doc = json.loads(out.read_text(encoding="utf-8"))
 
     state = np.random.SeedSequence((3, 0xF17)).generate_state(2)
-    ds, _ = dataset_from_csv(str(path), "y", fold_seed=int(state[0]))
+    ds, _ = dataset_from_csv(str(path), "y", folds=10, fold_seed=int(state[0]))
     lam = 0.5 * cross_validate_lambda(ds)
     assert doc["lambda_n"] == pytest.approx(lam, rel=1e-12)
     assert doc["lambda0"] == pytest.approx(lam * math.sqrt(30), rel=1e-12)
@@ -508,6 +537,38 @@ def test_cli_fit_target_calibrates_levels(tmp_path, demo_csv):
             c_j=float(ds.gram[j, j]), sigma0=sigma_hat)).gamma_level
         assert iv["level"] == pytest.approx(expect, abs=1e-12)
         assert iv["lo"] <= iv["estimate"] <= iv["hi"]
+
+
+def test_cli_fit_builds_folds_only_for_cv(tmp_path, demo_csv):
+    path, _, _ = demo_csv
+    folds = []
+
+    def recording(*args, **kwargs):
+        folds.append(kwargs["folds"])
+        return dataset_from_csv(*args, **kwargs)
+
+    with mock.patch("sparseproj.cli.dataset_from_csv", recording):
+        for lam in ("0.1", "auto"):
+            assert main(["fit", "--data", str(path), "--response", "y", "--level", "0.9",
+                         "--lambda", lam, "--draws", "50",
+                         "--out", str(tmp_path / "fit.json")]) == 0
+    assert folds == [0, 10]
+
+
+def test_cli_fit_auto_lambda_when_n_below_p(tmp_path):
+    # 40 rows, 60 predictors, three signals: every CV fold's Gram is singular
+    rng = np.random.default_rng(40)
+    X = rng.standard_normal((40, 60))
+    theta = np.zeros(60)
+    theta[:3] = (2.0, -1.5, 1.0)
+    path = tmp_path / "wide.csv"
+    write_csv(path, X, X @ theta + rng.standard_normal(40))
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--data", str(path), "--response", "y", "--target", "0.95",
+                 "--lambda", "auto", "--draws", "200", "--seed", "1", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["p"] == 60 and doc["lambda_n"] > 0.0
+    assert doc["diagnostics"]["max_kkt_residual"] <= 1e-10
 
 
 def test_cli_fit_level_target_exclusive(capsys):
@@ -796,7 +857,7 @@ def test_console_script_usage_error():
 DELETED_API = {
     "projection": ("QuadL1Problem", "solve_quad_l1", "kkt_check", "objective_value",
                    "_kkt_batch", "SolverSettings", "_cd_shared", "_cd_sweep",
-                   "_newton_cd_solve"),
+                   "_newton_cd_solve", "_newton_step", "_residual"),
     "regions": ("ProjectedSample", "radius_quantile", "_distances", "_warn_degenerate",
                 "minkowski_norm", "rectangle_levels"),
     "calibration": ("h_minus",),

@@ -18,8 +18,8 @@ from oracles import (_soft, cd_multi_reference, cv_errors_reference, enumerate_m
 from sparseproj import projection
 from sparseproj.errors import DegenerateDiagonal, InsufficientData, NoConvergence
 from sparseproj.projection import (
-    _newton_step,
     _held_out_error,
+    _lasso_path,
     _solve,
     cross_validate_lambda,
     default_lambda_grid,
@@ -211,12 +211,6 @@ def test_degenerate_diagonal_raises():
         solve_one(Q, np.ones(2), 0.1)
 
 
-def test_stacked_q_rejects_signed_coordinates():
-    # the per-row Newton step assumes unsigned coordinates
-    with pytest.raises(ValueError, match="unsigned coordinates only"):
-        _solve(np.eye(2)[None], np.ones((1, 2)), 0.1, np.array([1.0, 0.0]), np.zeros((1, 2)))
-
-
 def test_no_convergence_raises(monkeypatch):
     rng = np.random.default_rng(3)
     Q = random_spd(rng, 4, cond_cap=200.0)
@@ -291,7 +285,7 @@ def test_fit_lasso_n200_p5_vs_enumeration():
        p=st.integers(min_value=1, max_value=7),
        shape=st.sampled_from(["tall", "short", "duplicate"]),
        frac=st.floats(min_value=0.01, max_value=1.2))
-def test_fit_lasso_newton_center_matches_cd(seed, p, shape, frac):
+def test_fit_lasso_path_center_matches_cd(seed, p, shape, frac):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, p)) if shape == "short" and p > 1 else p + 5
     X = rng.standard_normal((n, p))
@@ -302,7 +296,8 @@ def test_fit_lasso_newton_center_matches_cd(seed, p, shape, frac):
     with pytest.MonkeyPatch.context() as mp:
         solver_limits(mp, tol=1e-12, max_sweeps=100_000)
         u = fit_lasso(ds, lam)
-        ref, _ = solve_one(ds.gram, ds.xty, lam)
+    ref = cd_multi_reference(ds.gram[None], ds.xty[None], lam, np.zeros((1, p)),
+                             1e-12, 100_000)[0]
     zero = np.zeros(p)
     assert kkt_batch_reference(ds.gram, ds.xty[None], lam, zero, u[None])[0] <= 1e-12
     # rounding scales with the larger of the cancelling terms
@@ -453,52 +448,24 @@ def test_cd_shared_same_bits_for_row_and_column_major_inputs(seed, p, m, lam, si
     assert kkt_c.max() <= 1e-10
 
 
-@hyp_settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
-       st.integers(min_value=1, max_value=7), st.integers(min_value=1, max_value=6),
-       st.floats(min_value=0.01, max_value=2.0), st.booleans())
-def test_solve_shared_and_stacked_q_reach_same_objective(seed, p, m, lam, warm):
-    # one Q shared by the batch (sweeps alone) against the same Q once per
-    # row (Newton steps, then sweeps): both certified, same objective per row
-    rng = np.random.default_rng(seed)
-    Q = random_spd(rng, p)
-    signs = np.zeros(p)
-    B = 2.0 * rng.standard_normal((m, p))
-    U0 = rng.standard_normal((m, p)) if warm else np.zeros((m, p))
-    shared, kkt_shared = _solve(Q, B, lam, signs, U0)
-    stacked, kkt_stacked = _solve(np.broadcast_to(Q, (m, p, p)), B, lam, signs, U0)
-    for U, kkt in ((shared, kkt_shared), (stacked, kkt_stacked)):
-        assert kkt.max() <= 1e-10
-        assert kkt_batch_reference(Q, B, lam, signs, U).max() <= 1e-10
-    for i in range(m):
-        f_shared = objective(Q, B[i], lam, signs, shared[i])
-        f_stacked = objective(Q, B[i], lam, signs, stacked[i])
-        # rounding scales with the larger of the cancelling terms
-        scale = max(abs(u @ Q @ u) + 2.0 * abs(u @ B[i]) + lam * np.abs(u).sum()
-                    for u in (shared[i], stacked[i]))
-        assert abs(f_shared - f_stacked) <= 1e-12 * scale
-
-
 @hyp_settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
        st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=9),
-       st.floats(min_value=0.0, max_value=3.0), st.booleans(), st.booleans())
-def test_sweep_matches_soft_threshold_reference(seed, p, m, lam, stacked, signed):
+       st.floats(min_value=0.0, max_value=3.0), st.booleans())
+def test_sweep_matches_soft_threshold_reference(seed, p, m, lam, signed):
     # the in-place sweep against the plain formula it replaced,
     # U_j = soft(B_j - UQ_j + U_j Q_jj, lam/2) / Q_jj, coordinate by coordinate
     rng = np.random.default_rng(seed)
-    Q = np.stack([random_spd(rng, p) for _ in range(m)]) if stacked else random_spd(rng, p)
-    signs = rng.choice([-1.0, 0.0, 1.0], size=p) if signed and not stacked else np.zeros(p)
+    Q = random_spd(rng, p)
+    signs = rng.choice([-1.0, 0.0, 1.0], size=p) if signed else np.zeros(p)
     B = 2.0 * rng.standard_normal((m, p))
     U0 = np.where(rng.random((m, p)) < 0.5, rng.standard_normal((m, p)), 0.0)
     # the same memory order on both sides, as BLAS rounds by layout
-    U = U0.copy() if stacked else np.asfortranarray(U0)
+    U = np.asfortranarray(U0)
     want = U.copy(order="K")
     for j in range(p):
-        Qj = Q[..., j]
-        uq = np.einsum("kp,kp->k", want, Qj) if stacked else want @ Qj
-        d = Q[:, j, j] if stacked else Q[j, j]
-        r = B[:, j] - uq + want[:, j] * d
+        d = Q[j, j]
+        r = B[:, j] - want @ Q[:, j] + want[:, j] * d
         want[:, j] = (_soft(r, 0.5 * lam) if signs[j] == 0 else r - 0.5 * lam * signs[j]) / d
     projection._sweep(Q, B, U, lam, signs)
     assert np.array_equal(U, want)
@@ -556,7 +523,7 @@ def test_cd_shared_sweeps_allocate_no_batch_sized_array():
 def test_cv_single_value_grid():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((40, 3))
-    ds = validate_dataset(X, rng.standard_normal(40))
+    ds = validate_dataset(X, rng.standard_normal(40), folds=10)
     assert cross_validate_lambda(ds, grid=np.array([0.37])) == 0.37
 
 
@@ -594,7 +561,7 @@ def test_cv_insufficient_rows():
 
 
 def test_cv_grid_validation():
-    ds = validate_dataset(np.ones((20, 1)), np.ones(20))
+    ds = validate_dataset(np.ones((20, 1)), np.ones(20), folds=10)
     with pytest.raises(ValueError):
         cross_validate_lambda(ds, grid=np.array([]))
     for grid, message in (([0.1, -0.2], "got -0.2 at index 1"),
@@ -655,11 +622,12 @@ def test_cv_gram_errors_match_direct_residuals(case, seed):
     Qs = (ds.gram * ds.n - G) / (ds.n - sizes)[:, None, None]
     Bs = (ds.xty * ds.n - c) / (ds.n - sizes)[:, None]
     lam = 0.1 * float(np.abs(Bs).max()) + 1e-3  # leaves some coordinates active
-    fitted, _ = _solve(Qs, Bs, lam, np.zeros(ds.p), np.zeros((folds, ds.p)))
+    fitted = np.array([_lasso_path(Qs[k], Bs[k], np.array([lam]))[0] for k in range(folds)])
     for U in (fitted, rng.standard_normal((folds, ds.p)), np.zeros((folds, ds.p))):
         direct = cv_errors_reference(X, Y, chunks, U)
+        pooled = yy + sum(float(_held_out_error(U[k:k + 1], G[k], c[k])[0]) for k in range(folds))
         # rounding scales with the larger of the cancelling terms
-        assert abs(_held_out_error(U, G, c, yy) - direct) <= 1e-10 * max(total, direct)
+        assert abs(pooled - direct) <= 1e-10 * max(total, direct)
 
 
 def random_fold_problems(rng, folds, p, n_tr, duplicate):
@@ -689,19 +657,18 @@ def random_fold_problems(rng, folds, p, n_tr, duplicate):
 # a step of size 1e16 with matching signs, taken again after every sweep
 @example(seed=224561, folds=3, p=4, shape="short", frac=0.03125, warm=False)
 def test_cv_path_step_matches_cd_reference(seed, folds, p, shape, frac, warm):
+    # each fold's path read at lam, or at 1.5*lam then lam, against
+    # coordinate descent from zero or from its solution at 1.5*lam
     rng = np.random.default_rng(seed)
     n_tr = int(rng.integers(1, p)) if shape == "short" and p > 1 else p + 5
     Qs, Bs = random_fold_problems(rng, folds, p, n_tr, shape == "duplicate" and p > 1)
     lam = frac * 2.0 * float(np.abs(Bs).max())
+    lams = np.array([1.5 * lam, lam] if warm else [lam])
     tol = 1e-12
-    # a path warm start: the reference solution at a larger penalty
     U0 = cd_multi_reference(Qs, Bs, 1.5 * lam, np.zeros((folds, p)), tol, 100_000) \
         if warm else np.zeros((folds, p))
     ref = cd_multi_reference(Qs, Bs, lam, U0, tol, 100_000)
-    with pytest.MonkeyPatch.context() as mp:
-        solver_limits(mp, tol=tol, max_sweeps=100_000)
-        U, kkt = _solve(Qs, Bs, lam, np.zeros(p), U0)
-    assert kkt.max() <= tol
+    U = np.array([_lasso_path(Qs[k], Bs[k], lams)[-1] for k in range(folds)])
     zero = np.zeros(p)
     for k in range(folds):
         assert kkt_batch_reference(Qs[k], Bs[k:k + 1], lam, zero, U[k:k + 1])[0] <= tol
@@ -713,66 +680,68 @@ def test_cv_path_step_matches_cd_reference(seed, folds, p, shape, frac, warm):
         assert abs(f_new - f_ref) <= 1e-12 * scale
 
 
-def test_newton_step_keeps_row_on_singular_system_or_sign_flip():
-    lam = 0.2
-    Qs = np.array([np.eye(3)] * 3)
-    # row 0: columns 0 and 1 are identical, and both are in the pattern
-    Qs[0] = [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    Bs = np.array([[1.0, 1.0, 0.5],
-                   # row 1: solving on pattern (+, +) gives u_1 = -0.15
-                   [1.0, -0.05, 0.0],
-                   # row 2: pattern (+, +, 0) holds, so the step lands on
-                   # the minimizer (0.9, 0.4, 0)
-                   [1.0, 0.5, 0.0]])
-    U0 = np.array([[0.3, 0.3, 0.0], [0.5, 0.1, 0.0], [0.0, 0.0, 0.0]])
-    U = U0.copy()
-    zero = np.zeros(3)
-    _newton_step(Qs, Bs, U, lam)
-    np.testing.assert_array_equal(U[:2], U0[:2])
-    np.testing.assert_allclose(U[2], [0.9, 0.4, 0.0], atol=1e-15)
-    kkt = [kkt_batch_reference(Qs[k], Bs[k:k + 1], lam, zero, U[k:k + 1])[0] for k in range(3)]
-    assert kkt[0] > 0.1 and kkt[1] > 0.1 and kkt[2] <= 1e-15
-
-
-def test_cv_path_newton_step_carries_most_solves(monkeypatch):
-    # well-conditioned data: along the warm-started path the sign pattern
-    # barely moves, so most (grid point, fold) solves need no sweep at all
-    rng = np.random.default_rng(17)
-    X = rng.standard_normal((400, 20))
-    theta = np.zeros(20)
-    theta[:5] = (-2.0, -1.5, 0.5, 1.0, 2.0)
-    ds = validate_dataset(X, X @ theta + rng.standard_normal(400), folds=10, fold_seed=3)
-    swept = []
-    sweep = projection._sweep
-
-    def counting_sweep(Q, B, U, lam, signs):
-        swept.append(U.shape[0])
-        return sweep(Q, B, U, lam, signs)
-
-    monkeypatch.setattr(projection, "_sweep", counting_sweep)
-    cross_validate_lambda(ds)
-    solves = default_lambda_grid(ds).size * 10
-    # each fold a sweep touches counts once per sweep, so this bounds the
-    # number of solves that took any sweep: at least nine in ten take none
-    assert sum(swept) < solves / 10
-
-
 def test_cv_no_convergence_names_grid_point_and_folds(monkeypatch):
     rng = np.random.default_rng(8)
     X = rng.standard_normal((60, 4))
     ds = validate_dataset(X, X @ np.array([1.0, 0.0, -0.5, 0.0]) + 0.3 * rng.standard_normal(60),
                           folds=5)
     grid = default_lambda_grid(ds, num=8)
+    # no path solution is certified at 1e-300 unless exactly 0, so the
+    # first nonzero one goes to a polish that gets one sweep
     solver_limits(monkeypatch, tol=1e-300, max_sweeps=1)
     with pytest.raises(NoConvergence) as exc:
         # given ascending, the index still counts in the descending grid
         cross_validate_lambda(ds, grid=grid[::-1])
     msg = str(exc.value)
-    m = re.match(r"CV path at lambda\[(\d+)\]=(\S+): residual ", msg)
+    m = re.match(r"CV path at lambda\[(\d+)\]=(\S+), fold (\d+): residual .* after 1 sweeps$", msg)
     assert m, msg
     assert m.group(2) == f"{grid[int(m.group(1))]:.3e}"
-    m = re.search(r"after 1 sweeps; (\d+) of 5 folds above tol, worst: fold \d", msg)
-    assert m and 1 <= int(m.group(1)) <= 5, msg
+    assert 0 <= int(m.group(3)) < 5, msg
+
+
+def test_cv_on_dataset_without_folds_names_the_cause():
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((30, 3))
+    with pytest.raises(InsufficientData, match="no CV folds: build it with folds >= 2"):
+        cross_validate_lambda(validate_dataset(X, rng.standard_normal(30)))
+
+
+def short_wide_dataset(n, p, seed):
+    # n < p: every training fold's Gram is singular; three signals
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    theta = np.zeros(p)
+    theta[:3] = (2.0, -1.5, 1.0)
+    return X, X @ theta + rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("n, p", [(40, 60), (30, 80)])
+def test_cv_and_center_certified_when_n_below_p(monkeypatch, n, p):
+    X, Y = short_wide_dataset(n, p, seed=n)
+    ds = validate_dataset(X, Y, folds=10, fold_seed=n)
+    paths = []
+    lasso_path = projection._lasso_path
+
+    def recording_path(Q, b, lams):
+        U = lasso_path(Q, b, lams)
+        paths.append((Q, b, lams, U.copy()))
+        return U
+
+    def no_polish(*args):
+        raise AssertionError("a path solution needed coordinate descent")
+
+    monkeypatch.setattr(projection, "_lasso_path", recording_path)
+    monkeypatch.setattr(projection, "_solve", no_polish)
+    lam = cross_validate_lambda(ds)
+    center = fit_lasso(ds, 0.5 * lam)
+    assert len(paths) == 11  # ten folds and the center
+    zero = np.zeros(p)
+    for Q, b, lams, U in paths:
+        worst = max(kkt_batch_reference(Q, b[None], lam_i, zero, U[i:i + 1])[0]
+                    for i, lam_i in enumerate(lams))
+        assert worst <= projection.TOL
+    np.testing.assert_array_equal(center, paths[-1][3][0])
+    assert np.count_nonzero(center) <= n
 
 
 @pytest.mark.parametrize("case, seed", CV_CASES)

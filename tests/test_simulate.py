@@ -1,6 +1,8 @@
 """Coverage-study harness: data generation laws, single replications,
 aggregation, worker invariance, and the CSV table layouts."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -116,7 +118,13 @@ def test_generate_data_deterministic():
     gram = X.T @ X / sc.n
     np.testing.assert_array_equal(a.gram, 0.5 * (gram + gram.T))
     np.testing.assert_array_equal(a.xty, X.T @ Y / sc.n)
-    assert a.fold_n.size == sc.cv_folds
+    # a fixed penalty runs no CV, so no fold statistics are built; with CV
+    # they are, and the other statistics keep their bits
+    assert a.fold_n.size == 0
+    cv = generate_data(replace(sc, lambda_n=None), 1)
+    assert cv.fold_n.size == sc.cv_folds and cv.fold_n.sum() == sc.n
+    for name in ("gram", "xty", "yty"):
+        np.testing.assert_array_equal(getattr(cv, name), getattr(a, name))
 
 
 # --- run_replication ---------------------------------------------------------
