@@ -27,8 +27,7 @@ from .simulate import (CoverageReport, FitResult, ReplicationRecord, Scenario,
                        aggregate, fit_dataset, generate_data, report_to_csv,
                        run_replication, run_scenario, signal_vector,
                        sparsity_sweep, sweep_to_csv)
-from .types import (Dataset, DatasetAccumulator, NormSelector, PriorConfig,
-                    validate_dataset)
+from .types import Dataset, DatasetAccumulator, PriorConfig, validate_dataset
 
 __version__ = "0.1.0"
 
@@ -49,7 +48,6 @@ __all__ = [
     "CoverageReport", "FitResult", "ReplicationRecord", "Scenario", "aggregate",
     "fit_dataset", "generate_data", "report_to_csv", "run_replication",
     "run_scenario", "signal_vector", "sparsity_sweep", "sweep_to_csv",
-    "Dataset", "DatasetAccumulator", "NormSelector", "PriorConfig",
-    "validate_dataset",
+    "Dataset", "DatasetAccumulator", "PriorConfig", "validate_dataset",
     "__version__",
 ]

@@ -190,8 +190,8 @@ def cmd_simulate(args) -> int:
     log.info("simulate: design=%s n=%d p=%d reps=%d draws=%d seed=%d threads=%d",
              scenario.design, scenario.n, scenario.p, scenario.replications,
              scenario.draws_per_rep, scenario.seed, args.threads)
-    if sweep:
-        s_values = [int(s) for s in sweep["s_values"]]
+    if sweep is not None:
+        s_values = sweep["s_values"]
         reports = sparsity_sweep(scenario, s_values, workers=args.threads)
         _write_text(args.out, sweep_to_csv(reports, scenario, s_values))
     else:

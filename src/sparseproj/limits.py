@@ -13,14 +13,15 @@ the LASSO estimate, same scaling) converges given the data to
     T* = argmin_t t'Ct - 2 t'CW* + lambda0 * pen(t),
     W* | Delta ~ N(sigma0 C^{-1/2} Delta, sigma0^2 C^{-1}).
 
-limiting_coverage_mc estimates the probability, over Delta, that the
-conditional T*-mass of the credible ball around xi reaches a given level,
-which is exactly the asymptotic coverage the calibrated level controls.  It
-makes one pass across penalties and norms: Delta and W* do not depend on
-lambda0, so each outer draw is generated once; each penalty then solves xi
-and the T* draws in one shared-Q call of the projection solver _solve, a
-column-major coordinate-descent batch (row 0 is xi), and counts the
-conditional masses of every norm on it.  sample_t_star draws T* alone, for
+limiting_coverage_mc estimates, for every coordinate j, the probability
+over Delta that the conditional T*-mass of the component interval
+|t_j - xi_j| <= |xi_j| reaches a given level, which is exactly the
+asymptotic coverage the calibrated level controls.  It makes one pass
+across penalties: Delta and W* do not depend on lambda0, so each outer draw
+is generated once; each penalty then solves xi and the T* draws in one
+shared-Q call of the projection solver _solve, a column-major
+coordinate-descent batch (row 0 is xi), and counts every coordinate's
+conditional mass in one comparison.  sample_t_star draws T* alone, for
 zero_mass_probability.
 """
 
@@ -35,8 +36,7 @@ import numpy as np
 
 from .errors import SparseProjError
 from .projection import _solve
-from .regions import minkowski_norms
-from .types import NormSelector, frozen_copy
+from .types import frozen_copy
 
 _SNAP = 1e-12  # float dust below this is treated as an exact zero
 
@@ -79,10 +79,6 @@ class LimitSpec:
     def p(self) -> int:
         return self.theta0_signs.shape[0]
 
-    @property
-    def s0(self) -> int:
-        return int(np.count_nonzero(self.theta0_signs))
-
 
 def _sqrt_factors(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(C^{1/2}, C^{-1/2}) by symmetric eigendecomposition, eigenvalues
@@ -114,13 +110,12 @@ def sample_t_star(spec: LimitSpec, delta: np.ndarray, seed: int,
     return _solve_limit_batch(spec, W @ spec.C)
 
 
-def _coverage_masses(specs: tuple[LimitSpec, ...], selectors: tuple[NormSelector, ...],
-                     outer_index: int, inner: int, seed: int,
+def _coverage_masses(specs: tuple[LimitSpec, ...], outer_index: int, inner: int, seed: int,
                      factors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """(L, S) conditional masses of one outer draw, in counts: [l, k] is
-    #{||T* - xi|| <= ||xi||} in selectors[k]'s norm under specs[l].  The
-    right-hand sides are drawn once for all specs, row 0 xi's, rows 1.. the
-    T* draws'; each spec solves them in one batch."""
+    """(L, p) conditional masses of one outer draw, in counts: [l, j] is
+    #{|T*_j - xi_j| <= |xi_j|} under specs[l].  The right-hand sides are
+    drawn once for all specs, row 0 xi's, rows 1.. the T* draws'; each spec
+    solves them in one batch."""
     first = specs[0]
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(outer_index))))
     delta = rng.standard_normal(first.p)
@@ -129,41 +124,36 @@ def _coverage_masses(specs: tuple[LimitSpec, ...], selectors: tuple[NormSelector
     B[0] = first.sigma0 * (Chalf @ delta)
     np.matmul(first.sigma0 * (delta + rng.standard_normal((inner, first.p))) @ Cinvhalf,
               first.C, out=B[1:])
-    masses = np.empty((len(specs), len(selectors)), dtype=np.int64)
+    masses = np.empty((len(specs), first.p), dtype=np.int64)
     for spec, row in zip(specs, masses):
         try:
             U = _solve_limit_batch(spec, B)
         except SparseProjError as exc:
             raise type(exc)(f"outer draw {outer_index} (lambda0={spec.lambda0:g}, "
                             f"seed={seed}): {exc}") from exc
-        xi = U[0]
-        U[1:] -= xi  # rows 1.. now hold T* - xi; freed before the next solve
-        for k, selector in enumerate(selectors):
-            r0 = minkowski_norms(xi, selector)
-            row[k] = np.count_nonzero(minkowski_norms(U[1:], selector) <= r0)
-        del U, xi
+        D = U[1:]  # |T* - xi|, formed in place; freed before the next solve
+        D -= U[0]
+        np.abs(D, out=D)
+        row[:] = np.count_nonzero(D <= np.abs(U[0]), axis=0)
+        del U, D
     return masses
 
 
-def limiting_coverage_mc(spec: LimitSpec | Sequence[LimitSpec], selectors: Sequence[NormSelector],
-                         level: float | Sequence[float], outer: int, inner: int, seed: int,
-                         workers: int = 1) -> np.ndarray:
-    """Estimate the limiting coverage bound by nested Monte Carlo, for every
-    penalty and selector in one pass.
+def limiting_coverage_mc(specs: Sequence[LimitSpec], levels: Sequence[float], outer: int,
+                         inner: int, seed: int, workers: int = 1) -> np.ndarray:
+    """Estimate the limiting coverage of every component interval by nested
+    Monte Carlo, for every penalty in one pass.
 
-    For each of `outer` draws of Delta, q(Delta) = P(||T* - xi|| <= ||xi||
-    | Delta) is estimated from `inner` draws of W*, and entry k is the
-    fraction of Delta draws with q(Delta) <= level in selectors[k]'s norm.
-    One spec and one level give shape (S,); specs that differ only in
-    lambda0, with one level each, give (L, S), and every spec reads the same
-    Delta and W* draws.  Outer draw i owns the RNG stream (seed, i), so the
-    result is identical for any worker count, and each entry equals a
-    single-spec, single-selector call.
+    For each of `outer` draws of Delta, q_j(Delta) = P(|T*_j - xi_j| <=
+    |xi_j| | Delta) is estimated from `inner` draws of W*, and entry [l, j]
+    is the fraction of Delta draws with q_j(Delta) <= levels[l] under
+    specs[l].  The specs differ only in lambda0, and every spec reads the
+    same Delta and W* draws, so the (L, p) result has in each row what a
+    call with that spec alone gives.  Outer draw i owns the RNG stream
+    (seed, i), so the result is identical for any worker count.
     """
-    single = isinstance(spec, LimitSpec)
-    specs = (spec,) if single else tuple(spec)
-    levels = np.array([level] if single else level, dtype=float)
-    selectors = tuple(selectors)
+    specs = tuple(specs)
+    levels = np.array(levels, dtype=float)
     if not specs or levels.shape != (len(specs),):
         raise ValueError("give one level per spec")
     for s in specs[1:]:
@@ -175,7 +165,7 @@ def limiting_coverage_mc(spec: LimitSpec | Sequence[LimitSpec], selectors: Seque
         raise ValueError("outer and inner must each be at least 100")
     if not np.all((0.0 < levels) & (levels < 1.0)):
         raise ValueError("level must lie in (0, 1)")
-    draw = partial(_coverage_masses, specs, selectors, inner=inner, seed=seed,
+    draw = partial(_coverage_masses, specs, inner=inner, seed=seed,
                    factors=_sqrt_factors(specs[0].C))
     bounds = levels[:, None] * inner  # hit: mass <= level, in counts
     if workers > 1:
@@ -185,7 +175,7 @@ def limiting_coverage_mc(spec: LimitSpec | Sequence[LimitSpec], selectors: Seque
             hits = sum(q <= bounds for q in pool.map(draw, range(outer), chunksize=chunk))
     else:
         hits = sum(draw(i) <= bounds for i in range(outer))
-    return hits[0] / outer if single else hits / outer
+    return hits / outer
 
 
 def zero_mass_probability(spec: LimitSpec, delta: np.ndarray, inner: int,
@@ -219,9 +209,8 @@ def limitcheck_rows(spec_builder, lambdas, target: float, outer: int, inner: int
         return []
     specs = [spec_builder(lam) for lam in lambdas]
     results = [solve_gamma(CalibrationQuery(lambda0=lam, target=target)) for lam in lambdas]
-    estimates = limiting_coverage_mc(
-        specs, [NormSelector.component(j) for j in range(specs[0].p)],
-        [res.gamma_level for res in results], outer, inner, seed, workers=workers)
+    estimates = limiting_coverage_mc(specs, [res.gamma_level for res in results],
+                                     outer, inner, seed, workers=workers)
     rows = []
     for lam, spec, res, row in zip(lambdas, specs, results, estimates.tolist()):
         for j, est in enumerate(row):

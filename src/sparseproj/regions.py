@@ -5,9 +5,7 @@ Coordinate j's interval is center_j +/- h_j around the LASSO center, where
 h_j is the smallest observed |draw_j - center_j| whose empirical mass
 reaches the level: the order statistic at rank ceil(R * level) among the R
 draws, the finite-sample analogue of the quantile definition in the theory
-(the sqrt(n) scaling of the theory's ball cancels).  minkowski_norms
-evaluates the norms the limit experiment measures its balls in: max,
-Euclidean, l1, single component, or a rectangle over an index set.
+(the sqrt(n) scaling of the theory's ball cancels).
 """
 
 from __future__ import annotations
@@ -16,28 +14,6 @@ import math
 from collections.abc import Sequence
 
 import numpy as np
-
-from .types import NormSelector
-
-
-def minkowski_norms(M: np.ndarray, selector: NormSelector) -> np.ndarray:
-    """Evaluate the selected norm over the last axis of M, for any leading
-    shape; a single vector gives a 0-d result."""
-    p = M.shape[-1]
-    if selector.kind == "max":
-        return np.abs(M).max(axis=-1)
-    if selector.kind == "euclidean":
-        return np.sqrt((M * M).sum(axis=-1))
-    if selector.kind == "l1":
-        return np.abs(M).sum(axis=-1)
-    if selector.kind == "component":
-        if selector.index >= p:
-            raise ValueError(f"component {selector.index} out of range for p = {p}")
-        return np.abs(M[..., selector.index])
-    idx = list(selector.indices)
-    if max(idx) >= p:
-        raise ValueError(f"rectangle indices {idx} out of range for p = {p}")
-    return np.abs(M[..., idx]).max(axis=-1)
 
 
 def _rank(R: int, level: float) -> int:

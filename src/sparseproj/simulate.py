@@ -119,6 +119,14 @@ class Scenario:
     cv_folds: int = 10
 
     def __post_init__(self):
+        for name in ("n", "p", "replications", "draws_per_rep", "cv_folds", "seed"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        if self.n < 1 or self.p < 1:
+            raise ValueError(f"n and p must be at least 1, got n = {self.n}, p = {self.p}")
         theta0 = frozen_copy(self.theta0).ravel()
         object.__setattr__(self, "theta0", theta0)
         if theta0.shape[0] != self.p:
@@ -127,12 +135,6 @@ class Scenario:
             raise ValueError(f"unknown design {self.design!r}")
         if self.design == "ar1" and not abs(self.rho) < 1:
             raise ValueError("ar1 requires |rho| < 1")
-        for name in ("n", "replications", "draws_per_rep", "cv_folds", "seed"):
-            value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.replications < 1:
             raise ValueError("replications must be at least 1")
         if self.draws_per_rep < 2:
@@ -303,11 +305,17 @@ def _rep_task(args) -> ReplicationRecord:
 def sparsity_sweep(base: Scenario, s_values: list[int],
                    workers: int = 1) -> list[CoverageReport]:
     """Coverage as sparsity grows: re-run the scenario with the first s
-    coefficients set to 1 and the rest to 0, for each s."""
+    coefficients set to 1 and the rest to 0, for each s.  Every s must be an
+    integer in [0, p]; all are checked before the first run."""
+    for s in s_values:
+        try:
+            operator.index(s)
+        except TypeError:
+            raise ValueError(f"s must be an integer, got {s!r}") from None
+        if not 0 <= s <= base.p:
+            raise ValueError(f"s = {s} lies outside [0, p = {base.p}]")
     reports = []
     for s in s_values:
-        if s > base.p:
-            raise ValueError(f"s = {s} exceeds p = {base.p}")
         theta0 = np.zeros(base.p)
         theta0[:s] = 1.0
         reports.append(run_scenario(replace(base, theta0=theta0), workers=workers))

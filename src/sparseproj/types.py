@@ -1,5 +1,5 @@
-"""Shared value types: datasets, the prior configuration, norm selectors,
-and the accumulator that builds a dataset from blocks of rows.
+"""Shared value types: datasets, the prior configuration, and the
+accumulator that builds a dataset from blocks of rows.
 
 The value types are immutable after construction (frozen dataclasses with
 read-only arrays) and safe to share across workers.
@@ -160,53 +160,3 @@ class PriorConfig:
     def __post_init__(self):
         if self.a_n < 0 or self.b1 < 0 or self.b2 < 0:
             raise ValueError("a_n, b1, b2 must all be nonnegative")
-
-
-@dataclass(frozen=True)
-class NormSelector:
-    """Choice of Minkowski-functional norm for credible balls.
-
-    kind is one of "max", "euclidean", "l1", "component", "rectangle".
-    Component and rectangle indices are 0-based; bounds against p are
-    checked at evaluation time.
-    """
-
-    kind: str
-    index: int | None = None
-    indices: tuple[int, ...] | None = None
-
-    _KINDS = ("max", "euclidean", "l1", "component", "rectangle")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown norm kind {self.kind!r}")
-        if self.kind == "component":
-            if self.index is None or self.index < 0:
-                raise ValueError("component selector needs a nonnegative index")
-        elif self.kind == "rectangle":
-            if not self.indices:
-                raise ValueError("rectangle selector needs a nonempty index set")
-            idx = tuple(int(j) for j in self.indices)
-            if len(set(idx)) != len(idx) or min(idx) < 0:
-                raise ValueError("rectangle indices must be distinct and nonnegative")
-            object.__setattr__(self, "indices", idx)
-
-    @classmethod
-    def max_norm(cls) -> "NormSelector":
-        return cls("max")
-
-    @classmethod
-    def euclidean(cls) -> "NormSelector":
-        return cls("euclidean")
-
-    @classmethod
-    def l1(cls) -> "NormSelector":
-        return cls("l1")
-
-    @classmethod
-    def component(cls, j: int) -> "NormSelector":
-        return cls("component", index=int(j))
-
-    @classmethod
-    def rectangle(cls, indices) -> "NormSelector":
-        return cls("rectangle", indices=tuple(int(j) for j in indices))

@@ -655,6 +655,19 @@ def test_cli_simulate_default_signals_and_sweep(tmp_path):
     assert lines[1].split(",")[0] == "0"
 
 
+@pytest.mark.parametrize("sweep", [{}, {"s_values": [2.7]}])
+def test_cli_simulate_rejects_bad_sweep(tmp_path, sweep, capsys):
+    # an empty sweep is not a plain study, and s is never truncated or wrapped
+    cfg = {"n": 40, "p": 6, "replications": 1, "draws_per_rep": 50,
+           "seed": 0, "lambda_n": 0.5, "sweep": sweep}
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "sweep.csv"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "sparseproj: error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["limitcheck", "--signs", ""],
     ["limitcheck", "--lambda0", ""],
@@ -859,9 +872,10 @@ DELETED_API = {
                    "_kkt_batch", "SolverSettings", "_cd_shared", "_cd_sweep",
                    "_newton_cd_solve", "_newton_step", "_residual"),
     "regions": ("ProjectedSample", "radius_quantile", "_distances", "_warn_degenerate",
-                "minkowski_norm", "rectangle_levels"),
+                "minkowski_norm", "rectangle_levels", "minkowski_norms"),
     "calibration": ("h_minus",),
     "limits": ("sample_xi", "_cd_shared"),
+    "types": ("NormSelector",),
 }
 
 

@@ -21,8 +21,6 @@ from sparseproj.limits import (
 )
 from sparseproj import limits
 from sparseproj.errors import NoConvergence
-from sparseproj.regions import minkowski_norms
-from sparseproj.types import NormSelector
 
 from oracles import kkt_batch_reference, random_spd, sample_xi
 
@@ -76,7 +74,7 @@ def test_spec_validation():
 
 def test_spec_properties():
     spec = eye_spec([1.0, -1.0, 0.0, 0.0])
-    assert spec.p == 4 and spec.s0 == 2
+    assert spec.p == 4
     assert not spec.C.flags.writeable
 
 
@@ -187,8 +185,7 @@ def test_coverage_signal_component():
     lam = 1.0
     level = solve_gamma(CalibrationQuery(lambda0=lam, target=0.95)).gamma_level
     spec = eye_spec([1.0], lambda0=lam)
-    est = limiting_coverage_mc(spec, [NormSelector.component(0)], level,
-                               outer=600, inner=800, seed=2)[0]
+    est = limiting_coverage_mc([spec], [level], outer=600, inner=800, seed=2)[0, 0]
     se = np.sqrt(0.95 * 0.05 / 600)
     assert abs(est - 0.95) <= 3 * se
 
@@ -197,8 +194,8 @@ def test_coverage_noise_component_dominates():
     lam = 1.0
     res = solve_gamma(CalibrationQuery(lambda0=lam, target=0.95))
     spec = eye_spec([0.0], lambda0=lam)
-    est = limiting_coverage_mc(spec, [NormSelector.component(0)], res.gamma_level,
-                               outer=600, inner=800, seed=3)[0]
+    est = limiting_coverage_mc([spec], [res.gamma_level], outer=600, inner=800,
+                               seed=3)[0, 0]
     expected = res.psi0_at_gamma
     se = np.sqrt(expected * (1.0 - expected) / 600)
     assert est >= 0.95
@@ -208,82 +205,69 @@ def test_coverage_noise_component_dominates():
 def test_coverage_bvm_case_equals_level():
     spec2 = LimitSpec(C=np.eye(2), sigma0=1.0, lambda0=0.0,
                       theta0_signs=np.array([1.0, 0.0]))
-    for selector in (NormSelector.component(0), NormSelector.euclidean()):
-        est = limiting_coverage_mc(spec2, [selector], 0.9, outer=600, inner=800,
-                                   seed=4)[0]
-        se = np.sqrt(0.9 * 0.1 / 600)
-        assert abs(est - 0.9) <= 3 * se
+    est = limiting_coverage_mc([spec2], [0.9], outer=600, inner=800, seed=4)[0, 0]
+    se = np.sqrt(0.9 * 0.1 / 600)
+    assert abs(est - 0.9) <= 3 * se
 
 
 def test_coverage_validation():
     spec = eye_spec([1.0])
     with pytest.raises(ValueError):
-        limiting_coverage_mc(spec, [NormSelector.component(0)], 0.9, outer=50,
-                             inner=100, seed=0)[0]
+        limiting_coverage_mc([spec], [0.9], outer=50, inner=100, seed=0)
     with pytest.raises(ValueError):
-        limiting_coverage_mc(spec, [NormSelector.component(0)], 0.9, outer=100,
-                             inner=99, seed=0)[0]
+        limiting_coverage_mc([spec], [0.9], outer=100, inner=99, seed=0)
     with pytest.raises(ValueError):
-        limiting_coverage_mc(spec, [NormSelector.component(0)], 1.0, outer=100,
-                             inner=100, seed=0)[0]
+        limiting_coverage_mc([spec], [1.0], outer=100, inner=100, seed=0)
 
 
 def test_coverage_worker_count_invariant():
     spec = eye_spec([1.0, 0.0], lambda0=0.5)
-    sel = NormSelector.component(1)
-    one = limiting_coverage_mc(spec, [sel], 0.93, outer=100, inner=100, seed=7)[0]
-    two = limiting_coverage_mc(spec, [sel], 0.93, outer=100, inner=100, seed=7,
-                               workers=2)[0]
-    assert one == two
+    one = limiting_coverage_mc([spec], [0.93], outer=100, inner=100, seed=7)
+    two = limiting_coverage_mc([spec], [0.93], outer=100, inner=100, seed=7, workers=2)
+    assert np.array_equal(one, two)
 
 
 def test_coverage_deterministic():
     spec = eye_spec([1.0], lambda0=0.8)
-    sel = NormSelector.component(0)
-    a = limiting_coverage_mc(spec, [sel], 0.95, outer=100, inner=100, seed=11)[0]
-    b = limiting_coverage_mc(spec, [sel], 0.95, outer=100, inner=100, seed=11)[0]
-    assert a == b
+    a = limiting_coverage_mc([spec], [0.95], outer=100, inner=100, seed=11)
+    b = limiting_coverage_mc([spec], [0.95], outer=100, inner=100, seed=11)
+    assert np.array_equal(a, b)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_coverage_shared_pass_equals_single_selector_calls(workers):
-    spec = eye_spec([1.0, -1.0, 0.0], lambda0=0.7)
-    selectors = [NormSelector.component(2), NormSelector.euclidean(),
-                 NormSelector.component(0)]
-    shared = limiting_coverage_mc(spec, selectors, 0.9, outer=100, inner=100,
-                                  seed=13, workers=workers)
-    assert shared.shape == (3,)
-    for k, sel in enumerate(selectors):
-        single = limiting_coverage_mc(spec, [sel], 0.9, outer=100, inner=100,
-                                      seed=13)
-        assert shared[k] == single[0]
-
-
-def separate_solves_hits(spec, selectors, level, outer_index, inner, seed):
-    """The hits of one outer draw with xi and the T* batch solved in two
-    kernel calls, as the merged batch must reproduce at C = I."""
+def separate_solves_hits(spec, level, outer_index, inner, seed):
+    """The per-coordinate hits of one outer draw, with xi and the T* batch
+    solved in two kernel calls and each coordinate counted on its own."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, outer_index)))
     delta = rng.standard_normal(spec.p)
     Chalf, Cinvhalf = limits._sqrt_factors(spec.C)
     xi = limits._solve_limit_batch(spec, (spec.sigma0 * (Chalf @ delta)).reshape(1, -1))[0]
     W = spec.sigma0 * (delta + rng.standard_normal((inner, spec.p))) @ Cinvhalf
     T = limits._solve_limit_batch(spec, W @ spec.C)
-    return np.array([np.count_nonzero(minkowski_norms(T - xi, sel)
-                                      <= minkowski_norms(xi, sel)) <= level * inner
-                     for sel in selectors], dtype=np.int64)
+    return np.array([np.count_nonzero(np.abs(T[:, j] - xi[j]) <= abs(xi[j])) <= level * inner
+                     for j in range(spec.p)], dtype=np.int64)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_coverage_shared_pass_equals_single_selector_calls(workers):
+    # the one comparison over all coordinates gives, column by column, the
+    # hits of each coordinate counted alone from separate solves
+    spec = eye_spec([1.0, -1.0, 0.0], lambda0=0.7)
+    shared = limiting_coverage_mc([spec], [0.9], outer=100, inner=100, seed=13,
+                                  workers=workers)
+    assert shared.shape == (1, 3)
+    hits = sum(separate_solves_hits(spec, 0.9, i, 100, 13) for i in range(100))
+    assert np.array_equal(shared[0], hits / 100)
 
 
 @pytest.mark.parametrize("lambda0", [0.5, 1.0, 2.0])
 def test_merged_batch_hits_equal_separate_solves_at_identity(lambda0):
     spec = eye_spec([1.0, -1.0, 0.0], lambda0=lambda0)
-    selectors = (NormSelector.component(0), NormSelector.component(1),
-                 NormSelector.component(2), NormSelector.euclidean())
     level = solve_gamma(CalibrationQuery(lambda0=lambda0, target=0.95)).gamma_level
     factors = limits._sqrt_factors(spec.C)
     for outer_index in range(40):
-        masses = limits._coverage_masses((spec,), selectors, outer_index, 300, 5, factors)
+        masses = limits._coverage_masses((spec,), outer_index, 300, 5, factors)
         got = (masses[0] <= level * 300).astype(np.int64)
-        want = separate_solves_hits(spec, selectors, level, outer_index, 300, 5)
+        want = separate_solves_hits(spec, level, outer_index, 300, 5)
         assert np.array_equal(got, want), outer_index
 
 
@@ -303,10 +287,9 @@ def test_merged_batch_xi_certified_for_correlated_gram(seed, monkeypatch):
         return U
 
     monkeypatch.setattr(limits, "_solve_limit_batch", spy)
-    masses = limits._coverage_masses((spec,), (NormSelector.component(2),), 7, 200, seed,
-                                     limits._sqrt_factors(spec.C))
+    masses = limits._coverage_masses((spec,), 7, 200, seed, limits._sqrt_factors(spec.C))
     monkeypatch.undo()
-    assert masses.shape == (1, 1) and 0 <= masses[0, 0] <= 200
+    assert masses.shape == (1, 4) and ((0 <= masses) & (masses <= 200)).all()
     assert len(calls) == 1
     B, U = calls[0]
     assert B.shape == U.shape == (201, 4)
@@ -325,8 +308,8 @@ def test_coverage_one_kernel_call_per_outer_draw(monkeypatch):
         return solve(*args)
 
     monkeypatch.setattr(limits, "_solve", count)
-    limiting_coverage_mc(eye_spec([1.0, 0.0], lambda0=0.5), [NormSelector.component(0)],
-                         0.9, outer=100, inner=150, seed=3)
+    limiting_coverage_mc([eye_spec([1.0, 0.0], lambda0=0.5)], [0.9], outer=100,
+                         inner=150, seed=3)
     assert calls == [(151, 2)] * 100
 
 
@@ -362,23 +345,20 @@ def test_sweep_solves_every_penalty_per_outer_draw_in_order(monkeypatch):
         return solve(Q, B, lam, *args)
 
     monkeypatch.setattr(limits, "_solve", spy)
-    limiting_coverage_mc(sweep_specs(), [NormSelector.component(0)], [0.9] * 3,
-                         outer=100, inner=150, seed=3)
+    limiting_coverage_mc(sweep_specs(), [0.9] * 3, outer=100, inner=150, seed=3)
     assert calls == [(lam, (151, 3)) for _ in range(100) for lam in SWEEP]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_rows_equal_single_spec_calls(workers):
     lambdas, levels = (0.0, 0.7, 2.0), (0.9, 0.95, 0.99)
-    selectors = [NormSelector.component(0), NormSelector.component(2),
-                 NormSelector.euclidean()]
-    sweep = limiting_coverage_mc(sweep_specs(lambdas), selectors, levels, outer=100,
-                                 inner=100, seed=13, workers=workers)
+    sweep = limiting_coverage_mc(sweep_specs(lambdas), levels, outer=100, inner=100,
+                                 seed=13, workers=workers)
     assert sweep.shape == (3, 3)
     for row, spec, level in zip(sweep, sweep_specs(lambdas), levels):
-        single = limiting_coverage_mc(spec, selectors, level, outer=100, inner=100,
-                                      seed=13)
-        assert np.array_equal(row, single)
+        single = limiting_coverage_mc([spec], [level], outer=100, inner=100, seed=13)
+        assert single.shape == (1, 3)
+        assert np.array_equal(row, single[0])
 
 
 def test_sweep_rejects_specs_that_cannot_share_draws():
@@ -388,18 +368,17 @@ def test_sweep_rejects_specs_that_cannot_share_draws():
     with pytest.raises(ValueError, match=r"lambda0=1 differs from the first"):
         limitcheck_rows(builder, [0.5, 0.6, 1.0, 2.0], target=0.95, outer=100,
                         inner=100, seed=0)
-    sel = [NormSelector.component(0)]
     first = eye_spec([1.0, 0.0], lambda0=0.5)
     for other in (eye_spec([-1.0, 0.0], lambda0=2.0),
                   LimitSpec(C=np.diag([1.0, 2.0]), sigma0=1.0, lambda0=2.0,
                             theta0_signs=np.array([1.0, 0.0]))):
         with pytest.raises(ValueError, match=r"lambda0=2 differs"):
-            limiting_coverage_mc([first, other], sel, [0.9, 0.9], outer=100,
-                                 inner=100, seed=0)
+            limiting_coverage_mc([first, other], [0.9, 0.9], outer=100, inner=100,
+                                 seed=0)
     with pytest.raises(ValueError, match="one level per spec"):
-        limiting_coverage_mc([first, first], sel, [0.9], outer=100, inner=100, seed=0)
+        limiting_coverage_mc([first, first], [0.9], outer=100, inner=100, seed=0)
     with pytest.raises(ValueError, match="one level per spec"):
-        limiting_coverage_mc([], sel, [], outer=100, inner=100, seed=0)
+        limiting_coverage_mc([], [], outer=100, inner=100, seed=0)
     assert limitcheck_rows(builder, [], target=0.95, outer=100, inner=100, seed=0) == []
 
 
@@ -414,8 +393,7 @@ def test_sweep_failure_names_penalty(monkeypatch):
     monkeypatch.setattr(limits, "_solve", fail_at_two)
     with pytest.raises(NoConvergence,
                        match=r"outer draw 0 \(lambda0=2, seed=21\): residual"):
-        limiting_coverage_mc(sweep_specs(), [NormSelector.component(0)], [0.9] * 3,
-                             outer=100, inner=100, seed=21)
+        limiting_coverage_mc(sweep_specs(), [0.9] * 3, outer=100, inner=100, seed=21)
 
 
 def test_coverage_failure_names_outer_draw(monkeypatch):
@@ -426,8 +404,7 @@ def test_coverage_failure_names_outer_draw(monkeypatch):
     spec = eye_spec([1.0, 0.0], lambda0=0.5)
     with pytest.raises(NoConvergence,
                        match=r"outer draw 0 \(lambda0=0.5, seed=21\): residual"):
-        limiting_coverage_mc(spec, [NormSelector.component(0)], 0.9, outer=100,
-                             inner=100, seed=21)
+        limiting_coverage_mc([spec], [0.9], outer=100, inner=100, seed=21)
 
 
 # --- zero_mass_probability ---------------------------------------------------

@@ -1,6 +1,5 @@
-"""Credible intervals, norms and model frequencies from projected draws."""
+"""Credible intervals and model frequencies from projected draws."""
 
-import math
 import warnings
 
 import numpy as np
@@ -9,10 +8,8 @@ import pytest
 from sparseproj.regions import (
     component_interval,
     component_intervals,
-    minkowski_norms,
     model_probabilities,
 )
-from sparseproj.types import NormSelector
 
 
 def sample_from_distances(values):
@@ -26,37 +23,6 @@ def radius_quantile(draws, level):
     lo, hi = component_interval(draws, np.zeros(1), 0, level)
     assert lo == -hi
     return hi
-
-
-# --- minkowski_norms ---------------------------------------------------------
-
-def test_norm_examples():
-    x = np.array([3.0, -4.0])
-    assert minkowski_norms(x, NormSelector.euclidean()) == 5.0
-    assert minkowski_norms(x, NormSelector.component(1)) == 4.0
-    assert minkowski_norms(np.array([1.0, -2.0, 0.5]), NormSelector.l1()) == 3.5
-    assert minkowski_norms(x, NormSelector.max_norm()) == 4.0
-    assert minkowski_norms(x, NormSelector.rectangle([0])) == 3.0
-    assert minkowski_norms(x, NormSelector.rectangle([0, 1])) == 4.0
-
-
-def test_norm_bounds_checked_at_evaluation():
-    with pytest.raises(ValueError):
-        minkowski_norms(np.ones(2), NormSelector.component(2))
-    with pytest.raises(ValueError):
-        minkowski_norms(np.ones(2), NormSelector.rectangle([0, 5]))
-
-
-def test_norms_are_nonnegative_and_scale():
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal(4)
-    for sel in (NormSelector.max_norm(), NormSelector.euclidean(),
-                NormSelector.l1(), NormSelector.component(2),
-                NormSelector.rectangle([1, 3])):
-        v = minkowski_norms(x, sel)
-        assert v >= 0.0
-        assert minkowski_norms(2.0 * x, sel) == pytest.approx(2.0 * v, rel=1e-12)
-        assert minkowski_norms(np.zeros(4), sel) == 0.0
 
 
 # --- radius quantile ---------------------------------------------------------
@@ -209,20 +175,6 @@ def test_model_probabilities_sum_to_one():
     probs = model_probabilities(draws)
     assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
     assert all(v > 0 for v in probs.values())
-
-
-# --- rectangle/component consistency -----------------------------------------
-
-def test_rectangle_ball_is_intersection_of_components():
-    rng = np.random.default_rng(5)
-    draws = rng.standard_normal((400, 3))
-    idx = (0, 2)
-    scaled = np.sqrt(7) * draws
-    rect = minkowski_norms(scaled, NormSelector.rectangle(idx))
-    r = np.sort(rect)[math.ceil(400 * 0.85) - 1]
-    in_ball = rect <= r
-    in_all = np.all(np.abs(scaled[:, idx]) <= r, axis=1)
-    np.testing.assert_array_equal(in_ball, in_all)
 
 
 # --- draw-sample checks ------------------------------------------------------

@@ -62,7 +62,14 @@ def test_scenario_validation():
             make_scenario(cv_folds=folds)
     with pytest.raises(ValueError, match="seed must be an integer >= 0, got -3"):
         make_scenario(seed=-3)
-    for field in ("n", "replications", "draws_per_rep", "cv_folds", "seed"):
+    with pytest.raises(ValueError, match="p must be an integer, got 3.0"):
+        make_scenario(p=3.0)
+    for n in (0, -5):
+        with pytest.raises(ValueError, match=f"n and p must be at least 1, got n = {n}"):
+            make_scenario(n=n)
+    with pytest.raises(ValueError, match="n and p must be at least 1"):
+        make_scenario(p=0, theta0=np.zeros(0))
+    for field in ("n", "p", "replications", "draws_per_rep", "cv_folds", "seed"):
         for value in (2.5, 10.0, "10"):
             with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
                 make_scenario(**{field: value})
@@ -285,6 +292,13 @@ def test_sparsity_sweep_rejects_s_above_p():
     base = make_scenario(p=3)
     with pytest.raises(ValueError):
         sparsity_sweep(base, [4])
+    for s, message in ((-1, r"s = -1 lies outside \[0, p = 3\]"),
+                       (2.7, "s must be an integer, got 2.7"),
+                       (2.0, "s must be an integer, got 2.0")):
+        with pytest.raises(ValueError, match=message):
+            sparsity_sweep(base, [s])
+    with pytest.raises(ValueError):  # checked before any replication runs
+        sparsity_sweep(base, [0, 4])
 
 
 # --- CSV layout --------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparseproj.errors import DimensionMismatch, NonFiniteInput, SparseProjError
-from sparseproj.types import Dataset, NormSelector, PriorConfig, validate_dataset
+from sparseproj.types import Dataset, PriorConfig, validate_dataset
 
 
 def test_validate_dataset_tiny_example():
@@ -77,29 +77,6 @@ def test_prior_config_defaults_and_validation():
         PriorConfig(a_n=-1.0)
     with pytest.raises(ValueError):
         PriorConfig(b2=-0.5)
-
-
-def test_norm_selector_kinds():
-    assert NormSelector.max_norm().kind == "max"
-    assert NormSelector.euclidean().kind == "euclidean"
-    assert NormSelector.l1().kind == "l1"
-    sel = NormSelector.component(1)
-    assert sel.kind == "component" and sel.index == 1
-    rect = NormSelector.rectangle([2, 0])
-    assert rect.indices == (2, 0)
-
-
-def test_norm_selector_validation():
-    with pytest.raises(ValueError):
-        NormSelector("chebyshev")
-    with pytest.raises(ValueError):
-        NormSelector("component")
-    with pytest.raises(ValueError):
-        NormSelector.component(-1)
-    with pytest.raises(ValueError):
-        NormSelector.rectangle([])
-    with pytest.raises(ValueError):
-        NormSelector.rectangle([1, 1])
 
 
 def test_dataset_direct_construction_freezes():
