@@ -182,16 +182,23 @@ def cmd_table(args) -> int:
 def cmd_simulate(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         cfg = json.load(fh)
-    sweep = cfg.pop("sweep", None)
-    if "theta0" not in cfg:
-        variant = cfg.pop("signals", "default")
-        cfg["theta0"] = signal_vector(cfg["p"], caption_variant=(variant == "caption"))
-    scenario = Scenario(**cfg)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"scenario config {args.config}: expected a JSON object")
+    try:
+        sweep = cfg.pop("sweep", None)
+        s_values = None if sweep is None else sweep["s_values"]
+        if "theta0" not in cfg:
+            variant = cfg.pop("signals", "default")
+            cfg["theta0"] = signal_vector(cfg["p"], caption_variant=(variant == "caption"))
+        scenario = Scenario(**cfg)
+    except KeyError as exc:
+        raise ValueError(f"scenario config {args.config}: missing key {exc}") from None
+    except TypeError as exc:  # a missing or unknown Scenario field
+        raise ValueError(f"scenario config {args.config}: {exc}") from None
     log.info("simulate: design=%s n=%d p=%d reps=%d draws=%d seed=%d threads=%d",
              scenario.design, scenario.n, scenario.p, scenario.replications,
              scenario.draws_per_rep, scenario.seed, args.threads)
     if sweep is not None:
-        s_values = sweep["s_values"]
         reports = sparsity_sweep(scenario, s_values, workers=args.threads)
         _write_text(args.out, sweep_to_csv(reports, scenario, s_values))
     else:

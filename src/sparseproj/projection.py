@@ -19,10 +19,15 @@ products and Y'Y.  A batch of right-hand sides sharing one Q (projected
 draws; the limit experiment's xi with its T* draws) runs one certified loop
 (_solve) around one cyclic coordinate-descent sweep (_sweep); its (m, p)
 solution and buffers are F-ordered and allocated once per call, so an
-update touches one contiguous column.  The LASSO center and each CV fold
-instead walk the exact piecewise-linear solution path (_lasso_path, the
-Gram-form LARS-lasso homotopy of Efron, Hastie, Johnstone & Tibshirani 2004
-and Osborne, Presnell & Turlach 2000) and read each penalty off its segment.
+update touches one contiguous column.  The sweep reads Q with its diagonal
+zeroed: an update is b_j - u Qz_j, soft-thresholded and divided by Q_jj.
+Rows certify together, so after a failed full certificate each sweep
+probes the worst row alone and runs the full pass only once that row
+passes, or at the last allowed sweep; no result changes.  The LASSO
+center and each CV fold instead walk the exact piecewise-linear solution
+path (_lasso_path, the Gram-form LARS-lasso homotopy of Efron, Hastie,
+Johnstone & Tibshirani 2004 and Osborne, Presnell & Turlach 2000) and read
+each penalty off its segment.
 
 Every solution is certified by its KKT residual (max subgradient violation,
 one branch-free formula for every coordinate kind; see _kkt_rows), not by
@@ -59,15 +64,15 @@ def _kkt_rows(G: np.ndarray, U: np.ndarray, lam: float | np.ndarray, signs: np.n
     """
     G *= 2.0
     np.sign(U, out=S)
-    np.copyto(S, signs, where=signs != 0)
+    if signs.any():
+        np.copyto(S, signs, where=signs != 0)
     S *= lam
     G += S
     np.abs(G, out=G)
     np.abs(S, out=S)
     np.subtract(lam, S, out=S)  # lam*(1 - |s|), exactly, as |s| is 0 or 1
     G -= S
-    np.maximum(G, 0.0, out=G)
-    return G.max(axis=1)
+    return np.maximum(G.max(axis=1), 0.0)
 
 
 def _worst_rows(kkt: np.ndarray, tol: float, label: str, limit: int = 5) -> str:
@@ -79,26 +84,24 @@ def _worst_rows(kkt: np.ndarray, tol: float, label: str, limit: int = 5) -> str:
     return f"{bad.size} of {kkt.size} {label}s above tol, worst: {listed}"
 
 
-def _sweep(Q: np.ndarray, B: np.ndarray, U: np.ndarray, lam: float,
+def _sweep(Qz: np.ndarray, diag: np.ndarray, B: np.ndarray, U: np.ndarray, lam: float,
            signs: np.ndarray) -> None:
     """One cyclic coordinate-descent sweep over the rows of U, in place.
 
-    Every row shares the (p, p) Q; B and U are (m, p).  Each coordinate
-    update is exact minimization, so the objective is monotone along the
-    sweep for every row.  The update r = B_j - UQ_j + U_j Q_jj, its soft
-    threshold r - clip(r, -lam/2, lam/2) and the division by Q_jj run in two
-    (m,) work vectors allocated once per sweep; on an F-ordered U each
-    update reads and writes one contiguous column.
+    Every row shares one (p, p) Q, given as Qz, Q with its diagonal zeroed,
+    and diag, its diagonal; B and U are (m, p).  Each coordinate update is
+    exact minimization, so the objective is monotone along the sweep for
+    every row.  The update r = B_j - U Qz_j, its soft threshold
+    r - clip(r, -lam/2, lam/2) and the division by Q_jj run in two (m,)
+    work vectors allocated once per sweep; on an F-ordered U and Qz each
+    update reads and writes contiguous columns.
     """
-    diag = np.diagonal(Q)
     half = 0.5 * lam
     r = np.empty(U.shape[0])
     t = np.empty(U.shape[0])
     for j in range(U.shape[1]):
-        np.matmul(U, Q[:, j], out=r)
+        np.matmul(U, Qz[:, j], out=r)
         np.subtract(B[:, j], r, out=r)
-        np.multiply(U[:, j], diag[j], out=t)
-        r += t
         if signs[j] == 0:
             np.minimum(r, half, out=t)
             np.maximum(t, -half, out=t)
@@ -115,28 +118,48 @@ def _solve(Q: np.ndarray, B: np.ndarray, lam: float, signs: np.ndarray,
     returns (solutions, per-row KKT residual).
 
     The batch is swept whole, F-ordered, until every row is within TOL.
-    Raises ValueError for a lam that is not finite (the certificate would be
-    NaN), DegenerateDiagonal for a nonpositive diagonal entry of Q and
-    NoConvergence, naming the worst rows, when MAX_SWEEPS sweeps leave a row
-    above TOL.
+    After a failed full certificate (a GEMM and an (m, p) KKT pass), each
+    sweep probes its worst row alone first and skips the full pass while
+    that row fails beyond rounding; the last allowed sweep always runs it.
+    So the stopping sweep, the solutions, the certificate and every error
+    are those of certifying every sweep in full.  Raises ValueError for a
+    lam that is not finite (the certificate would be NaN),
+    DegenerateDiagonal for a nonpositive diagonal entry of Q and
+    NoConvergence, naming the worst rows, when MAX_SWEEPS sweeps leave a
+    row above TOL.
     """
     if not math.isfinite(lam):
         raise ValueError(f"penalty must be finite, got {lam}")
-    if (np.diagonal(Q) <= 0.0).any():
+    diag = np.diagonal(Q)
+    if (diag <= 0.0).any():
         raise DegenerateDiagonal("Q has a nonpositive diagonal entry")
+    Qz = np.array(Q, dtype=float, order="F")
+    np.fill_diagonal(Qz, 0.0)
     U = np.array(U0, dtype=float, order="F", copy=True)
     G = np.empty_like(U)  # certificate buffers, reused by every sweep
     S = np.empty_like(U)
-    for _ in range(MAX_SWEEPS):
-        _sweep(Q, B, U, lam, signs)
+    worst = None  # the worst row of the last failed full certificate
+    for sweep in range(1, MAX_SWEEPS + 1):
+        _sweep(Qz, diag, B, U, lam, signs)
+        if worst is not None and sweep < MAX_SWEEPS:
+            # probe the worst row alone: the full pass's GEMM may round its
+            # product uQ otherwise, but within p eps/2 sum|u||Q| of the exact
+            # one (Higham 2002, eq. 3.5), with 3 roundings after it; a failure
+            # (or NaN) beyond twice both bounds fails the full pass as well
+            u, b = U[worst:worst + 1], B[worst:worst + 1]
+            bound = (np.abs(u) @ np.abs(Q) + np.abs(b)).max() + lam
+            slack = 4.0 * (Q.shape[0] + 3) * np.finfo(float).eps * bound
+            if not _kkt_rows(u @ Q - b, u, lam, signs, np.empty_like(u))[0] <= TOL + slack:
+                continue
         np.matmul(U, Q, out=G)
         G -= B
         kkt = _kkt_rows(G, U, lam, signs, S)
         if kkt.max() <= TOL:
             return U, kkt
-    worst = f"; {_worst_rows(kkt, TOL, 'row')}" if kkt.size > 1 else ""
+        worst = int(kkt.argmax())  # the first NaN row, if any
+    listed = f"; {_worst_rows(kkt, TOL, 'row')}" if kkt.size > 1 else ""
     raise NoConvergence(f"residual {kkt.max():.3e} > tol {TOL:.1e} "
-                        f"after {MAX_SWEEPS} sweeps{worst}")
+                        f"after {MAX_SWEEPS} sweeps{listed}")
 
 
 def _lasso_path(Q: np.ndarray, b: np.ndarray, lams: np.ndarray) -> np.ndarray:

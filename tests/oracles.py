@@ -14,8 +14,10 @@ branch-per-case KKT certificate that the package's fused one must match bit
 for bit.
 cd_multi_reference is plain batched coordinate descent, one Q per row; the
 exact LASSO path behind the CV folds and the center is judged against it by
-objective value and KKT residual.  It borrows only the
-package's KKT certificate, which kkt_batch_reference pins.  sample_xi is
+objective value and KKT residual.  certified_loop_reference is the shared-Q
+loop certified in full after every sweep, the schedule that the package's
+probed loop must reproduce.  Both certify with kkt_batch_reference and
+borrow nothing from the package but a message format.  sample_xi is
 different: it solves the limit experiment's xi for one draw alone through
 the package's limit solver, the reference for row 0 of the merged xi/T*
 batch.  level_by_bisection is the calibration oracle: a scalar bisection for
@@ -29,7 +31,7 @@ import numpy as np
 
 from sparseproj.errors import DegenerateDiagonal, NoConvergence
 from sparseproj.limits import _solve_limit_batch, _sqrt_factors
-from sparseproj.projection import _kkt_rows, _worst_rows
+from sparseproj.projection import _worst_rows
 
 
 def _soft(x: np.ndarray, t: float) -> np.ndarray:
@@ -186,8 +188,9 @@ def cv_errors_reference(X, Y, chunks, U):
 def kkt_batch_reference(Q, B, lam, signs, U):
     """Max KKT violation per row of U, branch by branch: an unsigned nonzero
     coordinate gives |g + lam*sign(u)|, an unsigned zero max(|g| - lam, 0)
-    and a signed one |g + lam*s_j|, with g = 2(UQ - B)."""
-    G = 2.0 * (U @ Q - B)
+    and a signed one |g + lam*s_j|, with g = 2(UQ - B).  UQ is formed in U's
+    own memory order, as BLAS rounds a product by the layout of its output."""
+    G = 2.0 * (np.matmul(U, Q, out=np.empty_like(U)) - B)
     viol = np.empty_like(U)
     unsigned = signs == 0
     if unsigned.any():
@@ -213,18 +216,40 @@ def cd_multi_reference(Qs: np.ndarray, Bs: np.ndarray, lam: float, U0: np.ndarra
         raise DegenerateDiagonal("a fold Gram matrix has a nonpositive diagonal entry")
     K, p = Bs.shape
     U = np.array(U0, dtype=float, copy=True)
-    S = np.empty_like(U)
     signs = np.zeros(p)  # every coordinate is unsigned
     half = 0.5 * lam
     for _ in range(max_sweeps):
         for j in range(p):
             r = Bs[:, j] - np.einsum("kp,kp->k", U, Qs[:, :, j]) + U[:, j] * diag[:, j]
             U[:, j] = _soft(r, half) / diag[:, j]
-        kkt = _kkt_rows(np.einsum("kp,kpq->kq", U, Qs) - Bs, U, lam, signs, S)
+        kkt = np.array([kkt_batch_reference(Qs[k], Bs[k:k + 1], lam, signs, U[k:k + 1])[0]
+                        for k in range(K)])
         if kkt.max() <= tol:
             return U
     raise NoConvergence(f"CV path: residual {kkt.max():.3e} > tol {tol:.1e}; "
                         f"{_worst_rows(kkt, tol, 'fold')}")
+
+
+def certified_loop_reference(Q: np.ndarray, B: np.ndarray, lam: float, signs: np.ndarray,
+                             U0: np.ndarray, tol: float, max_sweeps: int):
+    """Coordinate descent on one shared Q, certified in full by
+    kkt_batch_reference after every sweep; returns (solutions, per-row KKT
+    residual, sweeps run), the last state if max_sweeps leave a row above
+    tol.  Each sweep is the plain zero-diagonal update
+    U_j = soft(B_j - U Qz_j, lam/2) / Q_jj, Qz = Q - diag(Q), on an
+    F-ordered copy of U0, so that its products round as the package's do.
+    """
+    Qz = np.asfortranarray(Q - np.diag(np.diag(Q)))
+    U = np.array(U0, dtype=float, order="F", copy=True)
+    half = 0.5 * lam
+    for sweep in range(1, max_sweeps + 1):
+        for j in range(Q.shape[0]):
+            r = B[:, j] - U @ Qz[:, j]
+            U[:, j] = (_soft(r, half) if signs[j] == 0 else r - half * signs[j]) / Q[j, j]
+        kkt = kkt_batch_reference(Q, B, lam, signs, U)
+        if kkt.max() <= tol:
+            break
+    return U, kkt, sweep
 
 
 def sample_xi(spec, delta):

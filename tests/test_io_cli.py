@@ -668,6 +668,22 @@ def test_cli_simulate_rejects_bad_sweep(tmp_path, sweep, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cfg, missing", [
+    ({"n": 40, "p": 6, "lambda_n": 0.5, "sweep": {}}, "missing key 's_values'"),
+    ({"n": 40, "lambda_n": 0.5}, "missing key 'p'"),
+    ({"p": 3, "theta0": [1.0, 0.0, 0.0]}, "argument: 'n'"),
+    ("n = 40", "expected a JSON object"),
+    ([40, 6], "expected a JSON object"),
+])
+def test_cli_simulate_names_config_file_and_missing_key(tmp_path, cfg, missing, capsys):
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 1
+    err = capsys.readouterr().err.strip()
+    assert err.startswith(f"sparseproj: error: scenario config {cfg_path}: ")
+    assert err.endswith(missing)
+
+
 @pytest.mark.parametrize("argv", [
     ["limitcheck", "--signs", ""],
     ["limitcheck", "--lambda0", ""],

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings as hyp_settings, strategies as st
 
-from oracles import (_soft, cd_multi_reference, cv_errors_reference, enumerate_min,
-                     fold_labels_reference, grid_min_2d, kkt_batch_reference, objective,
-                     prox_gradient_min, random_spd)
+from oracles import (cd_multi_reference, certified_loop_reference, cv_errors_reference,
+                     enumerate_min, fold_labels_reference, grid_min_2d, kkt_batch_reference,
+                     objective, prox_gradient_min, random_spd)
 from sparseproj import projection
 from sparseproj.errors import DegenerateDiagonal, InsufficientData, NoConvergence
 from sparseproj.projection import (
@@ -453,21 +453,17 @@ def test_cd_shared_same_bits_for_row_and_column_major_inputs(seed, p, m, lam, si
        st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=9),
        st.floats(min_value=0.0, max_value=3.0), st.booleans())
 def test_sweep_matches_soft_threshold_reference(seed, p, m, lam, signed):
-    # the in-place sweep against the plain formula it replaced,
-    # U_j = soft(B_j - UQ_j + U_j Q_jj, lam/2) / Q_jj, coordinate by coordinate
+    # the in-place sweep against one sweep of the plain zero-diagonal
+    # formula, U_j = soft(B_j - U Qz_j, lam/2) / Q_jj with Qz = Q - diag(Q),
+    # both on F-ordered U and Qz, as BLAS rounds by layout
     rng = np.random.default_rng(seed)
     Q = random_spd(rng, p)
     signs = rng.choice([-1.0, 0.0, 1.0], size=p) if signed else np.zeros(p)
     B = 2.0 * rng.standard_normal((m, p))
     U0 = np.where(rng.random((m, p)) < 0.5, rng.standard_normal((m, p)), 0.0)
-    # the same memory order on both sides, as BLAS rounds by layout
+    want, _, _ = certified_loop_reference(Q, B, lam, signs, U0, np.inf, 1)
     U = np.asfortranarray(U0)
-    want = U.copy(order="K")
-    for j in range(p):
-        d = Q[j, j]
-        r = B[:, j] - want @ Q[:, j] + want[:, j] * d
-        want[:, j] = (_soft(r, 0.5 * lam) if signs[j] == 0 else r - 0.5 * lam * signs[j]) / d
-    projection._sweep(Q, B, U, lam, signs)
+    projection._sweep(np.asfortranarray(Q - np.diag(np.diag(Q))), np.diag(Q), B, U, lam, signs)
     assert np.array_equal(U, want)
 
 
@@ -498,6 +494,79 @@ def test_cd_shared_one_sweep_names_worst_rows(monkeypatch):
     worst = bad[np.argsort(-want[bad], kind="stable")][:5]
     named = re.findall(r"row (\d+) \(([^)]*)\)", message)
     assert named == [(str(i), f"{want[i]:.3e}") for i in worst]
+
+
+def spy_on_sweeps(mp):
+    """Patch the solver's sweep and KKT pass to record, in order, the U of
+    every sweep and the number of rows of every certificate."""
+    sweeps, certified = [], []
+    sweep, kkt_rows = projection._sweep, projection._kkt_rows
+
+    def counted_sweep(Qz, diag, B, U, lam, signs):
+        sweeps.append(U)
+        sweep(Qz, diag, B, U, lam, signs)
+
+    def counted_kkt(G, U, lam, signs, S):
+        certified.append(U.shape[0])
+        return kkt_rows(G, U, lam, signs, S)
+
+    mp.setattr(projection, "_sweep", counted_sweep)
+    mp.setattr(projection, "_kkt_rows", counted_kkt)
+    return sweeps, certified
+
+
+@hyp_settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=1, max_value=8), st.integers(min_value=2, max_value=12),
+       st.floats(min_value=0.01, max_value=2.0), st.booleans(), st.booleans(), st.booleans())
+def test_probed_loop_matches_certifying_every_sweep(seed, p, m, lam, signed, fortran, nan_row):
+    # skipping the full certificate while the worst row still fails must
+    # leave the stopping sweep, the solutions and the certificate as they
+    # are when every sweep is certified in full; 60 sweeps leave some
+    # batches, and every one with a NaN row, to NoConvergence
+    rng = np.random.default_rng(seed)
+    Q = random_spd(rng, p, cond_cap=200.0)
+    signs = rng.choice([-1.0, 0.0, 1.0], size=p) if signed else np.zeros(p)
+    B = 2.0 * rng.standard_normal((m, p))
+    U0 = np.where(rng.random((m, p)) < 0.5, rng.standard_normal((m, p)), 0.0)
+    if nan_row:
+        B[rng.integers(m), rng.integers(p)] = np.nan
+    if fortran:
+        B, U0 = np.asfortranarray(B), np.asfortranarray(U0)
+    want_U, want_kkt, want_sweeps = certified_loop_reference(Q, B, lam, signs, U0,
+                                                             projection.TOL, 60)
+    with pytest.MonkeyPatch.context() as mp:
+        solver_limits(mp, max_sweeps=60)
+        sweeps, _ = spy_on_sweeps(mp)
+        if want_kkt.max() <= projection.TOL:
+            U, kkt = _solve(Q, B, lam, signs, U0)
+            assert np.array_equal(kkt, want_kkt)
+        else:
+            with pytest.raises(NoConvergence) as info:
+                _solve(Q, B, lam, signs, U0)
+            U = sweeps[-1]
+            assert str(info.value).endswith(
+                f"after 60 sweeps; {projection._worst_rows(want_kkt, projection.TOL, 'row')}")
+    assert len(sweeps) == want_sweeps
+    # equal as values: the reference's soft threshold keeps the sign of a zero
+    assert np.array_equal(U, want_U, equal_nan=True)
+
+
+def test_no_convergence_names_rows_of_the_last_full_certificate(monkeypatch):
+    rng = np.random.default_rng(8)
+    Q = random_spd(rng, 6, cond_cap=500.0)
+    signs = np.array([0.0, 1.0, 0.0, 0.0, -1.0, 0.0])
+    B = 2.0 * rng.standard_normal((40, 6))
+    _, want, _ = certified_loop_reference(Q, B, 0.05, signs, np.zeros_like(B), 1e-10, 3)
+    solver_limits(monkeypatch, max_sweeps=3)
+    _, certified = spy_on_sweeps(monkeypatch)
+    with pytest.raises(NoConvergence) as info:
+        _solve(Q, B, 0.05, signs, np.zeros_like(B))
+    message = str(info.value)
+    assert f"after 3 sweeps; {projection._worst_rows(want, 1e-10, 'row')}" in message
+    # the second sweep's worst-row probe failed, so only the first and the
+    # last sweep ran the certificate on all 40 rows
+    assert certified == [40, 1, 40]
 
 
 def test_cd_shared_sweeps_allocate_no_batch_sized_array():
