@@ -18,16 +18,16 @@ sufficient statistics only: C_n and X'Y/n, and for CV its per-fold cross
 products and Y'Y.  A batch of right-hand sides sharing one Q (projected
 draws; the limit experiment's xi with its T* draws) runs one certified loop
 (_solve) around one cyclic coordinate-descent sweep (_sweep); its (m, p)
-solution and buffers are F-ordered and allocated once per call, so an
-update touches one contiguous column.  The sweep reads Q with its diagonal
-zeroed: an update is b_j - u Qz_j, soft-thresholded and divided by Q_jj.
-Rows certify together, so after a failed full certificate each sweep
-probes the worst row alone and runs the full pass only once that row
-passes, or at the last allowed sweep; no result changes.  The LASSO
-center and each CV fold instead walk the exact piecewise-linear solution
-path (_lasso_path, the Gram-form LARS-lasso homotopy of Efron, Hastie,
-Johnstone & Tibshirani 2004 and Osborne, Presnell & Turlach 2000) and read
-each penalty off its segment.
+solution and buffers are F-ordered, so an update touches one contiguous
+column, and are allocated once per call unless the caller passes its own.
+The sweep reads Q with its diagonal zeroed: an update is b_j - u Qz_j,
+soft-thresholded and divided by Q_jj.  Rows certify together, so after a
+failed full certificate each sweep probes the worst row alone and runs the
+full pass only once that row passes, or at the last allowed sweep; no
+result changes.  The LASSO center and each CV fold instead walk the exact
+piecewise-linear solution path (_lasso_path, the Gram-form LARS-lasso
+homotopy of Efron, Hastie, Johnstone & Tibshirani 2004 and Osborne,
+Presnell & Turlach 2000) and read each penalty off its segment.
 
 Every solution is certified by its KKT residual (max subgradient violation,
 one branch-free formula for every coordinate kind; see _kkt_rows), not by
@@ -112,10 +112,13 @@ def _sweep(Qz: np.ndarray, diag: np.ndarray, B: np.ndarray, U: np.ndarray, lam: 
 
 
 def _solve(Q: np.ndarray, B: np.ndarray, lam: float, signs: np.ndarray,
-           U0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+           U0: np.ndarray, buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+           ) -> tuple[np.ndarray, np.ndarray]:
     """Certified solutions of min u'Qu - 2u'b + lam*penalty(u) for every row
     b of the (m, p) B, all sharing the (p, p) Q, from the rows of U0;
-    returns (solutions, per-row KKT residual).
+    returns (solutions, per-row KKT residual).  buffers, three F-ordered
+    (m, p) arrays (U, G, S), hold the solutions (returned) and the
+    certificate's work; by default all three are fresh.
 
     The batch is swept whole, F-ordered, until every row is within TOL.
     After a failed full certificate (a GEMM and an (m, p) KKT pass), each
@@ -135,9 +138,12 @@ def _solve(Q: np.ndarray, B: np.ndarray, lam: float, signs: np.ndarray,
         raise DegenerateDiagonal("Q has a nonpositive diagonal entry")
     Qz = np.array(Q, dtype=float, order="F")
     np.fill_diagonal(Qz, 0.0)
-    U = np.array(U0, dtype=float, order="F", copy=True)
-    G = np.empty_like(U)  # certificate buffers, reused by every sweep
-    S = np.empty_like(U)
+    if buffers is None:
+        U = np.array(U0, dtype=float, order="F", copy=True)
+        G, S = np.empty_like(U), np.empty_like(U)  # reused by every sweep
+    else:
+        U, G, S = buffers
+        np.copyto(U, U0)
     worst = None  # the worst row of the last failed full certificate
     for sweep in range(1, MAX_SWEEPS + 1):
         _sweep(Qz, diag, B, U, lam, signs)
@@ -236,7 +242,9 @@ def _certified_path(Q: np.ndarray, b: np.ndarray, lams: np.ndarray, where) -> np
 
 
 def project_draws(dataset: Dataset, thetas: np.ndarray, lambda_n: float,
-                  warm: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  warm: np.ndarray | None = None, *,
+                  buffers: tuple[np.ndarray, ...] | None = None
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Project a batch of dense coefficient draws to their sparse representatives.
 
     Each row theta of the (m, p) thetas gives the problem min over u of
@@ -245,6 +253,12 @@ def project_draws(dataset: Dataset, thetas: np.ndarray, lambda_n: float,
     matrix (m, p), F-ordered, and kkt residuals (m,)).  warm optionally
     seeds the whole batch, e.g. with the LASSO center.  NoConvergence names
     the penalty and the worst rows.
+
+    buffers, four F-ordered (m, p) arrays (B, U, G, S) that a caller reuses
+    across calls, receive the right-hand sides C_n theta, theta_star (then
+    U itself, not a fresh array) and the certificate's work.  thetas is
+    read only to form B, so G and S may share its memory.  By default all
+    four are fresh.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if lambda_n <= 0:
@@ -252,10 +266,12 @@ def project_draws(dataset: Dataset, thetas: np.ndarray, lambda_n: float,
     m, p = thetas.shape
     if p != dataset.p:
         raise ValueError(f"thetas have {p} columns, expected {dataset.p}")
-    B = np.matmul(thetas, dataset.gram, out=np.empty((m, p), order="F"))
+    B = np.empty((m, p), order="F") if buffers is None else buffers[0]
+    np.matmul(thetas, dataset.gram, out=B)
     U0 = np.broadcast_to(0.0 if warm is None else warm, (m, p))
     try:
-        return _solve(dataset.gram, B, lambda_n, np.zeros(p), U0)
+        return _solve(dataset.gram, B, lambda_n, np.zeros(p), U0,
+                      None if buffers is None else buffers[1:])
     except SparseProjError as exc:
         raise type(exc)(f"projection at lambda_n={lambda_n:.3e}: {exc}") from exc
 

@@ -46,7 +46,8 @@ def component_interval(draws: np.ndarray, center: np.ndarray, j: int,
 
 
 def component_intervals(draws: np.ndarray, center: np.ndarray,
-                        levels: Sequence[float] | np.ndarray
+                        levels: Sequence[float] | np.ndarray, *,
+                        work: np.ndarray | None = None
                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Credible intervals for all p coordinates of the (R, p) draws in one
     pass.
@@ -54,7 +55,8 @@ def component_intervals(draws: np.ndarray, center: np.ndarray,
     levels[j] is coordinate j's level.  Returns (lo, hi, degenerate): the
     same bounds as component_interval(draws, center, j, levels[j]) for every
     j, and a mask of the coordinates whose half-width is 0.  The distances
-    are formed and sorted once, in one (R, p) work buffer.
+    are formed and sorted once, in one (R, p) work buffer: work, an array
+    that a caller reuses, or a fresh one.
 
     The half-width is the order statistic of |draw_j - center_j| itself, not
     a sqrt(n)-scaled radius divided by sqrt(n).  So when the draw that sets
@@ -67,7 +69,7 @@ def component_intervals(draws: np.ndarray, center: np.ndarray,
     if len(levels) != p:
         raise ValueError(f"got {len(levels)} levels for p = {p}")
     ranks = np.array([_rank(R, float(lv)) for lv in levels])
-    d = draws - center
+    d = np.subtract(draws, center, out=work)
     np.abs(d, out=d)
     d.sort(axis=0)
     half = d[ranks - 1, np.arange(p)]

@@ -7,7 +7,8 @@ generates a dataset, picks the penalty (CV by default), runs fit_dataset and
 records which intervals caught the true coefficients.  Replications are
 independent tasks with RNG streams keyed by (seed, rep_index), so results
 are identical for any worker count; aggregation walks records in replication
-order.
+order.  Each run of consecutive replications works in one set of draw
+buffers (draw_buffers), which every fit overwrites in full.
 """
 
 from __future__ import annotations
@@ -49,7 +50,10 @@ class FitResult:
     (draws, p) projected draws (F-ordered, as project_draws returns them),
     center the LASSO estimate, [lo, hi] the componentwise intervals
     (degenerate where of zero length) and max_kkt the worst KKT residual of
-    the projected draws."""
+    the projected draws.
+
+    When fit_dataset was given buffers, draws is their first array, which
+    the next fit in the same buffers overwrites; otherwise it is fresh."""
 
     lambda_n: float
     lambda0: float
@@ -63,14 +67,37 @@ class FitResult:
     max_kkt: float
 
 
+def draw_buffers(draws: int, p: int) -> tuple[np.ndarray, ...]:
+    """The four F-ordered (draws, p) arrays one fit_dataset pass works in.
+
+    The first receives the projected draws that FitResult keeps.  It is
+    allocated first, so the three work arrays lie above it on the heap and
+    can go back to the system once the caller drops them.  The others hold
+    the normals, the posterior draws and B = thetas C_n in turn, then the
+    projection's certificate and the interval sort.
+    """
+    return tuple(np.empty((draws, p), order="F") for _ in range(4))
+
+
+def _c_view(a: np.ndarray) -> np.ndarray:
+    """The memory of the F-ordered a, as a C-ordered array of a's shape."""
+    return a.ravel(order="F").reshape(a.shape)
+
+
 def fit_dataset(ds: Dataset, lam: float, draws: int, post_seed: int, prior: PriorConfig,
-                *, target: float | None = None, level: float | None = None) -> FitResult:
+                *, target: float | None = None, level: float | None = None,
+                buffers: tuple[np.ndarray, ...] | None = None) -> FitResult:
     """Fit the projection posterior to ds at penalty lam, on the
     (1/n)||Y - Xu||^2 + lam*||u||_1 scale, with draws posterior draws from
     the stream post_seed, projected warm-started at the LASSO center.  Give
     exactly one of target (component j's level is calibrated from its
     effective penalty lambda0*sqrt(c_j)/sigma_hat, c_j its Gram diagonal, in
-    one solve_levels call) and level (used for every j)."""
+    one solve_levels call) and level (used for every j).
+
+    buffers is a draw_buffers(draws, ds.p) set that the caller owns and
+    reuses: every array in it is overwritten, and FitResult.draws is its
+    first array.  Without it the pass allocates a set of its own, so every
+    array it returns is fresh.  The result does not depend on which."""
     if (target is None) == (level is None):
         raise ValueError("give exactly one of target and level")
     lam0 = lam * math.sqrt(ds.n)
@@ -88,9 +115,16 @@ def fit_dataset(ds: Dataset, lam: float, draws: int, post_seed: int, prior: Prio
         with np.errstate(divide="ignore"):
             levels = solve_levels(lam0 * np.sqrt(np.diag(ds.gram)) / sigma_hat, target)
 
-    thetas, _ = sample_posterior_arrays(fact, draws, post_seed)
-    U, kkt = project_draws(ds, thetas, lam, warm=center)
-    lo, hi, degenerate = component_intervals(U, center, levels)
+    if buffers is None:
+        buffers = draw_buffers(draws, ds.p)
+    elif len(buffers) != 4 or any(b.shape != (draws, ds.p) for b in buffers):
+        raise ValueError(f"buffers must be a draw_buffers({draws}, {ds.p}) set")
+    kept, rhs, work, spare = buffers
+    thetas, _ = sample_posterior_arrays(fact, draws, post_seed, out=_c_view(spare),
+                                        normals=_c_view(work))
+    # thetas is read once, into rhs; work and spare then serve the certificate
+    U, kkt = project_draws(ds, thetas, lam, warm=center, buffers=(rhs, kept, work, spare))
+    lo, hi, degenerate = component_intervals(U, center, levels, work=work)
     return FitResult(lambda_n=lam, lambda0=lam0, sigma_hat=sigma_hat, levels=levels,
                      draws=U, center=center, lo=lo, hi=hi, degenerate=degenerate,
                      max_kkt=float(kkt.max()))
@@ -224,15 +258,19 @@ def simulate_rows(scenario: Scenario, rep_index: int) -> tuple[np.ndarray, np.nd
     return X, Y
 
 
-def run_replication(scenario: Scenario, rep_index: int) -> ReplicationRecord:
-    """One full pipeline pass; records per-component interval hits."""
+def run_replication(scenario: Scenario, rep_index: int,
+                    buffers: tuple[np.ndarray, ...] | None = None) -> ReplicationRecord:
+    """One full pipeline pass; records per-component interval hits.  buffers
+    is an optional draw_buffers set for fit_dataset; the record is the same
+    with or without it."""
     try:
-        return _run_replication(scenario, rep_index)
+        return _run_replication(scenario, rep_index, buffers)
     except SparseProjError as exc:
         raise type(exc)(f"replication {rep_index}: {exc}") from exc
 
 
-def _run_replication(scenario: Scenario, rep_index: int) -> ReplicationRecord:
+def _run_replication(scenario: Scenario, rep_index: int,
+                     buffers: tuple[np.ndarray, ...] | None) -> ReplicationRecord:
     ds = generate_data(scenario, rep_index)
     _, _, post_seed = _rep_streams(scenario.seed, rep_index)
 
@@ -245,7 +283,7 @@ def _run_replication(scenario: Scenario, rep_index: int) -> ReplicationRecord:
         # inside the calibrated range instead of over-shrinking the draws
         lam = 0.5 * cross_validate_lambda(ds)
     fit = fit_dataset(ds, lam, scenario.draws_per_rep, post_seed, PriorConfig(),
-                      target=scenario.target_coverage)
+                      target=scenario.target_coverage, buffers=buffers)
 
     # degenerate radii are expected under heavy shrinkage; recorded, not printed
     theta0 = scenario.theta0
@@ -283,23 +321,29 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> CoverageReport:
     """Run all replications (optionally in parallel) and aggregate.
 
     Per-replication RNG streams make the report independent of the worker
-    count; only the runtime field varies between runs.
+    count; only the runtime field varies between runs.  Workers take
+    contiguous chunks of replication indices, about four per worker.
     """
     start = time.perf_counter()
-    indices = range(scenario.replications)
+    reps = scenario.replications
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
+        chunks = min(reps, 4 * workers)
+        bounds = [reps * k // chunks for k in range(chunks + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            recs = list(pool.map(_rep_task, [(scenario, i) for i in indices],
-                                 chunksize=max(1, scenario.replications // (4 * workers))))
+            recs = [rec for part in pool.map(_run_chunk, [scenario] * chunks,
+                                             map(range, bounds[:-1], bounds[1:]))
+                    for rec in part]
     else:
-        recs = [run_replication(scenario, i) for i in indices]
+        recs = _run_chunk(scenario, range(reps))
     report = aggregate(recs)
     return replace(report, runtime=time.perf_counter() - start)
 
 
-def _rep_task(args) -> ReplicationRecord:
-    return run_replication(*args)
+def _run_chunk(scenario: Scenario, indices: range) -> list[ReplicationRecord]:
+    """The replications at indices, in order, all in one set of draw buffers."""
+    buffers = draw_buffers(scenario.draws_per_rep, scenario.p)
+    return [run_replication(scenario, i, buffers) for i in indices]
 
 
 def sparsity_sweep(base: Scenario, s_values: list[int],

@@ -210,3 +210,36 @@ def test_sampling_batch_matches_triangular_solve_oracle():
     assert thetas.flags.c_contiguous
     np.testing.assert_allclose(thetas, expected, rtol=1e-12)
     np.testing.assert_array_equal(sigmas, sigma)
+
+
+def test_sampling_accuracy_on_an_ill_conditioned_precision():
+    # nearly collinear columns and a_n = 1e-8 make L' badly conditioned.  A
+    # triangular solve per draw errs by at most gamma_p |L'^-1||L'||x| (Higham
+    # 2002, Thm 8.5); the product with the computed inverse errs by gamma_p
+    # (|L'^-1||L'| + I)|L'^-1||z| (each column of the inverse is such a solve,
+    # then the GEMM).  In the infinity norm the two differ by at most
+    # gamma_p (2 cond(L') + 1) ||L'^-1||z||, cond(L') = ||L'|| ||L'^-1||,
+    # times sigma, plus a few roundings of the shared scale and shift
+    rng = np.random.default_rng(5)
+    n, p, count = 200, 20, 2000
+    X = rng.standard_normal(n)[:, None] + 1e-5 * rng.standard_normal((n, p))
+    Y = X @ np.linspace(-1.0, 1.0, p) + rng.standard_normal(n)
+    fact = factorize(validate_dataset(X, Y), PriorConfig(a_n=1e-8))
+    T = fact.precision_chol.T
+    T_inv = solve_triangular(T, np.eye(p), lower=False)
+    cond = np.linalg.norm(T, np.inf) * np.linalg.norm(T_inv, np.inf)
+    assert cond > 1e5
+
+    rng = np.random.default_rng(np.random.SeedSequence((3, 0)))
+    rng.gamma(fact.gamma_shape, 1.0 / fact.gamma_rate, size=count)
+    z = rng.standard_normal((count, p))
+    thetas, sigmas = sample_posterior_arrays(fact, count, seed=3)
+    scaled = sigmas[:, None] * solve_triangular(T, z.T, lower=False).T
+    expected = fact.ridge_mean + scaled
+
+    u = np.finfo(float).eps / 2
+    gamma_p = p * u / (1 - p * u)
+    reach = (np.abs(z) @ np.abs(T_inv).T).max(axis=1, keepdims=True)
+    bound = (1.01 * gamma_p * (2 * cond + 1) * sigmas[:, None] * reach
+             + 4 * u * (2 * np.abs(scaled) + np.abs(fact.ridge_mean) + np.abs(expected)))
+    assert np.all(np.abs(thetas - expected) <= bound)

@@ -1,19 +1,22 @@
 """Coverage-study harness: data generation laws, single replications,
 aggregation, worker invariance, and the CSV table layouts."""
 
-from dataclasses import replace
+import math
+import sys
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from sparseproj import calibration
-from sparseproj.errors import InsufficientData
+from sparseproj import calibration, projection, simulate
+from sparseproj.errors import InsufficientData, NoConvergence
 from sparseproj.simulate import (
     CAPTION_SIGNALS,
     DEFAULT_SIGNALS,
     ReplicationRecord,
     Scenario,
     aggregate,
+    draw_buffers,
     fit_dataset,
     generate_data,
     report_to_csv,
@@ -265,6 +268,85 @@ def test_run_scenario_worker_invariance():
     assert one.max_kkt == two.max_kkt
     assert 0.0 <= one.coverage.min() and one.coverage.max() <= 1.0
     assert one.runtime > 0
+
+
+def assert_same_record(a, b):
+    """Every field of two replication records equal bit for bit."""
+    for f in fields(ReplicationRecord):
+        x, y = np.asarray(getattr(a, f.name)), np.asarray(getattr(b, f.name))
+        assert x.dtype == y.dtype and x.shape == y.shape, f.name
+        assert x.tobytes() == y.tobytes(), (a.rep_index, f.name)
+
+
+@pytest.mark.parametrize("design", ["independent", "ar1"])
+@pytest.mark.parametrize("lambda_n", [0.2, None])
+def test_reused_buffers_leak_no_state(monkeypatch, design, lambda_n):
+    # run_scenario runs its replications in one set of draw buffers (one per
+    # chunk with workers: 12 replications in 8 chunks puts two in some);
+    # each record must equal its replication run alone
+    sc = make_scenario(n=60, p=5, theta0=np.array([1.5, -1.0, 0.5, 0.0, 0.0]),
+                       design=design, lambda_n=lambda_n, cv_folds=5, replications=12,
+                       draws_per_rep=200, seed=3)
+    alone = [run_replication(sc, i) for i in range(sc.replications)]
+    for workers in (1, 2):
+        seen = []
+        monkeypatch.setattr(simulate, "aggregate",
+                            lambda recs, real=aggregate: seen.extend(recs) or real(recs))
+        run_scenario(sc, workers=workers)
+        assert [r.rep_index for r in seen] == list(range(sc.replications))
+        for rec, ref in zip(seen, alone):
+            assert_same_record(rec, ref)
+
+
+def test_replication_after_a_failed_one_matches_fresh(monkeypatch):
+    sc = make_scenario(n=60, p=5, theta0=np.array([1.5, -1.0, 0.5, 0.0, 0.0]),
+                       lambda_n=0.2, draws_per_rep=200, seed=3)
+    buffers = draw_buffers(sc.draws_per_rep, sc.p)
+
+    def failing_sweep(*args, real=projection._sweep):
+        real(*args)
+        for b in buffers:  # leave every buffer poisoned, as a crash might
+            b.fill(np.nan)
+        raise NoConvergence("injected")
+
+    monkeypatch.setattr(projection, "_sweep", failing_sweep)
+    with pytest.raises(NoConvergence, match="replication 0: .*injected"):
+        run_replication(sc, 0, buffers)
+    monkeypatch.undo()
+    for i in (1, 0):
+        assert_same_record(run_replication(sc, i, buffers), run_replication(sc, i))
+
+
+def test_fit_dataset_without_buffers_returns_fresh_arrays():
+    ds = generate_data(make_scenario(n=60, p=3, theta0=np.array([1.0, 0.0, 0.0])), 0)
+    a = fit_dataset(ds, 0.2, 50, 1, PriorConfig(), target=0.95)
+    b = fit_dataset(ds, 0.2, 50, 1, PriorConfig(), target=0.95)
+    assert not np.shares_memory(a.draws, b.draws)
+    np.testing.assert_array_equal(a.draws, b.draws)
+    buffers = draw_buffers(50, 3)
+    c = fit_dataset(ds, 0.2, 50, 1, PriorConfig(), target=0.95, buffers=buffers)
+    assert c.draws is buffers[0]  # documented: the caller's first array
+    np.testing.assert_array_equal(c.draws, a.draws)
+    for wrong in (draw_buffers(60, 3), draw_buffers(50, 3)[:3]):
+        with pytest.raises(ValueError, match=r"draw_buffers\(50, 3\) set"):
+            fit_dataset(ds, 0.2, 50, 1, PriorConfig(), target=0.95, buffers=wrong)
+
+
+def test_steady_replications_take_few_page_faults():
+    # one set of draw buffers serves every replication, so a steady run
+    # faults in almost no fresh pages: about 6-14 minor faults per
+    # replication here, against about 500 when each replication allocated
+    # its own (2000, 20) arrays
+    resource = pytest.importorskip("resource")
+    if not sys.platform.startswith("linux"):
+        pytest.skip("minor page fault counts are read on Linux")
+    sc = Scenario(n=500, p=20, theta0=signal_vector(20), replications=20,
+                  draws_per_rep=2000, lambda_n=0.3 / math.sqrt(500), seed=1)
+    run_scenario(replace(sc, replications=2))  # code pages, BLAS and heap warm
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_scenario(sc)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults / sc.replications < 100, faults
 
 
 # --- sparsity_sweep ----------------------------------------------------------
