@@ -117,8 +117,8 @@ def _solve(Q: np.ndarray, B: np.ndarray, lam: float, signs: np.ndarray,
     """Certified solutions of min u'Qu - 2u'b + lam*penalty(u) for every row
     b of the (m, p) B, all sharing the (p, p) Q, from the rows of U0;
     returns (solutions, per-row KKT residual).  buffers, three F-ordered
-    (m, p) arrays (U, G, S), hold the solutions (returned) and the
-    certificate's work; by default all three are fresh.
+    (m, p) arrays (U, G, S), hold the solutions (U itself is returned) and
+    the certificate's work; by default all three are fresh.
 
     The batch is swept whole, F-ordered, until every row is within TOL.
     After a failed full certificate (a GEMM and an (m, p) KKT pass), each
@@ -138,12 +138,8 @@ def _solve(Q: np.ndarray, B: np.ndarray, lam: float, signs: np.ndarray,
         raise DegenerateDiagonal("Q has a nonpositive diagonal entry")
     Qz = np.array(Q, dtype=float, order="F")
     np.fill_diagonal(Qz, 0.0)
-    if buffers is None:
-        U = np.array(U0, dtype=float, order="F", copy=True)
-        G, S = np.empty_like(U), np.empty_like(U)  # reused by every sweep
-    else:
-        U, G, S = buffers
-        np.copyto(U, U0)
+    U, G, S = buffers or [np.empty(B.shape, order="F") for _ in range(3)]
+    np.copyto(U, U0)  # G and S are reused by every sweep
     worst = None  # the worst row of the last failed full certificate
     for sweep in range(1, MAX_SWEEPS + 1):
         _sweep(Qz, diag, B, U, lam, signs)
@@ -243,8 +239,8 @@ def _certified_path(Q: np.ndarray, b: np.ndarray, lams: np.ndarray, where) -> np
 
 def project_draws(dataset: Dataset, thetas: np.ndarray, lambda_n: float,
                   warm: np.ndarray | None = None, *,
-                  buffers: tuple[np.ndarray, ...] | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
+                  buffers: tuple[np.ndarray, ...] | None = None,
+                  overwrite_thetas: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Project a batch of dense coefficient draws to their sparse representatives.
 
     Each row theta of the (m, p) thetas gives the problem min over u of
@@ -254,11 +250,11 @@ def project_draws(dataset: Dataset, thetas: np.ndarray, lambda_n: float,
     seeds the whole batch, e.g. with the LASSO center.  NoConvergence names
     the penalty and the worst rows.
 
-    buffers, four F-ordered (m, p) arrays (B, U, G, S) that a caller reuses
-    across calls, receive the right-hand sides C_n theta, theta_star (then
-    U itself, not a fresh array) and the certificate's work.  thetas is
-    read only to form B, so G and S may share its memory.  By default all
-    four are fresh.
+    buffers, three F-ordered (m, p) arrays (U, B, G) that a caller reuses
+    across calls, receive theta_star (then U itself, not a fresh array),
+    the right-hand sides C_n theta and the certificate's work.  With
+    overwrite_thetas, the memory of thetas is the certificate's second work
+    array once B is formed, and thetas is lost.  By default each is fresh.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if lambda_n <= 0:
@@ -266,12 +262,14 @@ def project_draws(dataset: Dataset, thetas: np.ndarray, lambda_n: float,
     m, p = thetas.shape
     if p != dataset.p:
         raise ValueError(f"thetas have {p} columns, expected {dataset.p}")
-    B = np.empty((m, p), order="F") if buffers is None else buffers[0]
+    U, B, G = buffers or [np.empty((m, p), order="F") for _ in range(3)]
     np.matmul(thetas, dataset.gram, out=B)
+    # thetas is not read again; its memory, in any order, serves as S
+    S = (thetas.ravel(order="K").reshape((m, p), order="F") if overwrite_thetas
+         else np.empty_like(B))
     U0 = np.broadcast_to(0.0 if warm is None else warm, (m, p))
     try:
-        return _solve(dataset.gram, B, lambda_n, np.zeros(p), U0,
-                      None if buffers is None else buffers[1:])
+        return _solve(dataset.gram, B, lambda_n, np.zeros(p), U0, (U, G, S))
     except SparseProjError as exc:
         raise type(exc)(f"projection at lambda_n={lambda_n:.3e}: {exc}") from exc
 

@@ -70,11 +70,13 @@ class FitResult:
 def draw_buffers(draws: int, p: int) -> tuple[np.ndarray, ...]:
     """The four F-ordered (draws, p) arrays one fit_dataset pass works in.
 
-    The first receives the projected draws that FitResult keeps.  It is
-    allocated first, so the three work arrays lie above it on the heap and
-    can go back to the system once the caller drops them.  The others hold
-    the normals, the posterior draws and B = thetas C_n in turn, then the
-    projection's certificate and the interval sort.
+    The first three are project_draws' buffers (U, B, G): the projected
+    draws that FitResult keeps, the right-hand sides and certificate work.
+    The fourth receives the posterior draws, which project_draws then
+    overwrites.  G holds the normals before projection and the interval
+    sort after it.  U is allocated first, so the three work arrays lie
+    above it on the heap and can go back to the system once the caller
+    drops them.
     """
     return tuple(np.empty((draws, p), order="F") for _ in range(4))
 
@@ -117,13 +119,14 @@ def fit_dataset(ds: Dataset, lam: float, draws: int, post_seed: int, prior: Prio
 
     if buffers is None:
         buffers = draw_buffers(draws, ds.p)
-    elif len(buffers) != 4 or any(b.shape != (draws, ds.p) for b in buffers):
+    elif len(buffers) != 4 or any(b.shape != (draws, ds.p) or b.dtype != np.float64
+                                  or not b.flags.f_contiguous for b in buffers):
         raise ValueError(f"buffers must be a draw_buffers({draws}, {ds.p}) set")
     kept, rhs, work, spare = buffers
     thetas, _ = sample_posterior_arrays(fact, draws, post_seed, out=_c_view(spare),
                                         normals=_c_view(work))
-    # thetas is read once, into rhs; work and spare then serve the certificate
-    U, kkt = project_draws(ds, thetas, lam, warm=center, buffers=(rhs, kept, work, spare))
+    U, kkt = project_draws(ds, thetas, lam, warm=center, buffers=(kept, rhs, work),
+                           overwrite_thetas=True)
     lo, hi, degenerate = component_intervals(U, center, levels, work=work)
     return FitResult(lambda_n=lam, lambda0=lam0, sigma_hat=sigma_hat, levels=levels,
                      draws=U, center=center, lo=lo, hi=hi, degenerate=degenerate,

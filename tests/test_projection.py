@@ -141,6 +141,25 @@ def test_project_draws_warm_start_same_answer():
     np.testing.assert_allclose(cold, warm, atol=1e-9)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_project_draws_in_caller_buffers_matches_fresh(order):
+    # U, B and G from the caller, S in the memory of thetas: the same bits
+    # as fresh arrays, U returned as the caller's own array
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((40, 4))
+    X[:, 1] = X[:, 0] + 0.3 * X[:, 1]  # a few sweeps, so S is reused
+    ds = validate_dataset(X, rng.standard_normal(40))
+    thetas = rng.standard_normal((25, 4))
+    ref, ref_kkt = project_draws(ds, thetas, 0.1, warm=np.full(4, 0.2))
+    buffers = [np.full((25, 4), np.nan, order="F") for _ in range(3)]
+    own = np.array(thetas, order=order)
+    U, kkt = project_draws(ds, own, 0.1, warm=np.full(4, 0.2), buffers=buffers,
+                           overwrite_thetas=True)
+    assert U is buffers[0] and U.flags.f_contiguous
+    assert U.tobytes() == ref.tobytes() and kkt.tobytes() == ref_kkt.tobytes()
+    assert not np.array_equal(own, thetas)  # thetas held the certificate's work
+
+
 def test_project_draws_rejects_nonpositive_lambda():
     ds = identity_gram_dataset()
     with pytest.raises(ValueError):

@@ -327,7 +327,9 @@ def test_fit_dataset_without_buffers_returns_fresh_arrays():
     c = fit_dataset(ds, 0.2, 50, 1, PriorConfig(), target=0.95, buffers=buffers)
     assert c.draws is buffers[0]  # documented: the caller's first array
     np.testing.assert_array_equal(c.draws, a.draws)
-    for wrong in (draw_buffers(60, 3), draw_buffers(50, 3)[:3]):
+    c_ordered = tuple(np.empty((50, 3)) for _ in range(4))
+    single = tuple(np.empty((50, 3), np.float32, order="F") for _ in range(4))
+    for wrong in (draw_buffers(60, 3), draw_buffers(50, 3)[:3], c_ordered, single):
         with pytest.raises(ValueError, match=r"draw_buffers\(50, 3\) set"):
             fit_dataset(ds, 0.2, 50, 1, PriorConfig(), target=0.95, buffers=wrong)
 
