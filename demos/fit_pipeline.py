@@ -42,8 +42,8 @@ print(f"loaded {ds.n} rows, predictors {names}")
 # 3. the whole fit in one call, the same one `sparseproj fit` makes:
 #    - factorize the conjugate posterior and draw 4000 dense coefficient
 #      vectors from it;
-#    - compute the LASSO center and project every draw to its sparse
-#      representative, warm-started at the center;
+#    - solve the LASSO center and the sparse representative of every draw
+#      in one certified coordinate-descent batch, the center as its row 0;
 #    - calibrate each coordinate's working level so its interval attains 0.95
 #      coverage: the limit penalty is lambda_n * sqrt(n), and coordinate j's
 #      limiting Gram diagonal c_j is estimated by C_n[j, j];

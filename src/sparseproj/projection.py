@@ -1,4 +1,4 @@
-"""Sparsity-inducing projection by coordinate descent, and the LASSO center
+"""Sparsity-inducing projection and the LASSO center by coordinate descent,
 and the cross-validation path by the exact LASSO solution path.
 
 All problems here share one quadratic form
@@ -15,8 +15,9 @@ halved, accordingly before it is passed in here.
 The entry points are project_draws, fit_lasso and cross_validate_lambda;
 the limit experiment calls _solve directly.  They read a dataset's
 sufficient statistics only: C_n and X'Y/n, and for CV its per-fold cross
-products and Y'Y.  A batch of right-hand sides sharing one Q (projected
-draws; the limit experiment's xi with its T* draws) runs one certified loop
+products and Y'Y.  A batch of right-hand sides sharing one Q (the LASSO
+center, b = X'Y/n, as row 0 beside the projected draws, b = C_n theta; the
+limit experiment's xi as row 0 beside its T* draws) runs one certified loop
 (_solve) around one cyclic coordinate-descent sweep (_sweep); its (m, p)
 solution and buffers are F-ordered, so an update touches one contiguous
 column, and are allocated once per call unless the caller passes its own.
@@ -24,10 +25,11 @@ The sweep reads Q with its diagonal zeroed: an update is b_j - u Qz_j,
 soft-thresholded and divided by Q_jj.  Rows certify together, so after a
 failed full certificate each sweep probes the worst row alone and runs the
 full pass only once that row passes, or at the last allowed sweep; no
-result changes.  The LASSO center and each CV fold instead walk the exact
-piecewise-linear solution path (_lasso_path, the Gram-form LARS-lasso
-homotopy of Efron, Hastie, Johnstone & Tibshirani 2004 and Osborne,
-Presnell & Turlach 2000) and read each penalty off its segment.
+result changes.  fit_lasso (the exact reference for the batch's center) and
+each CV fold instead walk the exact piecewise-linear solution path
+(_lasso_path, the Gram-form LARS-lasso homotopy of Efron, Hastie, Johnstone
+& Tibshirani 2004 and Osborne, Presnell & Turlach 2000) and read each
+penalty off its segment.
 
 Every solution is certified by its KKT residual (max subgradient violation,
 one branch-free formula for every coordinate kind; see _kkt_rows), not by
@@ -39,6 +41,7 @@ point; _solve raises NoConvergence after MAX_SWEEPS sweeps.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 
 import numpy as np
 
@@ -75,13 +78,14 @@ def _kkt_rows(G: np.ndarray, U: np.ndarray, lam: float | np.ndarray, signs: np.n
     return np.maximum(G.max(axis=1), 0.0)
 
 
-def _worst_rows(kkt: np.ndarray, tol: float, label: str, limit: int = 5) -> str:
+def _worst_rows(kkt: np.ndarray, tol: float, name: Callable[[int], str] = "row {}".format,
+                limit: int = 5) -> str:
     """How many rows of a batch are still above tol, and the worst few of
-    them with their KKT residuals."""
+    them, each as name(i) for its row index i, with their KKT residuals."""
     bad = np.flatnonzero(~(kkt <= tol))  # NaN counts as unconverged
     worst = bad[np.argsort(-kkt[bad], kind="stable")][:limit]
-    listed = ", ".join(f"{label} {i} ({kkt[i]:.3e})" for i in worst)
-    return f"{bad.size} of {kkt.size} {label}s above tol, worst: {listed}"
+    listed = ", ".join(f"{name(int(i))} ({kkt[i]:.3e})" for i in worst)
+    return f"{bad.size} of {kkt.size} rows above tol, worst: {listed}"
 
 
 def _sweep(Qz: np.ndarray, diag: np.ndarray, B: np.ndarray, U: np.ndarray, lam: float,
@@ -112,13 +116,14 @@ def _sweep(Qz: np.ndarray, diag: np.ndarray, B: np.ndarray, U: np.ndarray, lam: 
 
 
 def _solve(Q: np.ndarray, B: np.ndarray, lam: float, signs: np.ndarray,
-           U0: np.ndarray, buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-           ) -> tuple[np.ndarray, np.ndarray]:
+           U0: np.ndarray, buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+           name: Callable[[int], str] = "row {}".format) -> tuple[np.ndarray, np.ndarray]:
     """Certified solutions of min u'Qu - 2u'b + lam*penalty(u) for every row
     b of the (m, p) B, all sharing the (p, p) Q, from the rows of U0;
     returns (solutions, per-row KKT residual).  buffers, three F-ordered
     (m, p) arrays (U, G, S), hold the solutions (U itself is returned) and
-    the certificate's work; by default all three are fresh.
+    the certificate's work; by default all three are fresh.  name(i) is how
+    an error names row i.
 
     The batch is swept whole, F-ordered, until every row is within TOL.
     After a failed full certificate (a GEMM and an (m, p) KKT pass), each
@@ -159,7 +164,7 @@ def _solve(Q: np.ndarray, B: np.ndarray, lam: float, signs: np.ndarray,
         if kkt.max() <= TOL:
             return U, kkt
         worst = int(kkt.argmax())  # the first NaN row, if any
-    listed = f"; {_worst_rows(kkt, TOL, 'row')}" if kkt.size > 1 else ""
+    listed = f"; {_worst_rows(kkt, TOL, name)}" if kkt.size > 1 else ""
     raise NoConvergence(f"residual {kkt.max():.3e} > tol {TOL:.1e} "
                         f"after {MAX_SWEEPS} sweeps{listed}")
 
@@ -237,24 +242,27 @@ def _certified_path(Q: np.ndarray, b: np.ndarray, lams: np.ndarray, where) -> np
     return U
 
 
-def project_draws(dataset: Dataset, thetas: np.ndarray, lambda_n: float,
-                  warm: np.ndarray | None = None, *,
-                  buffers: tuple[np.ndarray, ...] | None = None,
-                  overwrite_thetas: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Project a batch of dense coefficient draws to their sparse representatives.
+def project_draws(dataset: Dataset, thetas: np.ndarray, lambda_n: float, *,
+                  buffers: tuple[np.ndarray, ...] | None = None
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The LASSO center and the sparse representatives of a batch of dense
+    coefficient draws, in one certified solve.
 
-    Each row theta of the (m, p) thetas gives the problem min over u of
-    (1/n)||X theta - Xu||^2 + lambda_n*||u||_1, i.e. Q = C_n and b = C_n theta;
-    all rows are solved in one vectorized descent.  Returns (theta_star
-    matrix (m, p), F-ordered, and kkt residuals (m,)).  warm optionally
-    seeds the whole batch, e.g. with the LASSO center.  NoConvergence names
-    the penalty and the worst rows.
+    Every problem is min over u of u'C_n u - 2u'b + lambda_n*||u||_1, the
+    loss (1/n)||Y - Xu||^2 or (1/n)||X theta - Xu||^2 up to a constant:
+    b = X'Y/n for the center and b = C_n theta for each row theta of the
+    (m, p) thetas.  The center is row 0 of one (m + 1, p) batch and the
+    draws are rows 1..m; all start from zero.  Returns (center, a fresh
+    (p,) array; theta_star, the (m, p) rows 1..m of the F-ordered solution;
+    kkt, the (m + 1,) per-row KKT residuals, the center's first).
+    NoConvergence names the penalty and the worst rows, as "LASSO center"
+    or "draw k" for row k of thetas.
 
-    buffers, three F-ordered (m, p) arrays (U, B, G) that a caller reuses
-    across calls, receive theta_star (then U itself, not a fresh array),
-    the right-hand sides C_n theta and the certificate's work.  With
-    overwrite_thetas, the memory of thetas is the certificate's second work
-    array once B is formed, and thetas is lost.  By default each is fresh.
+    buffers, four F-ordered (m + 1, p) arrays (U, B, G, S) that a caller
+    reuses across calls, receive the solutions (theta_star is then a view
+    of U), the right-hand sides and the certificate's work.  thetas may lie
+    in the memory of G or S: it is read once, into B, before either is
+    written.  By default each is fresh.
     """
     thetas = np.atleast_2d(np.asarray(thetas, dtype=float))
     if lambda_n <= 0:
@@ -262,26 +270,26 @@ def project_draws(dataset: Dataset, thetas: np.ndarray, lambda_n: float,
     m, p = thetas.shape
     if p != dataset.p:
         raise ValueError(f"thetas have {p} columns, expected {dataset.p}")
-    U, B, G = buffers or [np.empty((m, p), order="F") for _ in range(3)]
-    np.matmul(thetas, dataset.gram, out=B)
-    # thetas is not read again; its memory, in any order, serves as S
-    S = (thetas.ravel(order="K").reshape((m, p), order="F") if overwrite_thetas
-         else np.empty_like(B))
-    U0 = np.broadcast_to(0.0 if warm is None else warm, (m, p))
+    U, B, G, S = buffers or [np.empty((m + 1, p), order="F") for _ in range(4)]
+    np.matmul(thetas, dataset.gram, out=B[1:])
+    B[0] = dataset.xty
     try:
-        return _solve(dataset.gram, B, lambda_n, np.zeros(p), U0, (U, G, S))
+        U, kkt = _solve(dataset.gram, B, lambda_n, np.zeros(p), np.broadcast_to(0.0, B.shape),
+                        (U, G, S), lambda i: f"draw {i - 1}" if i else "LASSO center")
     except SparseProjError as exc:
         raise type(exc)(f"projection at lambda_n={lambda_n:.3e}: {exc}") from exc
+    return U[0].copy(), U[1:], kkt
 
 
 def fit_lasso(dataset: Dataset, lambda_n: float) -> np.ndarray:
     """LASSO estimate: minimizer of (1/n)||Y - Xu||^2 + lambda_n*||u||_1.
 
-    Same quadratic form as project_draws but with b = X'Y/n, which is the
-    projection of the least-squares solution.  Read off the exact solution
-    path (_lasso_path) and certified by its KKT residual; a solution above
-    TOL is polished by coordinate descent.  Raises DegenerateDiagonal if a
-    Gram diagonal entry is <= 0 and NoConvergence if the polish leaves the
+    The problem project_draws solves as its row 0 (b = X'Y/n, the projection
+    of the least-squares solution), here alone and exactly, as the reference
+    for the fit pipeline's center: read off the exact solution path
+    (_lasso_path) and certified by its KKT residual; a solution above TOL is
+    polished by coordinate descent.  Raises DegenerateDiagonal if a Gram
+    diagonal entry is <= 0 and NoConvergence if the polish leaves the
     residual above TOL after MAX_SWEEPS sweeps; both name the center.
     """
     if lambda_n <= 0:

@@ -1,10 +1,11 @@
 """The fit pipeline that `sparseproj fit` and the coverage studies share.
 
-fit_dataset factorizes the posterior, computes the LASSO center, calibrates
-a per-component credibility level, projects a batch of posterior draws and
-reads off componentwise intervals.  A replication of a coverage study
-generates a dataset, picks the penalty (CV by default), runs fit_dataset and
-records which intervals caught the true coefficients.  Replications are
+fit_dataset factorizes the posterior, calibrates a per-component
+credibility level, solves the LASSO center and the projections of a batch
+of posterior draws in one certified batch and reads off componentwise
+intervals.  A replication of a coverage study generates a dataset, picks
+the penalty (CV by default), runs fit_dataset and records which intervals
+caught the true coefficients.  Replications are
 independent tasks with RNG streams keyed by (seed, rep_index), so results
 are identical for any worker count; aggregation walks records in replication
 order.  Each run of consecutive replications works in one set of draw
@@ -24,7 +25,7 @@ import numpy as np
 from .calibration import solve_levels
 from .errors import SparseProjError
 from .posterior import factorize, sample_posterior_arrays
-from .projection import cross_validate_lambda, fit_lasso, project_draws
+from .projection import cross_validate_lambda, project_draws
 from .regions import component_intervals
 from .types import Dataset, PriorConfig, frozen_copy, validate_dataset
 
@@ -47,13 +48,15 @@ def signal_vector(p: int, caption_variant: bool = False) -> np.ndarray:
 class FitResult:
     """One pass of the method: lambda0 = lambda_n * sqrt(n), sigma_hat from
     the ridge residual, levels[j] the credibility of component j, draws the
-    (draws, p) projected draws (F-ordered, as project_draws returns them),
-    center the LASSO estimate, [lo, hi] the componentwise intervals
-    (degenerate where of zero length) and max_kkt the worst KKT residual of
-    the projected draws.
+    (draws, p) projected draws (rows 1.. of the F-ordered batch, as
+    project_draws returns them), center the LASSO estimate (a fresh array),
+    [lo, hi] the componentwise intervals (degenerate where of zero length)
+    and max_kkt the worst KKT residual of the center and the projected
+    draws.
 
-    When fit_dataset was given buffers, draws is their first array, which
-    the next fit in the same buffers overwrites; otherwise it is fresh."""
+    When fit_dataset was given buffers, draws is the rows-1.. view of their
+    first array, which the next fit in the same buffers overwrites;
+    otherwise it is fresh."""
 
     lambda_n: float
     lambda0: float
@@ -68,22 +71,24 @@ class FitResult:
 
 
 def draw_buffers(draws: int, p: int) -> tuple[np.ndarray, ...]:
-    """The four F-ordered (draws, p) arrays one fit_dataset pass works in.
+    """The four F-ordered (draws + 1, p) arrays one fit_dataset pass works
+    in: project_draws' buffers (U, B, G, S), row 0 the LASSO center's.
 
-    The first three are project_draws' buffers (U, B, G): the projected
-    draws that FitResult keeps, the right-hand sides and certificate work.
-    The fourth receives the posterior draws, which project_draws then
-    overwrites.  G holds the normals before projection and the interval
-    sort after it.  U is allocated first, so the three work arrays lie
+    U holds the solutions, whose rows 1.. FitResult keeps as its draws; B
+    the right-hand sides; G and S certificate work.  Before projection G
+    holds the normals and S the posterior draws, each C-ordered in the
+    array's leading draws * p entries; after it, G's rows 1.. hold the
+    interval sort.  U is allocated first, so the three work arrays lie
     above it on the heap and can go back to the system once the caller
     drops them.
     """
-    return tuple(np.empty((draws, p), order="F") for _ in range(4))
+    return tuple(np.empty((draws + 1, p), order="F") for _ in range(4))
 
 
-def _c_view(a: np.ndarray) -> np.ndarray:
-    """The memory of the F-ordered a, as a C-ordered array of a's shape."""
-    return a.ravel(order="F").reshape(a.shape)
+def _c_rows(a: np.ndarray, rows: int) -> np.ndarray:
+    """The leading entries of the F-ordered a, as a C-ordered (rows, p)
+    array."""
+    return a.ravel(order="F")[:rows * a.shape[1]].reshape(rows, a.shape[1])
 
 
 def fit_dataset(ds: Dataset, lam: float, draws: int, post_seed: int, prior: PriorConfig,
@@ -91,20 +96,21 @@ def fit_dataset(ds: Dataset, lam: float, draws: int, post_seed: int, prior: Prio
                 buffers: tuple[np.ndarray, ...] | None = None) -> FitResult:
     """Fit the projection posterior to ds at penalty lam, on the
     (1/n)||Y - Xu||^2 + lam*||u||_1 scale, with draws posterior draws from
-    the stream post_seed, projected warm-started at the LASSO center.  Give
-    exactly one of target (component j's level is calibrated from its
-    effective penalty lambda0*sqrt(c_j)/sigma_hat, c_j its Gram diagonal, in
-    one solve_levels call) and level (used for every j).
+    the stream post_seed, projected in one certified batch whose row 0 is
+    the LASSO center (project_draws).  Give exactly one of target (component
+    j's level is calibrated from its effective penalty
+    lambda0*sqrt(c_j)/sigma_hat, c_j its Gram diagonal, in one solve_levels
+    call) and level (used for every j).
 
     buffers is a draw_buffers(draws, ds.p) set that the caller owns and
-    reuses: every array in it is overwritten, and FitResult.draws is its
-    first array.  Without it the pass allocates a set of its own, so every
-    array it returns is fresh.  The result does not depend on which."""
+    reuses: every array in it is overwritten, and FitResult.draws is the
+    rows-1.. view of its first array.  Without it the pass allocates a set
+    of its own, so every array it returns is fresh.  The result does not
+    depend on which."""
     if (target is None) == (level is None):
         raise ValueError("give exactly one of target and level")
     lam0 = lam * math.sqrt(ds.n)
     fact = factorize(ds, prior)
-    center = fit_lasso(ds, lam)
     m = fact.ridge_mean
     # ||Y - Xm||^2/n from the statistics; rounding can take it below 0 when Y
     # lies near the span of X
@@ -119,15 +125,14 @@ def fit_dataset(ds: Dataset, lam: float, draws: int, post_seed: int, prior: Prio
 
     if buffers is None:
         buffers = draw_buffers(draws, ds.p)
-    elif len(buffers) != 4 or any(b.shape != (draws, ds.p) or b.dtype != np.float64
+    elif len(buffers) != 4 or any(b.shape != (draws + 1, ds.p) or b.dtype != np.float64
                                   or not b.flags.f_contiguous for b in buffers):
         raise ValueError(f"buffers must be a draw_buffers({draws}, {ds.p}) set")
-    kept, rhs, work, spare = buffers
-    thetas, _ = sample_posterior_arrays(fact, draws, post_seed, out=_c_view(spare),
-                                        normals=_c_view(work))
-    U, kkt = project_draws(ds, thetas, lam, warm=center, buffers=(kept, rhs, work),
-                           overwrite_thetas=True)
-    lo, hi, degenerate = component_intervals(U, center, levels, work=work)
+    work, spare = buffers[2:]
+    thetas, _ = sample_posterior_arrays(fact, draws, post_seed, out=_c_rows(spare, draws),
+                                        normals=_c_rows(work, draws))
+    center, U, kkt = project_draws(ds, thetas, lam, buffers=buffers)
+    lo, hi, degenerate = component_intervals(U, center, levels, work=work[1:])
     return FitResult(lambda_n=lam, lambda0=lam0, sigma_hat=sigma_hat, levels=levels,
                      draws=U, center=center, lo=lo, hi=hi, degenerate=degenerate,
                      max_kkt=float(kkt.max()))
@@ -238,15 +243,24 @@ def generate_data(scenario: Scenario, rep_index: int) -> Dataset:
     rep_index), with scenario.cv_folds CV folds drawn from the replication's
     CV stream when the replication cross-validates (lambda_n is None), and
     none otherwise."""
-    X, Y = simulate_rows(scenario, rep_index)
-    _, cv_seed, _ = _rep_streams(scenario.seed, rep_index)
-    folds = scenario.cv_folds if scenario.lambda_n is None else 0
-    return validate_dataset(X, Y, folds=folds, fold_seed=cv_seed)
+    rng, cv_seed, _ = _rep_streams(scenario.seed, rep_index)
+    return _dataset(scenario, rng, cv_seed)
 
 
 def simulate_rows(scenario: Scenario, rep_index: int) -> tuple[np.ndarray, np.ndarray]:
     """The design X and response Y behind generate_data(scenario, rep_index)."""
-    rng, _, _ = _rep_streams(scenario.seed, rep_index)
+    return _rows(scenario, _rep_streams(scenario.seed, rep_index)[0])
+
+
+def _dataset(scenario: Scenario, rng: np.random.Generator, cv_seed: int) -> Dataset:
+    """generate_data from a replication's data stream and CV seed."""
+    X, Y = _rows(scenario, rng)
+    folds = scenario.cv_folds if scenario.lambda_n is None else 0
+    return validate_dataset(X, Y, folds=folds, fold_seed=cv_seed)
+
+
+def _rows(scenario: Scenario, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """simulate_rows from a replication's data stream."""
     n, p = scenario.n, scenario.p
     if scenario.design == "independent":
         X = rng.standard_normal((n, p))
@@ -274,8 +288,8 @@ def run_replication(scenario: Scenario, rep_index: int,
 
 def _run_replication(scenario: Scenario, rep_index: int,
                      buffers: tuple[np.ndarray, ...] | None) -> ReplicationRecord:
-    ds = generate_data(scenario, rep_index)
-    _, _, post_seed = _rep_streams(scenario.seed, rep_index)
+    rng, cv_seed, post_seed = _rep_streams(scenario.seed, rep_index)
+    ds = _dataset(scenario, rng, cv_seed)
 
     if scenario.lambda_n is not None:
         lam = float(scenario.lambda_n)

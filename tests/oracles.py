@@ -227,7 +227,7 @@ def cd_multi_reference(Qs: np.ndarray, Bs: np.ndarray, lam: float, U0: np.ndarra
         if kkt.max() <= tol:
             return U
     raise NoConvergence(f"CV path: residual {kkt.max():.3e} > tol {tol:.1e}; "
-                        f"{_worst_rows(kkt, tol, 'fold')}")
+                        f"{_worst_rows(kkt, tol, 'fold {}'.format)}")
 
 
 def certified_loop_reference(Q: np.ndarray, B: np.ndarray, lam: float, signs: np.ndarray,

@@ -5,6 +5,7 @@ soft-threshold level is half the penalty per unit Gram diagonal; the frozen
 closed-form values below are computed from that convention.
 """
 
+import math
 import re
 import tracemalloc
 
@@ -79,15 +80,15 @@ def project_one(ds, theta, lam):
 
 def test_project_identity_gram_soft_threshold():
     ds = identity_gram_dataset()
-    U, kkt = project_draws(ds, np.array([1.0, -0.1]), 0.4)
+    _, U, kkt = project_draws(ds, np.array([1.0, -0.1]), 0.4)
     np.testing.assert_allclose(U[0], [0.8, 0.0], atol=1e-12)
     assert np.flatnonzero(U[0]).tolist() == [0]
-    assert kkt[0] <= 1e-10
+    assert kkt.max() <= 1e-10
 
 
 def test_project_zero_stays_zero():
     ds = identity_gram_dataset()
-    U, _ = project_draws(ds, np.zeros(2), 0.4)
+    _, U, _ = project_draws(ds, np.zeros(2), 0.4)
     np.testing.assert_array_equal(U[0], [0.0, 0.0])
     assert np.flatnonzero(U[0]).size == 0
 
@@ -98,7 +99,7 @@ def test_project_correlated_gram_vs_grid_oracle():
     np.testing.assert_array_equal(ds.gram, C)
     theta = np.array([1.0, 0.2])
     lam = 0.6
-    U, _ = project_draws(ds, theta, lam)
+    _, U, _ = project_draws(ds, theta, lam)
     u = U[0]
 
     b = C @ theta
@@ -124,39 +125,51 @@ def test_project_draws_matches_per_row():
     X = rng.standard_normal((30, 4))
     ds = validate_dataset(X, rng.standard_normal(30))
     thetas = rng.standard_normal((25, 4))
-    U, kkt = project_draws(ds, thetas, 0.3)
-    assert U.shape == (25, 4) and kkt.shape == (25,)
+    center, U, kkt = project_draws(ds, thetas, 0.3)
+    assert center.shape == (4,) and U.shape == (25, 4) and kkt.shape == (26,)
     assert kkt.max() <= 1e-10
     for i in (0, 7, 24):
         np.testing.assert_allclose(U[i], project_one(ds, thetas[i], 0.3), atol=1e-9)
 
 
-def test_project_draws_warm_start_same_answer():
+def test_project_draws_center_is_row_zero_of_the_batch():
+    # the center is the batch's row 0, solved from zero beside the draws:
+    # the certified LASSO estimate whatever the draws (its last bits follow
+    # the batch's stopping sweep), with no warm start
     rng = np.random.default_rng(1)
     X = rng.standard_normal((40, 3))
-    ds = validate_dataset(X, rng.standard_normal(40))
+    ds = validate_dataset(X, X @ np.array([1.0, -0.5, 0.0]) + rng.standard_normal(40))
     thetas = rng.standard_normal((10, 3))
-    cold, _ = project_draws(ds, thetas, 0.2)
-    warm, _ = project_draws(ds, thetas, 0.2, warm=np.array([0.5, -0.5, 0.0]))
-    np.testing.assert_allclose(cold, warm, atol=1e-9)
+    center, U, kkt = project_draws(ds, thetas, 0.2)
+    assert max(kkt_at(ds.gram, ds.xty, 0.2, center), kkt[0]) <= 1e-10
+    for other in (fit_lasso(ds, 0.2), project_draws(ds, thetas[:2], 0.2)[0]):
+        np.testing.assert_allclose(center, other, atol=1e-9)
+    for i in (0, 9):
+        np.testing.assert_allclose(U[i], project_one(ds, thetas[i], 0.2), atol=1e-9)
+    with pytest.raises(TypeError, match="warm"):
+        project_draws(ds, thetas, 0.2, warm=center)
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_project_draws_in_caller_buffers_matches_fresh(order):
-    # U, B and G from the caller, S in the memory of thetas: the same bits
-    # as fresh arrays, U returned as the caller's own array
+    # U, B, G and S from the caller, thetas in the leading entries of S
+    # (C-ordered, as fit_dataset places them) or of G (F-ordered): the same
+    # bits as fresh arrays, the draws returned as rows 1.. of the caller's U
+    # and the center as a fresh array
     rng = np.random.default_rng(3)
     X = rng.standard_normal((40, 4))
-    X[:, 1] = X[:, 0] + 0.3 * X[:, 1]  # a few sweeps, so S is reused
+    X[:, 1] = X[:, 0] + 0.3 * X[:, 1]  # a few sweeps, so G and S are reused
     ds = validate_dataset(X, rng.standard_normal(40))
     thetas = rng.standard_normal((25, 4))
-    ref, ref_kkt = project_draws(ds, thetas, 0.1, warm=np.full(4, 0.2))
-    buffers = [np.full((25, 4), np.nan, order="F") for _ in range(3)]
-    own = np.array(thetas, order=order)
-    U, kkt = project_draws(ds, own, 0.1, warm=np.full(4, 0.2), buffers=buffers,
-                           overwrite_thetas=True)
-    assert U is buffers[0] and U.flags.f_contiguous
+    ref_center, ref, ref_kkt = project_draws(ds, thetas, 0.1)
+    buffers = [np.full((26, 4), np.nan, order="F") for _ in range(4)]
+    own = buffers[3 if order == "C" else 2].ravel(order="F")[:thetas.size].reshape((25, 4), order=order)
+    own[...] = thetas
+    center, U, kkt = project_draws(ds, own, 0.1, buffers=buffers)
+    assert U.base is buffers[0] and np.shares_memory(U, buffers[0][1:])
+    assert not np.shares_memory(center, buffers[0])
     assert U.tobytes() == ref.tobytes() and kkt.tobytes() == ref_kkt.tobytes()
+    assert center.tobytes() == ref_center.tobytes()
     assert not np.array_equal(own, thetas)  # thetas held the certificate's work
 
 
@@ -173,8 +186,27 @@ def test_project_draws_no_convergence_names_rows(monkeypatch):
     ds = validate_dataset(X, rng.standard_normal(30))
     thetas = rng.standard_normal((12, 4))
     solver_limits(monkeypatch, max_sweeps=1)
-    with pytest.raises(NoConvergence, match=r"of 12 rows above tol, worst: row \d+ \("):
+    with pytest.raises(NoConvergence, match=r"of 13 rows above tol, worst: "
+                                            r"(draw \d+|LASSO center) \("):
         project_draws(ds, thetas, 0.05)
+
+
+def test_project_draws_no_convergence_names_center_and_draw(monkeypatch):
+    # batch row 0 is the center and row k + 1 draw k: draw 0 is zero, so it
+    # certifies after any sweep, and one sweep leaves the center and draw 1
+    # above tol on correlated columns
+    rng = np.random.default_rng(2)
+    X = rng.standard_normal((30, 4))
+    X[:, 1] = X[:, 0] + 0.1 * X[:, 1]
+    ds = validate_dataset(X, X @ np.array([2.0, -1.0, 0.5, 0.0]) + rng.standard_normal(30))
+    thetas = np.array([np.zeros(4), [1.5, -2.0, 1.0, 0.5]])
+    solver_limits(monkeypatch, max_sweeps=1)
+    with pytest.raises(NoConvergence) as exc:
+        project_draws(ds, thetas, 0.05)
+    msg = str(exc.value)
+    assert re.search(r"after 1 sweeps; 2 of 3 rows above tol, worst: ", msg), msg
+    named = re.findall(r"(LASSO center|draw \d+|row \d+) \(", msg)
+    assert sorted(named) == ["LASSO center", "draw 1"], msg
 
 
 # --- one problem through the batch kernel ------------------------------------
@@ -302,29 +334,47 @@ def test_fit_lasso_n200_p5_vs_enumeration():
 @hyp_settings(max_examples=150, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
        p=st.integers(min_value=1, max_value=7),
-       shape=st.sampled_from(["tall", "short", "duplicate"]),
+       shape=st.sampled_from(["tall", "short", "duplicate", "ar1"]),
        frac=st.floats(min_value=0.01, max_value=1.2))
+# the coverage study's independent and ar1 designs, a tied pair of columns,
+# and the n < p (40 x 60) shape of the short-wide fit
+@example(seed=11, p=7, shape="tall", frac=0.05)
+@example(seed=12, p=7, shape="ar1", frac=0.05)
+@example(seed=13, p=7, shape="duplicate", frac=0.05)
+@example(seed=40, p=60, shape="wide", frac=0.01)
 def test_fit_lasso_path_center_matches_cd(seed, p, shape, frac):
+    # the path center (fit_lasso) and the batch center (project_draws' row 0,
+    # beside two draws) against coordinate descent from zero
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(1, p)) if shape == "short" and p > 1 else p + 5
-    X = rng.standard_normal((n, p))
-    if shape == "duplicate" and p > 1:
-        X[:, -1] = X[:, 0]  # a singular Gram with a tied pair of columns
-    ds = validate_dataset(X, X @ rng.standard_normal(p) + rng.standard_normal(n))
+    if shape == "wide":
+        X, Y = short_wide_dataset(40, p, seed)
+    else:
+        n = int(rng.integers(1, p)) if shape == "short" and p > 1 else p + 5
+        X = rng.standard_normal((n, p))
+        if shape == "duplicate" and p > 1:
+            X[:, -1] = X[:, 0]  # a singular Gram with a tied pair of columns
+        for k in range(1, p if shape == "ar1" else 0):  # lag-1 correlation 0.7
+            X[:, k] = 0.7 * X[:, k - 1] + math.sqrt(1.0 - 0.7 ** 2) * X[:, k]
+        Y = X @ rng.standard_normal(p) + rng.standard_normal(n)
+    ds = validate_dataset(X, Y)
     lam = frac * 2.0 * float(np.abs(ds.xty).max()) + 1e-12
     with pytest.MonkeyPatch.context() as mp:
         solver_limits(mp, tol=1e-12, max_sweeps=100_000)
         u = fit_lasso(ds, lam)
+        center, _, kkt = project_draws(ds, rng.standard_normal((2, p)), lam)
     ref = cd_multi_reference(ds.gram[None], ds.xty[None], lam, np.zeros((1, p)),
                              1e-12, 100_000)[0]
     zero = np.zeros(p)
-    assert kkt_batch_reference(ds.gram, ds.xty[None], lam, zero, u[None])[0] <= 1e-12
+    for v in (u, center):
+        assert kkt_batch_reference(ds.gram, ds.xty[None], lam, zero, v[None])[0] <= 1e-12
+    assert kkt[0] <= 1e-12
     # rounding scales with the larger of the cancelling terms
     scale = max(abs(v @ ds.gram @ v) + 2.0 * abs(v @ ds.xty) + lam * np.abs(v).sum()
-                for v in (u, ref))
-    f_new = objective(ds.gram, ds.xty, lam, zero, u)
-    f_ref = objective(ds.gram, ds.xty, lam, zero, ref)
-    assert abs(f_new - f_ref) <= 1e-12 * scale
+                for v in (u, center, ref))
+    f_path, f_batch, f_ref = (objective(ds.gram, ds.xty, lam, zero, v)
+                              for v in (u, center, ref))
+    assert abs(f_path - f_ref) <= 1e-12 * scale
+    assert abs(f_batch - f_path) <= 1e-12 * scale
 
 
 def test_fit_lasso_no_convergence_names_the_center(monkeypatch):
@@ -565,7 +615,7 @@ def test_probed_loop_matches_certifying_every_sweep(seed, p, m, lam, signed, for
                 _solve(Q, B, lam, signs, U0)
             U = sweeps[-1]
             assert str(info.value).endswith(
-                f"after 60 sweeps; {projection._worst_rows(want_kkt, projection.TOL, 'row')}")
+                f"after 60 sweeps; {projection._worst_rows(want_kkt, projection.TOL)}")
     assert len(sweeps) == want_sweeps
     # equal as values: the reference's soft threshold keeps the sign of a zero
     assert np.array_equal(U, want_U, equal_nan=True)
@@ -582,7 +632,7 @@ def test_no_convergence_names_rows_of_the_last_full_certificate(monkeypatch):
     with pytest.raises(NoConvergence) as info:
         _solve(Q, B, 0.05, signs, np.zeros_like(B))
     message = str(info.value)
-    assert f"after 3 sweeps; {projection._worst_rows(want, 1e-10, 'row')}" in message
+    assert f"after 3 sweeps; {projection._worst_rows(want, 1e-10)}" in message
     # the second sweep's worst-row probe failed, so only the first and the
     # last sweep ran the certificate on all 40 rows
     assert certified == [40, 1, 40]

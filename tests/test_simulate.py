@@ -298,6 +298,24 @@ def test_reused_buffers_leak_no_state(monkeypatch, design, lambda_n):
             assert_same_record(rec, ref)
 
 
+@pytest.mark.parametrize("lambda_n", [0.5, None])
+def test_one_rng_stream_setup_per_replication(monkeypatch, lambda_n):
+    # the data, CV and posterior streams of a replication come from one
+    # _rep_streams call, the same that generate_data makes alone
+    calls = []
+    real = simulate._rep_streams
+    monkeypatch.setattr(simulate, "_rep_streams",
+                        lambda seed, i: calls.append(i) or real(seed, i))
+    sc = make_scenario(replications=3, lambda_n=lambda_n, cv_folds=4)
+    run_scenario(sc)
+    assert calls == [0, 1, 2]
+    calls.clear()
+    ds = generate_data(sc, 2)
+    assert calls == [2]
+    X, Y = simulate_rows(sc, 2)
+    np.testing.assert_array_equal(ds.gram, validate_dataset(X, Y).gram)
+
+
 def test_replication_after_a_failed_one_matches_fresh(monkeypatch):
     sc = make_scenario(n=60, p=5, theta0=np.array([1.5, -1.0, 0.5, 0.0, 0.0]),
                        lambda_n=0.2, draws_per_rep=200, seed=3)
@@ -325,11 +343,19 @@ def test_fit_dataset_without_buffers_returns_fresh_arrays():
     np.testing.assert_array_equal(a.draws, b.draws)
     buffers = draw_buffers(50, 3)
     c = fit_dataset(ds, 0.2, 50, 1, PriorConfig(), target=0.95, buffers=buffers)
-    assert c.draws is buffers[0]  # documented: the caller's first array
+    # documented: the rows-1.. view of the caller's first array, whose row 0
+    # is the center; the center itself is a fresh array
+    assert c.draws.base is buffers[0] and c.draws.shape == (50, 3)
+    assert np.shares_memory(c.draws, buffers[0][1:])
+    assert not np.shares_memory(c.center, buffers[0])
+    np.testing.assert_array_equal(buffers[0][0], c.center)
     np.testing.assert_array_equal(c.draws, a.draws)
-    c_ordered = tuple(np.empty((50, 3)) for _ in range(4))
-    single = tuple(np.empty((50, 3), np.float32, order="F") for _ in range(4))
-    for wrong in (draw_buffers(60, 3), draw_buffers(50, 3)[:3], c_ordered, single):
+    np.testing.assert_array_equal(c.center, a.center)
+    one_row_short = tuple(np.empty((50, 3), order="F") for _ in range(4))
+    c_ordered = tuple(np.empty((51, 3)) for _ in range(4))
+    single = tuple(np.empty((51, 3), np.float32, order="F") for _ in range(4))
+    for wrong in (draw_buffers(60, 3), draw_buffers(50, 3)[:3], one_row_short, c_ordered,
+                  single):
         with pytest.raises(ValueError, match=r"draw_buffers\(50, 3\) set"):
             fit_dataset(ds, 0.2, 50, 1, PriorConfig(), target=0.95, buffers=wrong)
 
