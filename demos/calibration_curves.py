@@ -15,8 +15,8 @@ Inverting psi gives the working level that restores the target coverage.
 import numpy as np
 
 from sparseproj.calibration import (
-    CalibrationQuery,
     display_level,
+    effective_penalty,
     psi,
     psi_zero,
     solve_gamma,
@@ -36,33 +36,30 @@ print("\nworking levels that restore the target")
 print(" lambda0   target   level    signal   noise")
 for lam0 in (0.5, 1.0, 2.0):
     for target in (0.90, 0.95):
-        res = solve_gamma(CalibrationQuery(lambda0=lam0, target=target))
-        print(f"   {lam0:4.1f}     {target:.2f}   {res.gamma_level:.4f}   "
-              f"{res.psi_at_gamma:.4f}   {res.psi0_at_gamma:.4f}")
+        level, psi_signal, psi_noise = solve_gamma(lam0, target)
+        print(f"   {lam0:4.1f}     {target:.2f}   {level:.4f}   "
+              f"{psi_signal:.4f}   {psi_noise:.4f}")
 
-# psi_at_gamma lands back on the target by construction; the noise column
+# the signal column lands back on the target by construction; the noise column
 # overshoots it, which is the price of exact signal coverage
 
-# 3. per-coordinate effective penalty: the query also takes the coordinate's
-#    Gram diagonal c_j and an error-scale estimate; the penalty acts through
+# 3. per-coordinate effective penalty: a coordinate's Gram diagonal c_j and
+#    an error-scale estimate enter through effective_penalty, which acts as
 #    lambda0 * sqrt(c_j) / sigma0, so the two push in opposite directions
-res_raw = solve_gamma(CalibrationQuery(lambda0=1.0, target=0.95))
-res_cj = solve_gamma(CalibrationQuery(lambda0=1.0, target=0.95, c_j=4.0))
-res_sig = solve_gamma(CalibrationQuery(lambda0=1.0, target=0.95, sigma0=2.0))
 print("\nsame lambda0, different coordinate scale:")
-print(f"  c_j=1, sigma0=1  ->  level {res_raw.gamma_level:.4f}")
-print(f"  c_j=4, sigma0=1  ->  level {res_cj.gamma_level:.4f}  (stronger bias)")
-print(f"  c_j=1, sigma0=2  ->  level {res_sig.gamma_level:.4f}  (noise drowns it)")
+for c_j, sigma0, note in ((1.0, 1.0, ""), (4.0, 1.0, "  (stronger bias)"),
+                          (1.0, 2.0, "  (noise drowns it)")):
+    level = solve_gamma(effective_penalty(1.0, c_j, sigma0), 0.95)[0]
+    print(f"  c_j={c_j:g}, sigma0={sigma0:g}  ->  level {level:.4f}{note}")
 
 # 4. the printed table truncates to 4 decimals (never rounds up, so a
 #    printed level is always attained)
-lvl = solve_gamma(CalibrationQuery(lambda0=1.0, target=0.95)).gamma_level
+lvl = solve_gamma(1.0, 0.95)[0]
 print(f"\nfull precision {lvl!r} prints as {display_level(lvl)}")
 
 # 5. the monotone picture at a glance: working level vs penalty
 lams = np.arange(0.0, 4.01, 0.5)
-levels = [solve_gamma(CalibrationQuery(lambda0=float(l), target=0.95)).gamma_level
-          if l > 0 else 0.95 for l in lams]
+levels = [solve_gamma(l, 0.95)[0] if l > 0 else 0.95 for l in lams]
 width = 48
 print("\nworking level for target 0.95 (bar = level - 0.95)")
 for l, lv in zip(lams, levels):

@@ -19,13 +19,14 @@ from sparseproj.limits import (
     zero_mass_probability,
 )
 
-spec = LimitSpec(C=np.eye(3), sigma0=1.0, lambda0=1.0, theta0_signs=(1, -1, 0))
+# one spec serves every penalty: lambda0 is an argument of each function
+spec = LimitSpec(C=np.eye(3), sigma0=1.0, theta0_signs=(1, -1, 0))
 
 # 1. draws of the limiting projected estimator, conditional on a local
 #    parameter delta: signal coordinates shift by a constant, the noise
 #    coordinate is soft-thresholded and has an atom at exactly 0
 delta = np.zeros(3)
-T = sample_t_star(spec, delta, seed=0, count=20000)
+T = sample_t_star(spec, 1.0, delta, seed=0, count=20000)
 print("limiting projected estimator, delta = 0:")
 print(f"  signal coord means  {T[:, 0].mean():+.3f} {T[:, 1].mean():+.3f} "
       f"(shifted by -sign * lambda0/2 = -+0.5)")
@@ -37,8 +38,7 @@ print("\nzero-mass probability of the noise coordinate")
 print(" lambda0   estimate   exact")
 from math import erf, sqrt
 for lam0 in (0.5, 1.0, 2.0):
-    s = LimitSpec(C=np.eye(3), sigma0=1.0, lambda0=lam0, theta0_signs=(1, -1, 0))
-    est = zero_mass_probability(s, delta, inner=20000, seed=1)
+    est = zero_mass_probability(spec, lam0, delta, inner=20000, seed=1)
     exact = erf(lam0 / (2.0 * sqrt(2.0)))
     print(f"   {lam0:4.1f}    {est:.4f}    {exact:.4f}")
 
@@ -47,10 +47,7 @@ for lam0 in (0.5, 1.0, 2.0):
 #    every penalty's per-coordinate coverage in one nested Monte-Carlo pass
 #    (each outer draw is generated once and solved at every penalty) and
 #    set it against the analytic value
-rows = limitcheck_rows(lambda lam: LimitSpec(C=np.eye(3), sigma0=1.0,
-                                             lambda0=lam,
-                                             theta0_signs=(1, -1, 0)),
-                       lambdas=(0.5, 1.0, 2.0), target=0.95,
+rows = limitcheck_rows(spec, lambdas=(0.5, 1.0, 2.0), target=0.95,
                        outer=500, inner=500, seed=3)
 print("\ncalibrated coverage in the limit (500 x 500 draws, target 0.95)")
 print(" lambda0  coord  role    level    estimate  analytic   mc se")

@@ -6,10 +6,10 @@ vectors, and read off credible regions whose credibility level is
 calibrated so their frequentist coverage comes out right.
 """
 
-from .calibration import (CalibrationQuery, CalibrationResult, TABLE_LAMBDAS,
-                          TABLE_TARGETS, calibration_table,
-                          calibration_table_csv, display_level, h_plus,
-                          h_zero, psi, psi_zero, solve_gamma)
+from .calibration import (TABLE_LAMBDAS, TABLE_TARGETS, calibration_table,
+                          calibration_table_csv, display_level,
+                          effective_penalty, h_plus, h_zero, psi, psi_zero,
+                          solve_gamma)
 from .dataio import CsvFormatError, dataset_from_csv, read_csv
 from .errors import (DegenerateDiagonal, DimensionMismatch, InsufficientData,
                      NoConvergence, NonFiniteInput, SingularSystem,
@@ -32,8 +32,8 @@ from .types import Dataset, DatasetAccumulator, PriorConfig, validate_dataset
 __version__ = "0.1.0"
 
 __all__ = [
-    "CalibrationQuery", "CalibrationResult", "TABLE_LAMBDAS", "TABLE_TARGETS",
-    "calibration_table", "calibration_table_csv", "display_level", "h_plus",
+    "TABLE_LAMBDAS", "TABLE_TARGETS", "calibration_table",
+    "calibration_table_csv", "display_level", "effective_penalty", "h_plus",
     "h_zero", "psi", "psi_zero", "solve_gamma",
     "CsvFormatError", "dataset_from_csv", "read_csv",
     "DegenerateDiagonal", "DimensionMismatch", "InsufficientData",

@@ -11,10 +11,13 @@ with z = z_{gamma/2} and Z standard normal.  Calibration inverts psi in
 gamma so a requested coverage target is hit exactly in the limit.  There is
 one root solve, _newton_zeros: a safeguarded Newton iteration on z over a
 whole array of effective penalties, with the normal CDF taken per element
-from math.erfc.  solve_levels returns its levels for all p components of a
-fit at once, calibration_table takes one column per target from it, and
-solve_gamma reads one query's level from it and reports psi and psi_zero
-there (`calibrate`, `limitcheck`).
+from math.erfc.  effective_penalty is the one place that turns the rescaled
+penalty, a component's Gram diagonal and the error s.d. into the penalty
+that component is calibrated at (`fit`, `calibrate`, `limitcheck`).
+solve_levels returns the levels of a whole array of such penalties at once
+(every component of a fit; one column per target of calibration_table), and
+solve_gamma returns one penalty's level with psi and psi_zero there
+(`calibrate`, `limitcheck`).
 
 Since psi < 1 - gamma for lam0 > 0, the requested credibility must exceed
 the coverage target; a table row says by how much.
@@ -24,7 +27,6 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,42 +35,6 @@ from .normal import INV_SQRT_2PI, norm_cdf, norm_ppf
 _BISECT_TOL = 1e-12
 _Z_HI = 40.0  # Phi saturates to double precision well before this
 _NEWTON_TOL = 1e-14
-
-
-@dataclass(frozen=True)
-class CalibrationQuery:
-    """Inputs to a calibration lookup.
-
-    lambda0 is the limiting rescaled penalty lambda_n * sqrt(n).  c_j (the
-    limiting Gram diagonal) and sigma0 (error s.d.) rescale it to the
-    effective penalty lambda0 * sqrt(c_j) / sigma0; both default to 1.
-    """
-
-    lambda0: float
-    target: float
-    c_j: float = 1.0
-    sigma0: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.lambda0 < math.inf:
-            raise ValueError(f"lambda0 must be finite and nonnegative, got {self.lambda0}")
-        if not 0.0 < self.target < 1.0:
-            raise ValueError("target must lie in (0, 1)")
-        for name in ("c_j", "sigma0"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
-
-    @property
-    def effective_lambda(self) -> float:
-        return self.lambda0 * self.c_j ** 0.5 / self.sigma0
-
-
-@dataclass(frozen=True)
-class CalibrationResult:
-    gamma_level: float       # credibility 1 - gamma to request
-    psi_at_gamma: float      # achieved limiting signal coverage (= target)
-    psi0_at_gamma: float     # limiting zero-coefficient coverage
 
 
 def h_plus(lambda0: float, zeta: float) -> float:
@@ -189,13 +155,19 @@ def _clipped_gamma(cdf_z):
     return np.clip(2.0 * (1.0 - cdf_z), 1e-15, 1.0 - 1e-15)
 
 
-def solve_levels(lambda_eff, target: float) -> np.ndarray:
-    """Credibility level of each component from its effective penalty
-    lambda0*sqrt(c_j)/sigma0, for a whole array of penalties in one
-    vectorized Newton solve (_newton_zeros), without solve_gamma's psi and
-    psi_zero.  The penalties must be finite and nonnegative, and target must
-    lie in (0, 1), as CalibrationQuery requires.
-    """
+def effective_penalty(lambda0, c, sigma0):
+    """The penalty a component is calibrated at: lambda0 * sqrt(c) / sigma0,
+    from the rescaled penalty lambda0, the component's limiting Gram
+    diagonal c (a number or an array) and the error s.d. sigma0.  A zero
+    denominator or an overflow gives inf, which solve_levels rejects."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return lambda0 * np.sqrt(c) / sigma0
+
+
+def _gammas(lambda_eff, target: float) -> np.ndarray:
+    """The clipped gamma of every effective penalty in lambda_eff (any
+    shape), from one _newton_zeros solve.  The penalties must be finite and
+    nonnegative, and target must lie in (0, 1)."""
     lam = np.asarray(lambda_eff, dtype=float)
     if not 0.0 < target < 1.0:
         raise ValueError("target must lie in (0, 1)")
@@ -204,24 +176,24 @@ def solve_levels(lambda_eff, target: float) -> np.ndarray:
         raise ValueError("effective penalty lambda0*sqrt(c_j)/sigma0 must be finite and "
                          f"nonnegative, got {lam.flat[bad[0]]} at index {bad[0]}")
     z = _newton_zeros(lam.ravel(), float(target))
-    return (1.0 - _clipped_gamma(_cdf(z))).reshape(lam.shape)
+    return _clipped_gamma(_cdf(z)).reshape(lam.shape)
 
 
-def solve_gamma(query: CalibrationQuery) -> CalibrationResult:
-    """Find the credibility level whose limiting signal coverage equals target.
+def solve_levels(lambda_eff, target: float) -> np.ndarray:
+    """Credibility level of each component from its effective penalty
+    (effective_penalty), for a whole array of penalties in one vectorized
+    Newton solve."""
+    return 1.0 - _gammas(lambda_eff, target)
 
-    Inverts psi at the effective penalty lambda0*sqrt(c_j)/sigma0 by the
-    Newton solve of solve_levels and reports the level 1 - gamma together
-    with psi and psi_zero evaluated at the solution.
-    """
-    lam = query.effective_lambda
-    z = _newton_zeros(np.array([lam]), query.target)
-    gamma = float(_clipped_gamma(_cdf(z))[0])
-    return CalibrationResult(
-        gamma_level=1.0 - gamma,
-        psi_at_gamma=psi(gamma, lam),
-        psi0_at_gamma=psi_zero(gamma, lam),
-    )
+
+def solve_gamma(lambda_eff: float, target: float) -> tuple[float, float, float]:
+    """(level, psi, psi_zero) at one effective penalty: the credibility level
+    1 - gamma whose limiting signal coverage equals target, from the solve
+    and checks of solve_levels, with the signal and zero coverage at that
+    gamma."""
+    lam = float(lambda_eff)
+    gamma = float(_gammas(lam, target))
+    return 1.0 - gamma, psi(gamma, lam), psi_zero(gamma, lam)
 
 
 # Penalty grid of the reference calibration table: 0.05..1 by 0.05,
@@ -236,7 +208,7 @@ TABLE_TARGETS = (0.9, 0.925, 0.95, 0.975, 0.99)
 
 
 def calibration_table(lambdas=TABLE_LAMBDAS, targets=TABLE_TARGETS) -> list[list[float]]:
-    """gamma_level over the grid: one row per lambda, one solve_levels column per target."""
+    """Credibility level over the grid: one row per lambda, one solve_levels column per target."""
     if not lambdas or not targets:
         raise ValueError("lambdas and targets must be nonempty")
     return np.column_stack([solve_levels(lambdas, t) for t in targets]).tolist()

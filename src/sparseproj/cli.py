@@ -18,8 +18,8 @@ import sys
 
 import numpy as np
 
-from .calibration import (CalibrationQuery, calibration_table_csv,
-                          display_level, solve_gamma, TABLE_LAMBDAS,
+from .calibration import (calibration_table_csv, display_level,
+                          effective_penalty, solve_gamma, TABLE_LAMBDAS,
                           TABLE_TARGETS)
 from .dataio import dataset_from_csv
 from .errors import SparseProjError
@@ -163,11 +163,11 @@ def cmd_fit(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    res = solve_gamma(CalibrationQuery(lambda0=args.lambda0, target=args.target,
-                                       c_j=args.c, sigma0=args.sigma0))
+    level, _, psi0 = solve_gamma(effective_penalty(args.lambda0, args.c, args.sigma0),
+                                 args.target)
     log.info("calibrate: lambda0=%.6g target=%.6g level=%.6f psi0=%.6f",
-             args.lambda0, args.target, res.gamma_level, res.psi0_at_gamma)
-    print(display_level(res.gamma_level))
+             args.lambda0, args.target, level, psi0)
+    print(display_level(level))
     return 0
 
 
@@ -189,11 +189,13 @@ def cmd_simulate(args) -> int:
         s_values = None if sweep is None else sweep["s_values"]
         if "theta0" not in cfg:
             variant = cfg.pop("signals", "default")
+            if variant not in ("default", "caption"):
+                raise ValueError(f"signals must be 'default' or 'caption', got {variant!r}")
             cfg["theta0"] = signal_vector(cfg["p"], caption_variant=(variant == "caption"))
         scenario = Scenario(**cfg)
     except KeyError as exc:
         raise ValueError(f"scenario config {args.config}: missing key {exc}") from None
-    except TypeError as exc:  # a missing or unknown Scenario field
+    except (TypeError, ValueError) as exc:  # a missing, unknown or invalid field
         raise ValueError(f"scenario config {args.config}: {exc}") from None
     log.info("simulate: design=%s n=%d p=%d reps=%d draws=%d seed=%d threads=%d",
              scenario.design, scenario.n, scenario.p, scenario.replications,
@@ -212,16 +214,11 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_limitcheck(args) -> int:
-    signs = np.asarray(args.signs, dtype=float)
-    p = signs.shape[0]
-
-    def build(lam):
-        return LimitSpec(C=np.eye(p), sigma0=args.sigma0, lambda0=lam,
-                         theta0_signs=signs)
-
+    spec = LimitSpec(C=np.eye(len(args.signs)), sigma0=args.sigma0,
+                     theta0_signs=args.signs)
     log.info("limitcheck: lambdas=%s target=%g outer=%d inner=%d seed=%d threads=%d",
              args.lambda0, args.target, args.outer, args.inner, args.seed, args.threads)
-    rows = limitcheck_rows(build, args.lambda0, args.target, args.outer,
+    rows = limitcheck_rows(spec, args.lambda0, args.target, args.outer,
                            args.inner, args.seed, workers=args.threads)
     lines = ["lambda0,coordinate,role,level,estimate,mc_se,analytic"]
     for r in rows:

@@ -22,7 +22,11 @@ is generated once; each penalty then solves xi and the T* draws in one
 shared-Q call of the projection solver _solve, a column-major
 coordinate-descent batch (row 0 is xi), and counts every coordinate's
 conditional mass in one comparison.  sample_t_star draws T* alone, for
-zero_mass_probability.
+zero_mass_probability.  A LimitSpec holds C, sigma0 and the signs, and every
+function takes the penalty lambda0 (or a list of them) beside it.
+limitcheck_rows calibrates each coordinate's level at its effective penalty
+(calibration.effective_penalty) and sets the estimates beside psi and
+psi_zero there.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from functools import partial
 
 import numpy as np
 
+from .calibration import effective_penalty, solve_gamma
 from .errors import SparseProjError
 from .projection import _solve
 from .types import frozen_copy
@@ -43,13 +48,13 @@ _SNAP = 1e-12  # float dust below this is treated as an exact zero
 
 @dataclass(frozen=True)
 class LimitSpec:
-    """Limit-experiment configuration: Gram limit C, noise scale sigma0,
-    rescaled penalty lambda0, and the sign pattern of the true coefficients
-    (0 entries mark noise coordinates)."""
+    """Limit-experiment configuration: Gram limit C, noise scale sigma0 and
+    the sign pattern of the true coefficients (0 entries mark noise
+    coordinates).  The rescaled penalty lambda0 is an argument of each
+    function, so one spec serves a whole sweep of penalties."""
 
     C: np.ndarray
     sigma0: float
-    lambda0: float
     theta0_signs: np.ndarray
 
     def __post_init__(self):
@@ -70,14 +75,18 @@ class LimitSpec:
             raise ValueError("C must be positive definite")
         if not 0.0 < self.sigma0 < math.inf:
             raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
-        if not 0.0 <= self.lambda0 < math.inf:
-            raise ValueError(f"lambda0 must be finite and nonnegative, got {self.lambda0}")
         object.__setattr__(self, "C", frozen_copy(0.5 * (C + C.T)))
         object.__setattr__(self, "theta0_signs", signs)
 
     @property
     def p(self) -> int:
         return self.theta0_signs.shape[0]
+
+
+def _checked_lambda0(lambda0: float) -> float:
+    if not 0.0 <= lambda0 < math.inf:
+        raise ValueError(f"lambda0 must be finite and nonnegative, got {lambda0}")
+    return float(lambda0)
 
 
 def _sqrt_factors(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -89,47 +98,49 @@ def _sqrt_factors(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (V * root) @ V.T, (V / root) @ V.T
 
 
-def _solve_limit_batch(spec: LimitSpec, B: np.ndarray) -> np.ndarray:
+def _solve_limit_batch(spec: LimitSpec, lambda0: float, B: np.ndarray) -> np.ndarray:
     """Minimize u'Cu - 2u'B_i + lambda0*pen(u) for every row of B."""
     B = np.atleast_2d(B)
-    if spec.lambda0 == 0.0:
+    if lambda0 == 0.0:
         return np.linalg.solve(spec.C, B.T).T
-    U, _ = _solve(spec.C, B, spec.lambda0, spec.theta0_signs, np.broadcast_to(0.0, B.shape))
+    U, _ = _solve(spec.C, B, lambda0, spec.theta0_signs, np.broadcast_to(0.0, B.shape))
     U[np.abs(U) < _SNAP] = 0.0
     return U
 
 
-def sample_t_star(spec: LimitSpec, delta: np.ndarray, seed: int,
+def sample_t_star(spec: LimitSpec, lambda0: float, delta: np.ndarray, seed: int,
                   count: int = 1) -> np.ndarray:
-    """Draw T* given delta: W* from its conditional normal law, then the
-    penalized quadratic with b = C W*.  Returns an array of shape (count, p)."""
+    """Draw T* at penalty lambda0 given delta: W* from its conditional normal
+    law, then the penalized quadratic with b = C W*.  Returns an array of
+    shape (count, p)."""
+    lambda0 = _checked_lambda0(lambda0)
     delta = np.asarray(delta, dtype=float).ravel()
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x75)))
     _, Cinvhalf = _sqrt_factors(spec.C)  # C^{-1/2} is symmetric
     W = spec.sigma0 * (delta + rng.standard_normal((count, spec.p))) @ Cinvhalf
-    return _solve_limit_batch(spec, W @ spec.C)
+    return _solve_limit_batch(spec, lambda0, W @ spec.C)
 
 
-def _coverage_masses(specs: tuple[LimitSpec, ...], outer_index: int, inner: int, seed: int,
+def _coverage_masses(spec: LimitSpec, lambdas: tuple[float, ...], outer_index: int,
+                     inner: int, seed: int,
                      factors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """(L, p) conditional masses of one outer draw, in counts: [l, j] is
-    #{|T*_j - xi_j| <= |xi_j|} under specs[l].  The right-hand sides are
-    drawn once for all specs, row 0 xi's, rows 1.. the T* draws'; each spec
-    solves them in one batch."""
-    first = specs[0]
+    #{|T*_j - xi_j| <= |xi_j|} at penalty lambdas[l].  The right-hand sides
+    are drawn once for all penalties, row 0 xi's, rows 1.. the T* draws';
+    each penalty solves them in one batch."""
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(outer_index))))
-    delta = rng.standard_normal(first.p)
+    delta = rng.standard_normal(spec.p)
     Chalf, Cinvhalf = factors
-    B = np.empty((inner + 1, first.p), order="F")
-    B[0] = first.sigma0 * (Chalf @ delta)
-    np.matmul(first.sigma0 * (delta + rng.standard_normal((inner, first.p))) @ Cinvhalf,
-              first.C, out=B[1:])
-    masses = np.empty((len(specs), first.p), dtype=np.int64)
-    for spec, row in zip(specs, masses):
+    B = np.empty((inner + 1, spec.p), order="F")
+    B[0] = spec.sigma0 * (Chalf @ delta)
+    np.matmul(spec.sigma0 * (delta + rng.standard_normal((inner, spec.p))) @ Cinvhalf,
+              spec.C, out=B[1:])
+    masses = np.empty((len(lambdas), spec.p), dtype=np.int64)
+    for lam, row in zip(lambdas, masses):
         try:
-            U = _solve_limit_batch(spec, B)
+            U = _solve_limit_batch(spec, lam, B)
         except SparseProjError as exc:
-            raise type(exc)(f"outer draw {outer_index} (lambda0={spec.lambda0:g}, "
+            raise type(exc)(f"outer draw {outer_index} (lambda0={lam:g}, "
                             f"seed={seed}): {exc}") from exc
         D = U[1:]  # |T* - xi|, formed in place; freed before the next solve
         D -= U[0]
@@ -139,35 +150,33 @@ def _coverage_masses(specs: tuple[LimitSpec, ...], outer_index: int, inner: int,
     return masses
 
 
-def limiting_coverage_mc(specs: Sequence[LimitSpec], levels: Sequence[float], outer: int,
+def limiting_coverage_mc(spec: LimitSpec, lambdas: Sequence[float], levels, outer: int,
                          inner: int, seed: int, workers: int = 1) -> np.ndarray:
     """Estimate the limiting coverage of every component interval by nested
     Monte Carlo, for every penalty in one pass.
 
     For each of `outer` draws of Delta, q_j(Delta) = P(|T*_j - xi_j| <=
     |xi_j| | Delta) is estimated from `inner` draws of W*, and entry [l, j]
-    is the fraction of Delta draws with q_j(Delta) <= levels[l] under
-    specs[l].  The specs differ only in lambda0, and every spec reads the
-    same Delta and W* draws, so the (L, p) result has in each row what a
-    call with that spec alone gives.  Outer draw i owns the RNG stream
-    (seed, i), so the result is identical for any worker count.
+    is the fraction of Delta draws with q_j(Delta) <= levels[l] (one level
+    for every coordinate) or levels[l][j] (one per coordinate) at penalty
+    lambdas[l].  Every penalty reads the same Delta and W* draws, so the
+    (L, p) result has in each row what a call with that penalty alone
+    gives.  Outer draw i owns the RNG stream (seed, i), so the result is
+    identical for any worker count.
     """
-    specs = tuple(specs)
+    lambdas = tuple(_checked_lambda0(lam) for lam in lambdas)
     levels = np.array(levels, dtype=float)
-    if not specs or levels.shape != (len(specs),):
-        raise ValueError("give one level per spec")
-    for s in specs[1:]:
-        if not (s.sigma0 == specs[0].sigma0 and np.array_equal(s.C, specs[0].C)
-                and np.array_equal(s.theta0_signs, specs[0].theta0_signs)):
-            raise ValueError(f"spec at lambda0={s.lambda0:g} differs from the first in "
-                             "C, sigma0 or theta0_signs, so it cannot share its draws")
+    if levels.ndim == 1:
+        levels = levels[:, None]
+    if not lambdas or levels.shape not in ((len(lambdas), 1), (len(lambdas), spec.p)):
+        raise ValueError("give one level per penalty, or one per penalty and coordinate")
     if outer < 100 or inner < 100:
         raise ValueError("outer and inner must each be at least 100")
     if not np.all((0.0 < levels) & (levels < 1.0)):
         raise ValueError("level must lie in (0, 1)")
-    draw = partial(_coverage_masses, specs, inner=inner, seed=seed,
-                   factors=_sqrt_factors(specs[0].C))
-    bounds = levels[:, None] * inner  # hit: mass <= level, in counts
+    draw = partial(_coverage_masses, spec, lambdas, inner=inner, seed=seed,
+                   factors=_sqrt_factors(spec.C))
+    bounds = levels * inner  # hit: mass <= level, in counts
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -178,46 +187,49 @@ def limiting_coverage_mc(specs: Sequence[LimitSpec], levels: Sequence[float], ou
     return hits / outer
 
 
-def zero_mass_probability(spec: LimitSpec, delta: np.ndarray, inner: int,
+def zero_mass_probability(spec: LimitSpec, lambda0: float, delta: np.ndarray, inner: int,
                           seed: int) -> float:
-    """Fraction of T* draws whose noise coordinates are all exactly zero.
+    """Fraction of T* draws at penalty lambda0 whose noise coordinates are all
+    exactly zero.
 
     For lambda0 > 0 this is strictly positive, which is why the projected
     posterior can put real mass on sparse models; at lambda0 = 0 the law of
     T* is continuous and the function short-circuits to 0.  Requires at
     least one noise coordinate.
     """
-    if spec.lambda0 <= 0.0:
+    if _checked_lambda0(lambda0) == 0.0:
         # continuous law; exact zeros have probability 0
         return 0.0
     noise = spec.theta0_signs == 0
     if not noise.any():
         raise ValueError("spec has no noise coordinate")
-    T = sample_t_star(spec, delta, seed, count=inner)
+    T = sample_t_star(spec, lambda0, delta, seed, count=inner)
     all_zero = (T[:, noise] == 0.0).all(axis=1)
     return float(np.count_nonzero(all_zero) / inner)
 
 
-def limitcheck_rows(spec_builder, lambdas, target: float, outer: int, inner: int,
+def limitcheck_rows(spec: LimitSpec, lambdas, target: float, outer: int, inner: int,
                     seed: int, workers: int = 1) -> list[dict]:
-    """Coverage verification sweep used by the CLI: one row per
-    (lambda0, coordinate) with the MC estimate and its analytic benchmark."""
-    from .calibration import CalibrationQuery, solve_gamma
-
+    """Coverage verification sweep used by the CLI: one row per (lambda0,
+    coordinate) with the MC estimate at the coordinate's calibrated level
+    and its analytic benchmark.  Coordinate j is calibrated at its effective
+    penalty, effective_penalty(lambda0, C_jj, sigma0)."""
     lambdas = list(lambdas)
     if not lambdas:
         return []
-    specs = [spec_builder(lam) for lam in lambdas]
-    results = [solve_gamma(CalibrationQuery(lambda0=lam, target=target)) for lam in lambdas]
-    estimates = limiting_coverage_mc(specs, [res.gamma_level for res in results],
+    penalties = effective_penalty(np.array(lambdas, dtype=float)[:, None], np.diag(spec.C),
+                                  spec.sigma0).tolist()  # [l][j]: lambdas[l], coordinate j
+    solved = {lam: solve_gamma(lam, target) for lam in set().union(*penalties)}
+    cells = [[solved[lam] for lam in row] for row in penalties]
+    estimates = limiting_coverage_mc(spec, lambdas, [[cell[0] for cell in row] for row in cells],
                                      outer, inner, seed, workers=workers)
     rows = []
-    for lam, spec, res, row in zip(lambdas, specs, results, estimates.tolist()):
-        for j, est in enumerate(row):
+    for lam, row, row_est in zip(lambdas, cells, estimates.tolist()):
+        for j, ((level, psi_signal, psi_noise), est) in enumerate(zip(row, row_est)):
             is_noise = spec.theta0_signs[j] == 0
             rows.append({"lambda0": lam, "coordinate": j,
                          "role": "noise" if is_noise else "signal",
-                         "level": res.gamma_level, "estimate": est,
+                         "level": level, "estimate": est,
                          "mc_se": float(np.sqrt(est * (1.0 - est) / outer)),
-                         "analytic": res.psi0_at_gamma if is_noise else res.psi_at_gamma})
+                         "analytic": psi_noise if is_noise else psi_signal})
     return rows

@@ -3,12 +3,12 @@
 fit_dataset factorizes the posterior, calibrates a per-component
 credibility level, solves the LASSO center and the projections of a batch
 of posterior draws in one certified batch and reads off componentwise
-intervals.  A replication of a coverage study generates a dataset, picks
-the penalty (CV by default), runs fit_dataset and records which intervals
-caught the true coefficients.  Replications are
-independent tasks with RNG streams keyed by (seed, rep_index), so results
-are identical for any worker count; aggregation walks records in replication
-order.  Each run of consecutive replications works in one set of draw
+intervals.  A replication of a coverage study generates a dataset
+(generate_data, its data stage), picks the penalty (CV by default), runs
+fit_dataset and records which intervals caught the true coefficients.
+Replications are independent tasks with RNG streams keyed by (seed,
+rep_index), so results are identical for any worker count; aggregation
+walks records in replication order.  Each run of consecutive replications works in one set of draw
 buffers (draw_buffers), which every fit overwrites in full.
 """
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .calibration import solve_levels
+from .calibration import effective_penalty, solve_levels
 from .errors import SparseProjError
 from .posterior import factorize, sample_posterior_arrays
 from .projection import cross_validate_lambda, project_draws
@@ -98,9 +98,9 @@ def fit_dataset(ds: Dataset, lam: float, draws: int, post_seed: int, prior: Prio
     (1/n)||Y - Xu||^2 + lam*||u||_1 scale, with draws posterior draws from
     the stream post_seed, projected in one certified batch whose row 0 is
     the LASSO center (project_draws).  Give exactly one of target (component
-    j's level is calibrated from its effective penalty
-    lambda0*sqrt(c_j)/sigma_hat, c_j its Gram diagonal, in one solve_levels
-    call) and level (used for every j).
+    j's level is calibrated at effective_penalty(lambda0, c_j, sigma_hat),
+    c_j its Gram diagonal, in one solve_levels call) and level (used for
+    every j).
 
     buffers is a draw_buffers(draws, ds.p) set that the caller owns and
     reuses: every array in it is overwritten, and FitResult.draws is the
@@ -120,8 +120,7 @@ def fit_dataset(ds: Dataset, lam: float, draws: int, post_seed: int, prior: Prio
         levels = np.full(ds.p, float(level))
     else:
         # a sigma_hat of 0 makes the penalties infinite, which solve_levels rejects
-        with np.errstate(divide="ignore"):
-            levels = solve_levels(lam0 * np.sqrt(np.diag(ds.gram)) / sigma_hat, target)
+        levels = solve_levels(effective_penalty(lam0, np.diag(ds.gram), sigma_hat), target)
 
     if buffers is None:
         buffers = draw_buffers(draws, ds.p)
@@ -173,6 +172,9 @@ class Scenario:
         object.__setattr__(self, "theta0", theta0)
         if theta0.shape[0] != self.p:
             raise ValueError("theta0 must have length p")
+        if not np.isfinite(theta0).all():
+            j = int(np.flatnonzero(~np.isfinite(theta0))[0])
+            raise ValueError(f"theta0 must be finite, got {theta0[j]} at index {j}")
         if self.design not in ("independent", "ar1"):
             raise ValueError(f"unknown design {self.design!r}")
         if self.design == "ar1" and not abs(self.rho) < 1:
@@ -229,38 +231,28 @@ class CoverageReport:
     max_kkt: float = 0.0
 
 
-def _rep_streams(seed: int, rep_index: int) -> tuple[np.random.Generator, int, int]:
-    """Per-replication RNG channels: data generator plus derived child seeds
-    for CV fold assignment and posterior sampling."""
-    root = np.random.SeedSequence((int(seed), int(rep_index)))
-    state = root.generate_state(3)
-    data_rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(rep_index), 0xDA7A)))
-    return data_rng, int(state[1]), int(state[2])
+def _rep_seeds(seed: int, rep_index: int) -> tuple[int, int]:
+    """The CV fold seed and posterior sampling seed of a replication."""
+    state = np.random.SeedSequence((int(seed), int(rep_index))).generate_state(3)
+    return int(state[1]), int(state[2])
 
 
 def generate_data(scenario: Scenario, rep_index: int) -> Dataset:
     """Simulate one dataset for the scenario, deterministic in (seed,
-    rep_index), with scenario.cv_folds CV folds drawn from the replication's
-    CV stream when the replication cross-validates (lambda_n is None), and
-    none otherwise."""
-    rng, cv_seed, _ = _rep_streams(scenario.seed, rep_index)
-    return _dataset(scenario, rng, cv_seed)
-
-
-def simulate_rows(scenario: Scenario, rep_index: int) -> tuple[np.ndarray, np.ndarray]:
-    """The design X and response Y behind generate_data(scenario, rep_index)."""
-    return _rows(scenario, _rep_streams(scenario.seed, rep_index)[0])
-
-
-def _dataset(scenario: Scenario, rng: np.random.Generator, cv_seed: int) -> Dataset:
-    """generate_data from a replication's data stream and CV seed."""
+    rep_index): the rows from the replication's data stream, and
+    scenario.cv_folds CV folds from its CV seed when the replication
+    cross-validates (lambda_n is None), none otherwise.  This is the data
+    stage of every replication."""
+    rng = np.random.default_rng(
+        np.random.SeedSequence((int(scenario.seed), int(rep_index), 0xDA7A)))
     X, Y = _rows(scenario, rng)
     folds = scenario.cv_folds if scenario.lambda_n is None else 0
-    return validate_dataset(X, Y, folds=folds, fold_seed=cv_seed)
+    return validate_dataset(X, Y, folds=folds,
+                            fold_seed=_rep_seeds(scenario.seed, rep_index)[0])
 
 
 def _rows(scenario: Scenario, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """simulate_rows from a replication's data stream."""
+    """The design X and response Y of the scenario, drawn from rng."""
     n, p = scenario.n, scenario.p
     if scenario.design == "independent":
         X = rng.standard_normal((n, p))
@@ -288,8 +280,7 @@ def run_replication(scenario: Scenario, rep_index: int,
 
 def _run_replication(scenario: Scenario, rep_index: int,
                      buffers: tuple[np.ndarray, ...] | None) -> ReplicationRecord:
-    rng, cv_seed, post_seed = _rep_streams(scenario.seed, rep_index)
-    ds = _dataset(scenario, rng, cv_seed)
+    ds = generate_data(scenario, rep_index)
 
     if scenario.lambda_n is not None:
         lam = float(scenario.lambda_n)
@@ -299,6 +290,7 @@ def _run_replication(scenario: Scenario, rep_index: int,
         # scale, i.e. half of that minimizer, keeping lambda0 = lambda_n*sqrt(n)
         # inside the calibrated range instead of over-shrinking the draws
         lam = 0.5 * cross_validate_lambda(ds)
+    post_seed = _rep_seeds(scenario.seed, rep_index)[1]
     fit = fit_dataset(ds, lam, scenario.draws_per_rep, post_seed, PriorConfig(),
                       target=scenario.target_coverage, buffers=buffers)
 

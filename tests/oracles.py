@@ -252,8 +252,9 @@ def certified_loop_reference(Q: np.ndarray, B: np.ndarray, lam: float, signs: np
     return U, kkt, sweep
 
 
-def sample_xi(spec, delta):
-    """The limiting LASSO fluctuation xi for one standardized draw delta.
+def sample_xi(spec, lambda0, delta):
+    """The limiting LASSO fluctuation xi at penalty lambda0 for one
+    standardized draw delta.
 
     Deterministic: solves the penalized quadratic with b = sigma0 C^{1/2}
     delta; signal coordinates carry the signed linear penalty, noise
@@ -264,4 +265,4 @@ def sample_xi(spec, delta):
         raise ValueError(f"delta has length {delta.shape[0]}, expected {spec.p}")
     Chalf, _ = _sqrt_factors(spec.C)
     b = spec.sigma0 * (Chalf @ delta)
-    return _solve_limit_batch(spec, b.reshape(1, -1))[0]
+    return _solve_limit_batch(spec, lambda0, b.reshape(1, -1))[0]

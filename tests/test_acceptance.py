@@ -99,14 +99,11 @@ def _verdict(num: int, name: str, problems: list[str], details: str) -> None:
 def limit_verification():
     """Limit-coverage sweep at both worker counts, identical inputs."""
 
-    def builder(lam: float) -> LimitSpec:
-        return LimitSpec(C=np.eye(3), sigma0=1.0, lambda0=lam,
-                         theta0_signs=(1, -1, 0))
-
+    spec = LimitSpec(C=np.eye(3), sigma0=1.0, theta0_signs=(1, -1, 0))
     out = {}
     for workers in (1, 8):
         start = time.perf_counter()
-        rows = limitcheck_rows(builder, (0.5, 1.0, 2.0), target=0.95,
+        rows = limitcheck_rows(spec, (0.5, 1.0, 2.0), target=0.95,
                                outer=2000, inner=2000, seed=0, workers=workers)
         out[workers] = (rows, time.perf_counter() - start)
     return out
@@ -330,12 +327,11 @@ def test_criterion_5_limiting_coverage(limit_verification):
 def test_criterion_6_exact_zero_mass():
     start = time.perf_counter()
     problems: list[str] = []
+    spec = LimitSpec(C=np.eye(2), sigma0=1.0, theta0_signs=(1, 0))
     for lam in (0.3, 1.0, 2.0):
-        spec = LimitSpec(C=np.eye(2), sigma0=1.0, lambda0=lam, theta0_signs=(1, 0))
-        if zero_mass_probability(spec, np.zeros(2), inner=4000, seed=11) <= 0.0:
+        if zero_mass_probability(spec, lam, np.zeros(2), inner=4000, seed=11) <= 0.0:
             problems.append(f"no sparse mass at lambda0={lam}")
-    spec = LimitSpec(C=np.eye(2), sigma0=1.0, lambda0=1.0, theta0_signs=(1, 0))
-    est = zero_mass_probability(spec, np.zeros(2), inner=10_000, seed=2)
+    est = zero_mass_probability(spec, 1.0, np.zeros(2), inner=10_000, seed=2)
     ref = 0.38292492254802624  # P(|N(0,1)| <= 1/2), the soft-threshold atom
     se = math.sqrt(ref * (1.0 - ref) / 10_000)
     dev = abs(est - ref)

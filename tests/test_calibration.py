@@ -5,8 +5,8 @@ defining integral (indicator of the h_zero level set times the normal
 density, scipy end to end), and solve_gamma against a scipy brentq inversion
 of the coverage formula.  Neither route touches the package's normal
 functions or bisection code.  solve_gamma and solve_levels share the
-package's one Newton level solve, so both are also held to the scalar
-bisection of oracles.level_by_bisection.
+package's one Newton level solve and its input checks, so both are also
+held to the scalar bisection of oracles.level_by_bisection.
 """
 
 import re
@@ -22,11 +22,10 @@ from oracles import level_by_bisection
 from sparseproj.calibration import (
     TABLE_LAMBDAS,
     TABLE_TARGETS,
-    CalibrationQuery,
-    CalibrationResult,
     calibration_table,
     calibration_table_csv,
     display_level,
+    effective_penalty,
     h_plus,
     h_zero,
     psi,
@@ -34,6 +33,7 @@ from sparseproj.calibration import (
     solve_gamma,
     solve_levels,
 )
+from sparseproj.cli import main
 from sparseproj.regions import _rank
 
 # frozen reference values, computed once from scipy/mpmath cross-checked runs
@@ -195,84 +195,85 @@ def test_dominance_at_five_percent_strict():
 # --- solve_gamma -------------------------------------------------------------
 
 def test_solve_gamma_table_displays():
-    assert display_level(solve_gamma(
-        CalibrationQuery(lambda0=1.0, target=0.95)).gamma_level) == "0.9708"
-    assert display_level(solve_gamma(
-        CalibrationQuery(lambda0=0.5, target=0.9)).gamma_level) == "0.9100"
-    assert display_level(solve_gamma(
-        CalibrationQuery(lambda0=0.05, target=0.99)).gamma_level) == "0.9900"
+    assert display_level(solve_gamma(1.0, 0.95)[0]) == "0.9708"
+    assert display_level(solve_gamma(0.5, 0.9)[0]) == "0.9100"
+    assert display_level(solve_gamma(0.05, 0.99)[0]) == "0.9900"
 
 
 def test_solve_gamma_frozen_values():
     for lam, level, psi0 in ((0.5, LEVEL_L05_T95, PSI0_L05_T95),
                              (1.0, LEVEL_L1_T95, PSI0_L1_T95),
                              (2.0, LEVEL_L2_T95, PSI0_L2_T95)):
-        res = solve_gamma(CalibrationQuery(lambda0=lam, target=0.95))
-        assert res.gamma_level == pytest.approx(level, abs=1e-9)
-        assert res.psi_at_gamma == pytest.approx(0.95, abs=1e-10)
-        assert res.psi0_at_gamma == pytest.approx(psi0, abs=1e-9)
+        got_level, got_psi, got_psi0 = solve_gamma(lam, 0.95)
+        assert got_level == pytest.approx(level, abs=1e-9)
+        assert got_psi == pytest.approx(0.95, abs=1e-10)
+        assert got_psi0 == pytest.approx(psi0, abs=1e-9)
 
 
 def test_solve_gamma_against_scipy_inversion():
     for lam in (0.05, 0.4, 1.0, 2.2, 4.0):
         for target in (0.9, 0.95, 0.99):
-            ours = solve_gamma(CalibrationQuery(lambda0=lam, target=target))
-            assert ours.gamma_level == pytest.approx(
+            ours, _, _ = solve_gamma(lam, target)
+            assert ours == pytest.approx(
                 solve_gamma_ref(lam, target), abs=1e-9)
 
 
 def test_solve_gamma_round_trip():
     for lam in (0.3, 1.0, 3.5):
         for target in (0.9, 0.95, 0.975):
-            res = solve_gamma(CalibrationQuery(lambda0=lam, target=target))
-            gamma = 1.0 - res.gamma_level
+            gamma = 1.0 - solve_gamma(lam, target)[0]
             assert psi(gamma, lam) == pytest.approx(target, abs=1e-10)
 
 
 def test_solve_gamma_effective_penalty_scaling():
-    scaled = solve_gamma(CalibrationQuery(lambda0=1.0, target=0.95, c_j=4.0,
-                                          sigma0=2.0))
-    plain = solve_gamma(CalibrationQuery(lambda0=1.0, target=0.95))
+    scaled = solve_gamma(effective_penalty(1.0, 4.0, 2.0), 0.95)
+    plain = solve_gamma(1.0, 0.95)
     assert scaled == plain
-    q = CalibrationQuery(lambda0=1.0, target=0.95, c_j=4.0, sigma0=0.5)
-    assert q.effective_lambda == pytest.approx(4.0)
-    res = solve_gamma(q)
-    assert res.gamma_level == pytest.approx(solve_gamma_ref(4.0, 0.95), abs=1e-9)
+    lam = effective_penalty(1.0, 4.0, 0.5)
+    assert lam == pytest.approx(4.0)
+    assert solve_gamma(lam, 0.95)[0] == pytest.approx(solve_gamma_ref(4.0, 0.95), abs=1e-9)
+    # one rule for a whole Gram diagonal and for one component
+    diag = np.array([0.25, 1.0, 4.0])
+    np.testing.assert_array_equal(effective_penalty(2.0, diag, 0.5),
+                                  [effective_penalty(2.0, c, 0.5) for c in diag])
 
 
 def test_solve_gamma_zero_penalty():
-    res = solve_gamma(CalibrationQuery(lambda0=0.0, target=0.95))
-    assert res.gamma_level == pytest.approx(0.95, abs=1e-10)
-    assert res.psi0_at_gamma == pytest.approx(0.95, abs=1e-10)
+    level, _, psi0 = solve_gamma(0.0, 0.95)
+    assert level == pytest.approx(0.95, abs=1e-10)
+    assert psi0 == pytest.approx(0.95, abs=1e-10)
 
 
 def test_solve_gamma_saturates_at_huge_penalty():
     # an absurd penalty pushes the level to its ceiling; must not raise
     for lam in (30.0, 353.55, 1e6):
-        res = solve_gamma(CalibrationQuery(lambda0=lam, target=0.95))
-        assert res.gamma_level == pytest.approx(1.0, abs=1e-12)
-        assert 0.0 <= res.psi_at_gamma < 1e-9
-        assert 0.0 <= res.psi0_at_gamma <= 1.0
+        level, psi_signal, psi_noise = solve_gamma(lam, 0.95)
+        assert level == pytest.approx(1.0, abs=1e-12)
+        assert 0.0 <= psi_signal < 1e-9
+        assert 0.0 <= psi_noise <= 1.0
 
 
 def test_solve_gamma_methods_agree():
     for lam in (0.05, 0.5, 1.3, 2.0, 4.0):
         for target in TABLE_TARGETS:
-            q = CalibrationQuery(lambda0=lam, target=target)
             b = level_by_bisection(lam, target)
-            assert solve_gamma(q).gamma_level == pytest.approx(b, abs=1e-9)
+            assert solve_gamma(lam, target)[0] == pytest.approx(b, abs=1e-9)
             assert float(solve_levels([lam], target)[0]) == pytest.approx(b, abs=1e-9)
 
 
 def test_query_validation():
-    with pytest.raises(ValueError):
-        CalibrationQuery(lambda0=-0.1, target=0.95)
-    with pytest.raises(ValueError):
-        CalibrationQuery(lambda0=1.0, target=1.0)
-    with pytest.raises(ValueError):
-        CalibrationQuery(lambda0=1.0, target=0.95, c_j=0.0)
-    with pytest.raises(ValueError):
-        CalibrationQuery(lambda0=1.0, target=0.95, sigma0=-1.0)
+    # solve_gamma takes solve_levels' checks: a penalty that is negative or
+    # not finite, or a target outside (0, 1), never reaches the solve
+    for lam, target in ((-0.1, 0.95), (1.0, 1.0), (float("nan"), 0.95),
+                        (effective_penalty(1.0, 1.0, -1.0), 0.95)):
+        with pytest.raises(ValueError, match="must"):
+            solve_gamma(lam, target)
+    # a zero denominator or an overflow gives inf, which is rejected
+    for args in ((1.0, 1.0, 0.0), (1e300, 1.0, 1e-300)):
+        lam = effective_penalty(*args)
+        assert lam == float("inf")
+        with pytest.raises(ValueError, match="must be finite and nonnegative, got inf"):
+            solve_gamma(lam, 0.95)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -280,9 +281,14 @@ def test_query_validation():
     ("c_j", float("nan")), ("c_j", float("inf")),
     ("sigma0", float("nan")), ("sigma0", float("inf")),
 ])
-def test_query_rejects_non_finite_inputs(field, value):
-    with pytest.raises(ValueError, match=f"{field} must be"):
-        CalibrationQuery(**{"lambda0": 1.0, "target": 0.95, field: value})
+def test_query_rejects_non_finite_inputs(field, value, capsys):
+    # a lookup's lambda0, c_j and sigma0 are checked where they enter, as
+    # `calibrate` flags (effective_penalty only combines them); a usage error
+    flag = {"lambda0": "--lambda0", "c_j": "--c", "sigma0": "--sigma0"}[field]
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", "--lambda0=1", "--target=0.95", f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert f"{flag} must be" in capsys.readouterr().err
 
 
 # --- solve_levels --------------------------------------------------------------
@@ -336,8 +342,9 @@ def test_solve_levels_rejects_what_the_query_rejects(lambdas, target, message):
 
 
 def test_result_is_plain_record():
-    res = CalibrationResult(gamma_level=0.97, psi_at_gamma=0.95, psi0_at_gamma=0.98)
-    assert (res.gamma_level, res.psi_at_gamma, res.psi0_at_gamma) == (0.97, 0.95, 0.98)
+    res = solve_gamma(1.0, 0.95)
+    assert type(res) is tuple and [type(v) for v in res] == [float] * 3
+    assert res[0] == float(solve_levels(1.0, 0.95))
 
 
 # --- table -------------------------------------------------------------------
@@ -360,11 +367,11 @@ def test_table_monotone_in_lambda_and_target():
 
 def test_table_and_calibrate_agree_on_every_cell():
     # the table takes its columns from solve_levels and `calibrate` reads one
-    # query through solve_gamma; both must print the same level everywhere
+    # penalty through solve_gamma; both must print the same level everywhere
     rows = calibration_table()
     for lam, row in zip(TABLE_LAMBDAS, rows):
         for target, level in zip(TABLE_TARGETS, row):
-            one = solve_gamma(CalibrationQuery(lambda0=lam, target=target)).gamma_level
+            one = solve_gamma(lam, target)[0]
             assert display_level(one) == display_level(level), (lam, target)
             assert abs(one - level) <= 1e-15, (lam, target)
 

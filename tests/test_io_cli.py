@@ -21,7 +21,7 @@ from hypothesis import given, settings as hyp_settings, strategies as st
 
 import sparseproj
 from sparseproj import dataio
-from sparseproj.calibration import CalibrationQuery, solve_gamma
+from sparseproj.calibration import solve_gamma
 from sparseproj.cli import main
 from sparseproj.dataio import CsvFormatError, dataset_from_csv, read_csv
 from sparseproj.errors import DimensionMismatch, NonFiniteInput
@@ -425,6 +425,19 @@ def test_cli_calibrate_prints_table_value(capsys):
     assert capsys.readouterr().out == "0.9708\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--lambda0", "1e300", "--sigma0", "1e-300"],
+])
+def test_cli_calibrate_rejects_an_effective_penalty_that_overflows(argv, capsys):
+    # each flag passes its own check, but the penalty they give is inf: exit 1
+    # with solve_levels' error, as `fit` gives for a zero sigma_hat
+    assert main(["calibrate", "--target", "0.95"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("sparseproj: error: effective penalty lambda0*sqrt(c_j)/sigma0 "
+                            "must be finite and nonnegative, got inf at index 0\n")
+
+
 @pytest.mark.parametrize("command, flag, value, rule", [
     ("calibrate", "--lambda0", "nan", "a finite number >= 0"),
     ("calibrate", "--lambda0", "inf", "a finite number >= 0"),
@@ -532,9 +545,8 @@ def test_cli_fit_target_calibrates_levels(tmp_path, demo_csv):
     sigma_hat = math.sqrt(float(resid @ resid) / ds.n)
     assert doc["sigma_hat"] == pytest.approx(sigma_hat, rel=1e-12)
     for j, iv in enumerate(doc["intervals"]):
-        expect = solve_gamma(CalibrationQuery(
-            lambda0=doc["lambda0"], target=0.95,
-            c_j=float(ds.gram[j, j]), sigma0=sigma_hat)).gamma_level
+        lambda_eff = doc["lambda0"] * math.sqrt(ds.gram[j, j]) / sigma_hat
+        expect = solve_gamma(lambda_eff, 0.95)[0]
         assert iv["level"] == pytest.approx(expect, abs=1e-12)
         assert iv["lo"] <= iv["estimate"] <= iv["hi"]
 
@@ -672,6 +684,11 @@ def test_cli_simulate_rejects_bad_sweep(tmp_path, sweep, capsys):
     ({"n": 40, "p": 6, "lambda_n": 0.5, "sweep": {}}, "missing key 's_values'"),
     ({"n": 40, "lambda_n": 0.5}, "missing key 'p'"),
     ({"p": 3, "theta0": [1.0, 0.0, 0.0]}, "argument: 'n'"),
+    ({"n": 40, "p": 6, "lambda_n": 0.5, "signals": "captions"},
+     "signals must be 'default' or 'caption', got 'captions'"),
+    ({"n": 40, "p": 3, "theta0": [1.0, float("nan"), 0.0]},
+     "theta0 must be finite, got nan at index 1"),
+    ({"n": 40, "p": 6, "design": "toeplitz"}, "unknown design 'toeplitz'"),
     ("n = 40", "expected a JSON object"),
     ([40, 6], "expected a JSON object"),
 ])
@@ -889,9 +906,10 @@ DELETED_API = {
                    "_newton_cd_solve", "_newton_step", "_residual"),
     "regions": ("ProjectedSample", "radius_quantile", "_distances", "_warn_degenerate",
                 "minkowski_norm", "rectangle_levels", "minkowski_norms"),
-    "calibration": ("h_minus",),
+    "calibration": ("h_minus", "CalibrationQuery", "CalibrationResult"),
     "limits": ("sample_xi", "_cd_shared"),
     "types": ("NormSelector",),
+    "simulate": ("simulate_rows", "_dataset", "_rep_streams"),
 }
 
 

@@ -23,11 +23,15 @@ from sparseproj.simulate import (
     run_replication,
     run_scenario,
     signal_vector,
-    simulate_rows,
     sparsity_sweep,
     sweep_to_csv,
 )
 from sparseproj.types import PriorConfig, validate_dataset
+
+
+def data_rng(sc, rep_index):
+    """The data stream of replication rep_index."""
+    return np.random.default_rng(np.random.SeedSequence((sc.seed, rep_index, 0xDA7A)))
 
 
 def make_scenario(**kw):
@@ -44,6 +48,9 @@ def test_scenario_validation():
         make_scenario(theta0=np.zeros(2))
     with pytest.raises(ValueError):
         make_scenario(design="toeplitz")
+    for value in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match=f"theta0 must be finite, got {value} at index 1"):
+            make_scenario(theta0=np.array([1.0, value, 0.0]))
     with pytest.raises(ValueError):
         make_scenario(design="ar1", rho=1.0)
     with pytest.raises(ValueError):
@@ -93,7 +100,7 @@ def test_signal_vector_layout():
 
 def test_ar1_lag_one_correlation():
     sc = make_scenario(n=100_000, p=3, design="ar1", rho=0.7, replications=1)
-    X, _ = simulate_rows(sc, 0)
+    X, _ = simulate._rows(sc, data_rng(sc, 0))
     for k in (0, 1):
         corr = np.corrcoef(X[:, k], X[:, k + 1])[0, 1]
         assert corr == pytest.approx(0.7, abs=0.01)
@@ -102,7 +109,7 @@ def test_ar1_lag_one_correlation():
 
 def test_independent_columns_uncorrelated():
     sc = make_scenario(n=100_000, p=3, replications=1)
-    X, _ = simulate_rows(sc, 0)
+    X, _ = simulate._rows(sc, data_rng(sc, 0))
     corr = np.corrcoef(X, rowvar=False)
     off = corr[~np.eye(3, dtype=bool)]
     assert np.abs(off).max() < 0.01
@@ -110,7 +117,7 @@ def test_independent_columns_uncorrelated():
 
 def test_null_signal_response_variance():
     sc = make_scenario(n=100_000, p=2, theta0=np.zeros(2), replications=1)
-    _, Y = simulate_rows(sc, 0)
+    _, Y = simulate._rows(sc, data_rng(sc, 0))
     assert Y.var() == pytest.approx(1.0, abs=0.02)
     assert Y.mean() == pytest.approx(0.0, abs=0.02)
 
@@ -124,7 +131,7 @@ def test_generate_data_deterministic():
     c = generate_data(sc, 2)
     assert not np.array_equal(a.gram, c.gram)
     # one block: the Gram carries the bits of X'X itself
-    X, Y = simulate_rows(sc, 1)
+    X, Y = simulate._rows(sc, data_rng(sc, 1))
     gram = X.T @ X / sc.n
     np.testing.assert_array_equal(a.gram, 0.5 * (gram + gram.T))
     np.testing.assert_array_equal(a.xty, X.T @ Y / sc.n)
@@ -300,19 +307,21 @@ def test_reused_buffers_leak_no_state(monkeypatch, design, lambda_n):
 
 @pytest.mark.parametrize("lambda_n", [0.5, None])
 def test_one_rng_stream_setup_per_replication(monkeypatch, lambda_n):
-    # the data, CV and posterior streams of a replication come from one
-    # _rep_streams call, the same that generate_data makes alone
+    # a replication draws its data once, in generate_data (its data stage),
+    # whose dataset comes from the replication's (seed, rep_index, 0xDA7A)
+    # data stream
     calls = []
-    real = simulate._rep_streams
-    monkeypatch.setattr(simulate, "_rep_streams",
-                        lambda seed, i: calls.append(i) or real(seed, i))
+    real = simulate.generate_data
+    monkeypatch.setattr(simulate, "generate_data",
+                        lambda sc, i: calls.append(i) or real(sc, i))
+    rows = []
+    real_rows = simulate._rows
+    monkeypatch.setattr(simulate, "_rows", lambda sc, rng: rows.append(1) or real_rows(sc, rng))
     sc = make_scenario(replications=3, lambda_n=lambda_n, cv_folds=4)
     run_scenario(sc)
-    assert calls == [0, 1, 2]
-    calls.clear()
+    assert calls == [0, 1, 2] and len(rows) == 3
     ds = generate_data(sc, 2)
-    assert calls == [2]
-    X, Y = simulate_rows(sc, 2)
+    X, Y = real_rows(sc, data_rng(sc, 2))
     np.testing.assert_array_equal(ds.gram, validate_dataset(X, Y).gram)
 
 
