@@ -45,9 +45,13 @@ for lam0 in (0.5, 1.0, 2.0):
 
 # 3. per-coordinate effective penalty: a coordinate's Gram diagonal c_j and
 #    an error-scale estimate enter through effective_penalty, which acts as
-#    lambda0 * sqrt(c_j) / sigma0, so the two push in opposite directions
+#    lambda0 / (sigma0 * sqrt(c_j)): twice the shrinkage lambda_n / (2 c_j)
+#    of the coordinate, in units of its estimate's spread sigma0 /
+#    sqrt(c_j * n).  A stronger column (large c_j) or a noisier fit (large
+#    sigma0) feels less of the same penalty and needs less widening
 print("\nsame lambda0, different coordinate scale:")
-for c_j, sigma0, note in ((1.0, 1.0, ""), (4.0, 1.0, "  (stronger bias)"),
+for c_j, sigma0, note in ((1.0, 1.0, ""), (0.25, 1.0, "  (weak column: stronger bias)"),
+                          (4.0, 1.0, "  (strong column: weaker bias)"),
                           (1.0, 2.0, "  (noise drowns it)")):
     level = solve_gamma(effective_penalty(1.0, c_j, sigma0), 0.95)[0]
     print(f"  c_j={c_j:g}, sigma0={sigma0:g}  ->  level {level:.4f}{note}")

@@ -43,7 +43,8 @@ for lam0 in (0.5, 1.0, 2.0):
     print(f"   {lam0:4.1f}    {est:.4f}    {exact:.4f}")
 
 # 3. the coverage verification sweep the CLI exposes as `sparseproj
-#    limitcheck`: calibrate each penalty's level for 0.95, then estimate
+#    limitcheck`: calibrate each coordinate's level for 0.95 at its effective
+#    penalty lambda0 / (sigma0 * sqrt(C_jj)) (here lambda0 itself), then estimate
 #    every penalty's per-coordinate coverage in one nested Monte-Carlo pass
 #    (each outer draw is generated once and solved at every penalty) and
 #    set it against the analytic value

@@ -1,8 +1,9 @@
 """Analytic limiting-coverage functions and credibility-level calibration.
 
 For a componentwise credible interval built at credibility 1 - gamma, the
-limiting frequentist coverage depends on the rescaled penalty lam0 and on
-whether the true coefficient is a signal or a zero:
+limiting frequentist coverage depends on the component's effective penalty
+lam0 (effective_penalty; the rescaled penalty itself at unit Gram diagonal
+and error s.d.) and on whether the true coefficient is a signal or a zero:
 
     signal coverage   psi(gamma, lam0)  = Phi(lam0/2 + z) - Phi(lam0/2 - z)
     zero coverage     psi_zero(gamma, lam0) = P(h_zero(lam0, Z) <= 1 - gamma)
@@ -156,12 +157,18 @@ def _clipped_gamma(cdf_z):
 
 
 def effective_penalty(lambda0, c, sigma0):
-    """The penalty a component is calibrated at: lambda0 * sqrt(c) / sigma0,
+    """The penalty a component is calibrated at: lambda0 / (sigma0 * sqrt(c)),
     from the rescaled penalty lambda0, the component's limiting Gram
-    diagonal c (a number or an array) and the error s.d. sigma0.  A zero
-    denominator or an overflow gives inf, which solve_levels rejects."""
+    diagonal c (a number or an array) and the error s.d. sigma0.
+
+    For a diagonal C the substitution v = sigma0 * w / sqrt(c) turns the
+    limit problem v'Cv - 2 sigma0 v'C^{1/2} Delta + lambda0 * pen(v) into
+    sigma0^2 (w'w - 2 w'Delta + pen(w) * lambda0 / (sigma0 sqrt(c))): the
+    unit-scale problem at this penalty, the one psi and psi_zero describe.
+    A zero denominator or an overflow gives inf, which solve_levels
+    rejects."""
     with np.errstate(divide="ignore", over="ignore"):
-        return lambda0 * np.sqrt(c) / sigma0
+        return lambda0 / (sigma0 * np.sqrt(c))
 
 
 def _gammas(lambda_eff, target: float) -> np.ndarray:
@@ -173,7 +180,7 @@ def _gammas(lambda_eff, target: float) -> np.ndarray:
         raise ValueError("target must lie in (0, 1)")
     bad = np.flatnonzero(~((0.0 <= lam) & (lam < math.inf)))
     if bad.size:
-        raise ValueError("effective penalty lambda0*sqrt(c_j)/sigma0 must be finite and "
+        raise ValueError("effective penalty lambda0/(sigma0*sqrt(c_j)) must be finite and "
                          f"nonnegative, got {lam.flat[bad[0]]} at index {bad[0]}")
     z = _newton_zeros(lam.ravel(), float(target))
     return _clipped_gamma(_cdf(z)).reshape(lam.shape)

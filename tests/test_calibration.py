@@ -226,10 +226,14 @@ def test_solve_gamma_round_trip():
 
 
 def test_solve_gamma_effective_penalty_scaling():
-    scaled = solve_gamma(effective_penalty(1.0, 4.0, 2.0), 0.95)
+    # lambda0 / (sigma0 sqrt(c_j)): a larger Gram diagonal or error s.d. both
+    # lower the penalty a component is calibrated at
+    assert effective_penalty(1.0, 4.0, 2.0) == 0.25
     plain = solve_gamma(1.0, 0.95)
-    assert scaled == plain
-    lam = effective_penalty(1.0, 4.0, 0.5)
+    assert solve_gamma(effective_penalty(2.0, 4.0, 1.0), 0.95) == plain
+    assert solve_gamma(effective_penalty(2.0, 1.0, 2.0), 0.95) == plain
+    assert solve_gamma(effective_penalty(0.5, 0.25, 1.0), 0.95) == plain
+    lam = effective_penalty(1.0, 0.25, 0.5)
     assert lam == pytest.approx(4.0)
     assert solve_gamma(lam, 0.95)[0] == pytest.approx(solve_gamma_ref(4.0, 0.95), abs=1e-9)
     # one rule for a whole Gram diagonal and for one component

@@ -427,6 +427,7 @@ def test_cli_calibrate_prints_table_value(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--lambda0", "1e300", "--sigma0", "1e-300"],
+    ["--lambda0", "1e300", "--c", "1e-300"],
 ])
 def test_cli_calibrate_rejects_an_effective_penalty_that_overflows(argv, capsys):
     # each flag passes its own check, but the penalty they give is inf: exit 1
@@ -434,7 +435,7 @@ def test_cli_calibrate_rejects_an_effective_penalty_that_overflows(argv, capsys)
     assert main(["calibrate", "--target", "0.95"] + argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == ("sparseproj: error: effective penalty lambda0*sqrt(c_j)/sigma0 "
+    assert captured.err == ("sparseproj: error: effective penalty lambda0/(sigma0*sqrt(c_j)) "
                             "must be finite and nonnegative, got inf at index 0\n")
 
 
@@ -545,7 +546,7 @@ def test_cli_fit_target_calibrates_levels(tmp_path, demo_csv):
     sigma_hat = math.sqrt(float(resid @ resid) / ds.n)
     assert doc["sigma_hat"] == pytest.approx(sigma_hat, rel=1e-12)
     for j, iv in enumerate(doc["intervals"]):
-        lambda_eff = doc["lambda0"] * math.sqrt(ds.gram[j, j]) / sigma_hat
+        lambda_eff = doc["lambda0"] / (sigma_hat * math.sqrt(ds.gram[j, j]))
         expect = solve_gamma(lambda_eff, 0.95)[0]
         assert iv["level"] == pytest.approx(expect, abs=1e-12)
         assert iv["lo"] <= iv["estimate"] <= iv["hi"]
@@ -684,13 +685,13 @@ def test_cli_simulate_rejects_bad_sweep(tmp_path, sweep, capsys):
     ({"n": 40, "p": 6, "lambda_n": 0.5, "sweep": {}}, "missing key 's_values'"),
     ({"n": 40, "lambda_n": 0.5}, "missing key 'p'"),
     ({"p": 3, "theta0": [1.0, 0.0, 0.0]}, "argument: 'n'"),
+    ("n = 40", "expected a JSON object"),
+    ([40, 6], "expected a JSON object"),
     ({"n": 40, "p": 6, "lambda_n": 0.5, "signals": "captions"},
      "signals must be 'default' or 'caption', got 'captions'"),
     ({"n": 40, "p": 3, "theta0": [1.0, float("nan"), 0.0]},
      "theta0 must be finite, got nan at index 1"),
     ({"n": 40, "p": 6, "design": "toeplitz"}, "unknown design 'toeplitz'"),
-    ("n = 40", "expected a JSON object"),
-    ([40, 6], "expected a JSON object"),
 ])
 def test_cli_simulate_names_config_file_and_missing_key(tmp_path, cfg, missing, capsys):
     cfg_path = tmp_path / "scenario.json"
@@ -766,6 +767,21 @@ def test_cli_threads_from_flag_then_environment_then_one(monkeypatch, tmp_path):
     monkeypatch.delenv("SPARSEPROJ_THREADS")
     assert main(argv) == 0
     assert seen == [3, 2, 1]
+
+
+def test_cli_limitcheck_calibrates_at_lambda0_over_sigma0(tmp_path):
+    # each row's level and analytic value come from its coordinate's
+    # effective penalty lambda0 / (sigma0 sqrt(c_j)), so doubling both flags
+    # leaves those columns as they were
+    columns = []
+    for sigma0, lam in (("2", "2"), ("1", "1")):
+        out = tmp_path / f"limit{sigma0}.csv"
+        assert main(["limitcheck", "--sigma0", sigma0, "--lambda0", lam, "--signs", "1,-1,0",
+                     "--outer", "100", "--inner", "100", "--seed", "1", "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").strip().split("\n")[1:]
+        columns.append([(cells[3], cells[6]) for cells in (line.split(",") for line in lines)])
+    assert len(columns[0]) == 3 and columns[0] == columns[1]
+    assert columns[1][0] == ("0.9708518789", "0.95")
 
 
 def test_cli_limitcheck_layout(tmp_path):

@@ -403,6 +403,36 @@ def test_coverage_failure_names_outer_draw(monkeypatch):
                              seed=21)
 
 
+@pytest.mark.parametrize("c, sigma0, lambda0", [(4.0, 1.0, 2.0), (0.25, 1.0, 0.5),
+                                                (1.0, 2.0, 2.0)])
+def test_limitcheck_rows_calibrate_at_the_effective_penalty(c, sigma0, lambda0):
+    # At C = cI the substitution v = sigma0 w / sqrt(c) maps the limit problem
+    # onto the unit-scale one at penalty lambda0 / (sigma0 sqrt(c)) = 1, with
+    # every |T* - xi| scaled by a power of two: the rows equal those of
+    # C = I, sigma0 = 1, lambda0 = 1 bit for bit, and each signal is covered
+    # at the target within 3 standard errors.  Calibrated at lambda0 sqrt(c) /
+    # sigma0 instead, C = 4I and lambda0 = 2 read 0.998.
+    spec = LimitSpec(C=c * np.eye(3), sigma0=sigma0, theta0_signs=(1, -1, 0))
+    rows = limitcheck_rows(spec, [lambda0], target=0.95, outer=600, inner=800, seed=2)
+    unit = limitcheck_rows(SWEEP_SPEC, [1.0], target=0.95, outer=600, inner=800, seed=2)
+    keys = ("coordinate", "role", "level", "estimate", "mc_se", "analytic")
+    assert [[row[k] for k in keys] for row in rows] == [[row[k] for k in keys] for row in unit]
+    se = np.sqrt(0.95 * 0.05 / 600)
+    for row in rows[:2]:
+        assert abs(row["estimate"] - 0.95) <= 3 * se, row
+
+
+def test_limitcheck_rows_level_per_coordinate():
+    # a Gram diagonal that differs across coordinates gives each coordinate
+    # the level and analytic value of its own effective penalty
+    spec = LimitSpec(C=np.diag([1.0, 4.0, 0.25]), sigma0=1.0, theta0_signs=(1, -1, 0))
+    rows = limitcheck_rows(spec, [1.0], target=0.95, outer=100, inner=100, seed=0)
+    for row, lam in zip(rows, (1.0, 0.5, 2.0)):
+        level, psi_signal, psi_noise = solve_gamma(lam, 0.95)
+        assert row["level"] == level
+        assert row["analytic"] == (psi_noise if row["role"] == "noise" else psi_signal)
+
+
 # --- zero_mass_probability ---------------------------------------------------
 
 def test_zero_mass_saturates_for_huge_penalty():

@@ -175,6 +175,32 @@ def test_fit_dataset_rejects_zero_sigma_hat():
                     target=0.95)
 
 
+@pytest.mark.parametrize("sd", [0.5, 2.0])
+def test_fit_dataset_covers_signals_at_any_column_scale(sd):
+    # Columns of s.d. sd have Gram diagonal c = sd^2, and the component
+    # interval of coordinate j is calibrated at lambda0 / (sigma_hat sqrt(c_j)).
+    # n = 1000, lambda0 = 2, R = 400 replications: each signal's coverage
+    # lies within 4 binomial standard errors of the 0.95 target
+    # ([0.906, 0.994]); 1000 replications gave 0.942 at sd = 0.5 and 0.955 at
+    # sd = 2.  Calibrated at lambda0 sqrt(c_j) / sigma_hat instead, the
+    # signals are covered about 0.6 at sd = 0.5 and 1.0 at sd = 2.
+    n, R, draws, target = 1000, 400, 1000, 0.95
+    theta = np.array([1.0, -1.0, 0.0])
+    rng = np.random.default_rng(7)
+    buffers = draw_buffers(draws, 3)
+    covered = np.zeros(3)
+    for r in range(R):
+        X = sd * rng.standard_normal((n, 3))
+        Y = X @ theta + rng.standard_normal(n)
+        fit = fit_dataset(validate_dataset(X, Y), 2.0 / math.sqrt(n), draws, r, PriorConfig(),
+                          target=target, buffers=buffers)
+        covered += (fit.lo <= theta) & (theta <= fit.hi)
+    coverage = covered / R
+    bound = 4.0 * math.sqrt(target * (1.0 - target) / R)
+    assert np.all(np.abs(coverage[:2] - target) <= bound), coverage
+    assert coverage[2] >= target - bound, coverage
+
+
 def test_replication_record_fields():
     sc = make_scenario(n=60, p=3, theta0=np.array([1.0, 0.0, 0.0]),
                        lambda_n=0.2, draws_per_rep=80)
