@@ -181,8 +181,8 @@ def test_fit_dataset_covers_signals_at_any_column_scale(sd):
     # interval of coordinate j is calibrated at lambda0 / (sigma_hat sqrt(c_j)).
     # n = 1000, lambda0 = 2, R = 400 replications: each signal's coverage
     # lies within 4 binomial standard errors of the 0.95 target
-    # ([0.906, 0.994]); 1000 replications gave 0.942 at sd = 0.5 and 0.955 at
-    # sd = 2.  Calibrated at lambda0 sqrt(c_j) / sigma_hat instead, the
+    # ([0.906, 0.994]); 1000 replications of 2000 draws gave 0.942 at sd = 0.5
+    # and 0.955 at sd = 2.  Calibrated at lambda0 sqrt(c_j) / sigma_hat instead, the
     # signals are covered about 0.6 at sd = 0.5 and 1.0 at sd = 2.
     n, R, draws, target = 1000, 400, 1000, 0.95
     theta = np.array([1.0, -1.0, 0.0])
