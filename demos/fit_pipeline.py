@@ -60,11 +60,13 @@ for j in range(p):
     print(f"  {names[j]:<8} {theta_true[j]:>6.2f} {fit.center[j]:>9.3f}   {fit.levels[j]:.4f}  "
           f"[{fit.lo[j]:>7.3f}, {fit.hi[j]:>7.3f}]")
 
-# 5. which supports does the projected posterior visit?
-probs = model_probabilities(fit.draws)  # the (4000, p) projected draws
+# 5. which supports does the projected posterior visit?  model_probabilities
+#    counts the (4000, p) projected draws: each support is the ascending tuple
+#    of its nonzero coordinates, and the most frequent come first
+probs = model_probabilities(fit.draws)
 print("\n top supports by posterior probability")
-for support, prob in sorted(probs.items(), key=lambda kv: -kv[1])[:5]:
-    label = "{" + ", ".join(names[j] for j in sorted(support)) + "}"
+for support, prob in list(probs.items())[:5]:
+    label = "{" + ", ".join(names[j] for j in support) + "}"
     print(f"  {label:<24} {prob:.3f}")
 
 print("\nCLI one-liner for the same analysis of a CSV written as in step 1:")

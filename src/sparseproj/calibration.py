@@ -148,14 +148,6 @@ def _newton_zeros(lambda_eff: np.ndarray, target: float) -> np.ndarray:
     return z
 
 
-def _clipped_gamma(cdf_z):
-    """gamma = 2(1 - Phi(z)) from Phi(z), clipped to [1e-15, 1 - 1e-15]: the
-    floor keeps 1 - gamma/2 strictly below 1.0 in doubles, so the quantile
-    lookups inside psi stay well defined when the penalty saturates the
-    level."""
-    return np.clip(2.0 * (1.0 - cdf_z), 1e-15, 1.0 - 1e-15)
-
-
 def effective_penalty(lambda0, c, sigma0):
     """The penalty a component is calibrated at: lambda0 / (sigma0 * sqrt(c)),
     from the rescaled penalty lambda0, the component's limiting Gram
@@ -183,7 +175,10 @@ def _gammas(lambda_eff, target: float) -> np.ndarray:
         raise ValueError("effective penalty lambda0/(sigma0*sqrt(c_j)) must be finite and "
                          f"nonnegative, got {lam.flat[bad[0]]} at index {bad[0]}")
     z = _newton_zeros(lam.ravel(), float(target))
-    return _clipped_gamma(_cdf(z)).reshape(lam.shape)
+    # gamma = 2(1 - Phi(z)), clipped to [1e-15, 1 - 1e-15]: the floor keeps
+    # 1 - gamma/2 strictly below 1.0 in doubles, so the quantile lookups
+    # inside psi stay well defined when the penalty saturates the level
+    return np.clip(2.0 * (1.0 - _cdf(z)), 1e-15, 1.0 - 1e-15).reshape(lam.shape)
 
 
 def solve_levels(lambda_eff, target: float) -> np.ndarray:

@@ -24,7 +24,7 @@ from .calibration import (calibration_table_csv, display_level,
 from .dataio import dataset_from_csv
 from .errors import SparseProjError
 from .limits import LimitSpec, limitcheck_rows
-from .projection import cross_validate_lambda
+from .projection import cross_validate_lambda  # noqa: F401 (perfbench wraps this binding)
 from .regions import model_probabilities
 from .simulate import (Scenario, fit_dataset, report_to_csv, run_scenario,
                        signal_vector, sparsity_sweep, sweep_to_csv)
@@ -73,8 +73,9 @@ _positive_lambda = _checked("--lambda", "a positive finite number or 'auto'",
                             _positive_finite)
 
 
-def _parse_lambda(value: str) -> float | str:
-    return "auto" if value == "auto" else _positive_lambda(value)
+def _parse_lambda(value: str) -> float | None:
+    """None for 'auto', which fit_dataset takes as its default CV recipe."""
+    return None if value == "auto" else _positive_lambda(value)
 
 
 def _number_list(flag: str, rule: str, ok):
@@ -119,27 +120,19 @@ _seed_flag = _checked("--seed", "an integer >= 0", lambda k: k >= 0, kind=int)
 def cmd_fit(args) -> int:
     state = np.random.SeedSequence((int(args.seed), 0xF17)).generate_state(2)
     cv_seed, post_seed = int(state[0]), int(state[1])
-    cv = args.lambda_n == "auto"
     ds, names = dataset_from_csv(args.data, args.response, standardize=args.standardize,
-                                 folds=10 if cv else 0, fold_seed=cv_seed)
+                                 folds=10 if args.lambda_n is None else 0, fold_seed=cv_seed)
 
-    if cv:
-        # half the CV minimizer: the penalty is taken on the classical
-        # (2n)-normalized LASSO scale (see the same rule in the harness)
-        lam = 0.5 * cross_validate_lambda(ds)
-    else:
-        lam = float(args.lambda_n)
-    fit = fit_dataset(ds, lam, args.draws, post_seed, PriorConfig(a_n=args.an),
+    fit = fit_dataset(ds, args.lambda_n, args.draws, post_seed, PriorConfig(a_n=args.an),
                       target=args.target, level=args.level)
 
     intervals = [{"name": names[j], "level": float(fit.levels[j]),
                   "estimate": float(fit.center[j]),
                   "lo": float(fit.lo[j]), "hi": float(fit.hi[j])} for j in range(ds.p)]
 
-    probs = model_probabilities(fit.draws)
-    labels = [str(j) for j in range(ds.p)]  # a support's key joins its sorted indices
-    model_probs = {",".join([labels[j] for j in sorted(s)]): f for s, f in
-                   sorted(probs.items(), key=lambda kv: -kv[1])}
+    labels = [str(j) for j in range(ds.p)]  # formatted once: a key joins these per support
+    model_probs = {",".join([labels[j] for j in s]): f
+                   for s, f in model_probabilities(fit.draws).items()}
 
     log.info("fit: seed=%d lambda_n=%.6g lambda0=%.6g level=%s max_kkt=%.3e",
              args.seed, fit.lambda_n, fit.lambda0,
@@ -185,8 +178,13 @@ def cmd_simulate(args) -> int:
     if not isinstance(cfg, dict):
         raise ValueError(f"scenario config {args.config}: expected a JSON object")
     try:
-        sweep = cfg.pop("sweep", None)
-        s_values = None if sweep is None else sweep["s_values"]
+        sweep = s_values = cfg.pop("sweep", None)
+        if sweep is not None:
+            s_values = sweep["s_values"] if isinstance(sweep, dict) else None
+            if not isinstance(s_values, list):
+                raise ValueError(f'sweep must be {{"s_values": [integers]}}, got {sweep!r}')
+        if "theta0" in cfg and "signals" in cfg:
+            raise ValueError("give theta0 or signals, not both")
         if "theta0" not in cfg:
             variant = cfg.pop("signals", "default")
             if variant not in ("default", "caption"):

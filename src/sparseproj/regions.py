@@ -11,6 +11,7 @@ draws, the finite-sample analogue of the quantile definition in the theory
 from __future__ import annotations
 
 import math
+from collections import Counter
 from collections.abc import Sequence
 
 import numpy as np
@@ -76,11 +77,13 @@ def component_intervals(draws: np.ndarray, center: np.ndarray,
     return center - half, center + half, half == 0.0
 
 
-def model_probabilities(draws: np.ndarray) -> dict[frozenset[int], float]:
-    """Empirical frequency of each distinct support among the rows of draws."""
-    counts: dict[frozenset[int], int] = {}
-    for row in draws:
-        support = frozenset(np.nonzero(row)[0].tolist())
-        counts[support] = counts.get(support, 0) + 1
+def model_probabilities(draws: np.ndarray) -> dict[tuple[int, ...], float]:
+    """Empirical frequency of each distinct support among the rows of draws,
+    a support being the ascending tuple of a row's nonzero indices: the most
+    frequent first, ties in the order the draws first visit them."""
     R = draws.shape[0]
-    return {s: c / R for s, c in counts.items()}
+    rows, cols = np.nonzero(draws)
+    ends = np.bincount(rows, minlength=R).cumsum().tolist()
+    cols = cols.tolist()
+    counts = Counter(tuple(cols[a:b]) for a, b in zip([0] + ends[:-1], ends))
+    return {s: c / R for s, c in counts.most_common()}

@@ -1,22 +1,24 @@
 """The fit pipeline that `sparseproj fit` and the coverage studies share.
 
-fit_dataset factorizes the posterior, calibrates a per-component
-credibility level, solves the LASSO center and the projections of a batch
-of posterior draws in one certified batch and reads off componentwise
-intervals.  A replication of a coverage study generates a dataset
-(generate_data, its data stage), picks the penalty (CV by default), runs
-fit_dataset and records which intervals caught the true coefficients.
-Replications are independent tasks with RNG streams keyed by (seed,
-rep_index), so results are identical for any worker count; aggregation
-walks records in replication order.  Each run of consecutive replications works in one set of draw
-buffers (draw_buffers), which every fit overwrites in full.
+fit_dataset picks the penalty (the default recipe: half the CV minimizer),
+factorizes the posterior, calibrates a per-component credibility level,
+solves the LASSO center and the projections of a batch of posterior draws
+in one certified batch and reads off componentwise intervals.  A
+replication of a coverage study generates a dataset (generate_data, its
+data stage), runs fit_dataset at the scenario's penalty (the default recipe
+when it has none) and records which intervals caught the true
+coefficients.  Replications are independent tasks with RNG streams keyed
+by (seed, rep_index), so results are identical for any worker count;
+aggregation walks records in replication order.  Each run of consecutive
+replications works in one set of draw buffers (draw_buffers), which every
+fit overwrites in full.
 """
 
 from __future__ import annotations
 
 import io
 import math
-import operator
+import numbers
 import time
 from dataclasses import dataclass, replace
 
@@ -91,16 +93,17 @@ def _c_rows(a: np.ndarray, rows: int) -> np.ndarray:
     return a.ravel(order="F")[:rows * a.shape[1]].reshape(rows, a.shape[1])
 
 
-def fit_dataset(ds: Dataset, lam: float, draws: int, post_seed: int, prior: PriorConfig,
-                *, target: float | None = None, level: float | None = None,
+def fit_dataset(ds: Dataset, lam: float | None, draws: int, post_seed: int,
+                prior: PriorConfig, *, target: float | None = None, level: float | None = None,
                 buffers: tuple[np.ndarray, ...] | None = None) -> FitResult:
     """Fit the projection posterior to ds at penalty lam, on the
     (1/n)||Y - Xu||^2 + lam*||u||_1 scale, with draws posterior draws from
     the stream post_seed, projected in one certified batch whose row 0 is
-    the LASSO center (project_draws).  Give exactly one of target (component
-    j's level is calibrated at effective_penalty(lambda0, c_j, sigma_hat),
-    c_j its Gram diagonal, in one solve_levels call) and level (used for
-    every j).
+    the LASSO center (project_draws).  lam = None is the default recipe:
+    half the minimizer of cross_validate_lambda on ds's folds.  Give exactly
+    one of target (component j's level is calibrated at
+    effective_penalty(lambda0, c_j, sigma_hat), c_j its Gram diagonal, in
+    one solve_levels call) and level (used for every j).
 
     buffers is a draw_buffers(draws, ds.p) set that the caller owns and
     reuses: every array in it is overwritten, and FitResult.draws is the
@@ -109,6 +112,12 @@ def fit_dataset(ds: Dataset, lam: float, draws: int, post_seed: int, prior: Prio
     depend on which."""
     if (target is None) == (level is None):
         raise ValueError("give exactly one of target and level")
+    if lam is None:
+        # CV minimizes prediction error on this objective's scale; the
+        # projection takes the penalty on the classical (2n)-normalized LASSO
+        # scale, i.e. half of that minimizer, keeping lambda0 = lambda_n*sqrt(n)
+        # inside the calibrated range instead of over-shrinking the draws
+        lam = 0.5 * cross_validate_lambda(ds)
     lam0 = lam * math.sqrt(ds.n)
     fact = factorize(ds, prior)
     m = fact.ridge_mean
@@ -137,6 +146,12 @@ def fit_dataset(ds: Dataset, lam: float, draws: int, post_seed: int, prior: Prio
                      max_kkt=float(kkt.max()))
 
 
+def _is_number(value, kind=numbers.Real) -> bool:
+    """value is a kind (numbers.Real or numbers.Integral) and not a bool,
+    which Python counts as an integer but a config means as a flag."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A coverage-study configuration.
@@ -162,12 +177,17 @@ class Scenario:
     def __post_init__(self):
         for name in ("n", "p", "replications", "draws_per_rep", "cv_folds", "seed"):
             value = getattr(self, name)
-            try:
-                operator.index(value)
-            except TypeError:
-                raise ValueError(f"{name} must be an integer, got {value!r}") from None
+            if not _is_number(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("rho", "error_sd", "target_coverage", "lambda_n"):
+            value = getattr(self, name)
+            if not (_is_number(value) or value is None and name == "lambda_n"):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if self.n < 1 or self.p < 1:
             raise ValueError(f"n and p must be at least 1, got n = {self.n}, p = {self.p}")
+        for j, value in enumerate(np.asarray(self.theta0, dtype=object).ravel().tolist()):
+            if not _is_number(value):
+                raise ValueError(f"theta0 must hold numbers, got {value!r} at index {j}")
         theta0 = frozen_copy(self.theta0).ravel()
         object.__setattr__(self, "theta0", theta0)
         if theta0.shape[0] != self.p:
@@ -222,7 +242,7 @@ class CoverageReport:
     coverage: np.ndarray
     mc_se: np.ndarray
     mean_length: np.ndarray
-    selection_freq: dict[int, float]
+    selection_freq: np.ndarray
     replications: int
     runtime: float = 0.0
     mean_lambda_n: float = 0.0
@@ -273,26 +293,11 @@ def run_replication(scenario: Scenario, rep_index: int,
     is an optional draw_buffers set for fit_dataset; the record is the same
     with or without it."""
     try:
-        return _run_replication(scenario, rep_index, buffers)
+        fit = fit_dataset(generate_data(scenario, rep_index), scenario.lambda_n,
+                          scenario.draws_per_rep, _rep_seeds(scenario.seed, rep_index)[1],
+                          PriorConfig(), target=scenario.target_coverage, buffers=buffers)
     except SparseProjError as exc:
         raise type(exc)(f"replication {rep_index}: {exc}") from exc
-
-
-def _run_replication(scenario: Scenario, rep_index: int,
-                     buffers: tuple[np.ndarray, ...] | None) -> ReplicationRecord:
-    ds = generate_data(scenario, rep_index)
-
-    if scenario.lambda_n is not None:
-        lam = float(scenario.lambda_n)
-    else:
-        # CV minimizes prediction error on this objective's scale; the
-        # projection takes the penalty on the classical (2n)-normalized LASSO
-        # scale, i.e. half of that minimizer, keeping lambda0 = lambda_n*sqrt(n)
-        # inside the calibrated range instead of over-shrinking the draws
-        lam = 0.5 * cross_validate_lambda(ds)
-    post_seed = _rep_seeds(scenario.seed, rep_index)[1]
-    fit = fit_dataset(ds, lam, scenario.draws_per_rep, post_seed, PriorConfig(),
-                      target=scenario.target_coverage, buffers=buffers)
 
     # degenerate radii are expected under heavy shrinkage; recorded, not printed
     theta0 = scenario.theta0
@@ -317,8 +322,7 @@ def aggregate(records: list[ReplicationRecord]) -> CoverageReport:
     mc_se = np.sqrt(coverage * (1.0 - coverage) / R)
     return CoverageReport(coverage=coverage, mc_se=mc_se,
                           mean_length=lengths.mean(axis=0),
-                          selection_freq={j: float(f) for j, f in
-                                          enumerate(selected.mean(axis=0))},
+                          selection_freq=selected.mean(axis=0),
                           replications=R,
                           mean_lambda_n=float(np.mean([r.lambda_n for r in records])),
                           mean_lambda0=float(np.mean([r.lambda0 for r in records])),
@@ -361,10 +365,8 @@ def sparsity_sweep(base: Scenario, s_values: list[int],
     coefficients set to 1 and the rest to 0, for each s.  Every s must be an
     integer in [0, p]; all are checked before the first run."""
     for s in s_values:
-        try:
-            operator.index(s)
-        except TypeError:
-            raise ValueError(f"s must be an integer, got {s!r}") from None
+        if not _is_number(s, numbers.Integral):
+            raise ValueError(f"s must be an integer, got {s!r}")
         if not 0 <= s <= base.p:
             raise ValueError(f"s = {s} lies outside [0, p = {base.p}]")
     reports = []

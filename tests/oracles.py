@@ -22,6 +22,8 @@ different: it solves the limit experiment's xi for one draw alone through
 the package's limit solver, the reference for row 0 of the merged xi/T*
 batch.  level_by_bisection is the calibration oracle: a scalar bisection for
 the credibility level, checked against the package's one Newton level solve.
+model_probabilities_reference counts supports one row at a time, as frozensets,
+and then sorts and ranks them.
 """
 
 import itertools
@@ -266,3 +268,16 @@ def sample_xi(spec, lambda0, delta):
     Chalf, _ = _sqrt_factors(spec.C)
     b = spec.sigma0 * (Chalf @ delta)
     return _solve_limit_batch(spec, lambda0, b.reshape(1, -1))[0]
+
+
+def model_probabilities_reference(draws):
+    """{support: frequency} by a per-row frozenset loop: supports as
+    ascending index tuples, the most frequent first, ties in order of first
+    visit (a stable sort of first-visit order)."""
+    counts = {}
+    for row in draws:
+        support = frozenset(int(j) for j in np.nonzero(row)[0])
+        counts[support] = counts.get(support, 0) + 1
+    R = len(draws)
+    ranked = sorted(counts.items(), key=lambda kv: -kv[1])
+    return {tuple(sorted(s)): c / R for s, c in ranked}

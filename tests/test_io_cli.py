@@ -668,9 +668,10 @@ def test_cli_simulate_default_signals_and_sweep(tmp_path):
     assert lines[1].split(",")[0] == "0"
 
 
-@pytest.mark.parametrize("sweep", [{}, {"s_values": [2.7]}])
+@pytest.mark.parametrize("sweep", [{}, {"s_values": [2.7]}, {"s_values": [True]}])
 def test_cli_simulate_rejects_bad_sweep(tmp_path, sweep, capsys):
-    # an empty sweep is not a plain study, and s is never truncated or wrapped
+    # an empty sweep is not a plain study, and s is never truncated, wrapped
+    # or read from a JSON true
     cfg = {"n": 40, "p": 6, "replications": 1, "draws_per_rep": 50,
            "seed": 0, "lambda_n": 0.5, "sweep": sweep}
     cfg_path = tmp_path / "sweep.json"
@@ -692,6 +693,13 @@ def test_cli_simulate_rejects_bad_sweep(tmp_path, sweep, capsys):
     ({"n": 40, "p": 3, "theta0": [1.0, float("nan"), 0.0]},
      "theta0 must be finite, got nan at index 1"),
     ({"n": 40, "p": 6, "design": "toeplitz"}, "unknown design 'toeplitz'"),
+    ({"n": 40, "p": 6, "sweep": {"s_values": 3}},
+     "sweep must be {\"s_values\": [integers]}, got {'s_values': 3}"),
+    ({"n": 40, "p": 6, "sweep": [1, 2]}, "sweep must be {\"s_values\": [integers]}, got [1, 2]"),
+    ({"n": 40, "p": 3, "theta0": [1.0, 0.0, 0.0], "signals": "default"},
+     "give theta0 or signals, not both"),
+    ({"n": 40, "p": 6, "lambda_n": "0.1"}, "lambda_n must be a number, got '0.1'"),
+    ({"n": 40, "p": 6, "error_sd": True}, "error_sd must be a number, got True"),
 ])
 def test_cli_simulate_names_config_file_and_missing_key(tmp_path, cfg, missing, capsys):
     cfg_path = tmp_path / "scenario.json"
@@ -922,10 +930,10 @@ DELETED_API = {
                    "_newton_cd_solve", "_newton_step", "_residual"),
     "regions": ("ProjectedSample", "radius_quantile", "_distances", "_warn_degenerate",
                 "minkowski_norm", "rectangle_levels", "minkowski_norms"),
-    "calibration": ("h_minus", "CalibrationQuery", "CalibrationResult"),
+    "calibration": ("h_minus", "CalibrationQuery", "CalibrationResult", "_clipped_gamma"),
     "limits": ("sample_xi", "_cd_shared"),
     "types": ("NormSelector",),
-    "simulate": ("simulate_rows", "_dataset", "_rep_streams"),
+    "simulate": ("simulate_rows", "_dataset", "_rep_streams", "_run_replication"),
 }
 
 
@@ -949,7 +957,7 @@ def test_readme_library_quick_start_runs(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=child_env(), cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert "frozenset" in proc.stdout  # the model probabilities were printed
+    assert "(0, 1, 2): " in proc.stdout  # the model probabilities were printed
 
 
 def test_demos_run(tmp_path):

@@ -11,6 +11,8 @@ from sparseproj.regions import (
     model_probabilities,
 )
 
+from oracles import model_probabilities_reference
+
 
 def sample_from_distances(values):
     """(R, 1) draws whose distances from the center 0 are exactly `values`."""
@@ -158,14 +160,29 @@ def test_model_probabilities_example():
         [1.0, 2.0],
     ])
     probs = model_probabilities(draws)
-    assert probs[frozenset()] == 0.25
-    assert probs[frozenset({0})] == 0.5
-    assert probs[frozenset({0, 1})] == 0.25
+    # the most frequent first, then the tie in order of first visit
+    assert list(probs.items()) == [((0,), 0.5), ((), 0.25), ((0, 1), 0.25)]
 
 
 def test_model_probabilities_single_support():
     draws = np.array([[1.0, 0.0]] * 6)
-    assert model_probabilities(draws) == {frozenset({0}): 1.0}
+    assert model_probabilities(draws) == {(0,): 1.0}
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_model_probabilities_match_frozenset_loop(order):
+    # ties among supports and an all-zero row; F order is how fit_dataset
+    # hands the projected draws over
+    rng = np.random.default_rng(12)
+    draws = rng.standard_normal((400, 5))
+    draws[rng.random((400, 5)) < 0.6] = 0.0
+    draws[7] = 0.0
+    draws = np.asarray(draws, order=order)
+    probs = model_probabilities(draws)
+    expect = model_probabilities_reference(draws)
+    assert list(probs.items()) == list(expect.items())
+    counts = sorted(expect.values())
+    assert () in probs and any(a == b for a, b in zip(counts, counts[1:]))
 
 
 def test_model_probabilities_sum_to_one():

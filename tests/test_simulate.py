@@ -85,6 +85,28 @@ def test_scenario_validation():
                 make_scenario(**{field: value})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n", True, "n must be an integer, got True"),
+    ("p", True, "p must be an integer, got True"),
+    ("replications", True, "replications must be an integer, got True"),
+    ("draws_per_rep", True, "draws_per_rep must be an integer, got True"),
+    ("cv_folds", True, "cv_folds must be an integer, got True"),
+    ("seed", False, "seed must be an integer, got False"),
+    ("rho", "x", "rho must be a number, got 'x'"),
+    ("error_sd", True, "error_sd must be a number, got True"),
+    ("target_coverage", "0.9", "target_coverage must be a number, got '0.9'"),
+    ("lambda_n", True, "lambda_n must be a number, got True"),
+    ("lambda_n", "0.1", "lambda_n must be a number, got '0.1'"),
+    ("theta0", [1.0, True, 0.0], "theta0 must hold numbers, got True at index 1"),
+    ("theta0", ["1", 0.0, 0.0], "theta0 must hold numbers, got '1' at index 0"),
+])
+def test_scenario_rejects_bools_and_non_numbers(field, value, message):
+    # JSON true would otherwise run as 1, and "rho": "x" on the independent
+    # design would never be read
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make_scenario(**{field: value})
+
+
 def test_signal_vector_layout():
     theta = signal_vector(8)
     np.testing.assert_array_equal(theta[:5], DEFAULT_SIGNALS)
@@ -216,6 +238,24 @@ def test_replication_record_fields():
     assert rec.max_kkt <= 1e-8
 
 
+def test_fit_dataset_without_a_penalty_takes_half_the_cv_minimizer():
+    ds = generate_data(make_scenario(n=80, p=4, theta0=np.array([1.0, -0.5, 0.0, 0.0]),
+                                     lambda_n=None, cv_folds=5), 0)
+    auto = fit_dataset(ds, None, 60, 2, PriorConfig(), target=0.95)
+    fixed = fit_dataset(ds, 0.5 * projection.cross_validate_lambda(ds), 60, 2, PriorConfig(),
+                        target=0.95)
+    for f in fields(auto):
+        np.testing.assert_array_equal(getattr(auto, f.name), getattr(fixed, f.name))
+
+
+def test_cv_replication_records_half_the_cv_minimizer():
+    sc = make_scenario(n=80, p=4, theta0=np.array([1.0, -0.5, 0.0, 0.0]),
+                       lambda_n=None, cv_folds=5, seed=3)
+    rec = run_replication(sc, 2)
+    assert rec.lambda_n == 0.5 * projection.cross_validate_lambda(generate_data(sc, 2))
+    assert rec.lambda0 == rec.lambda_n * math.sqrt(sc.n)
+
+
 def test_replication_deterministic():
     sc = make_scenario(lambda_n=None, cv_folds=5)
     a = run_replication(sc, 0)
@@ -262,7 +302,7 @@ def test_aggregate_single_record_identity():
     rep = aggregate([rec])
     np.testing.assert_array_equal(rep.coverage, rec.covered)
     np.testing.assert_array_equal(rep.mean_length, rec.lengths)
-    assert rep.selection_freq == {0: 1.0, 1: 0.25}
+    np.testing.assert_array_equal(rep.selection_freq, [1.0, 0.25])
     assert rep.replications == 1
     np.testing.assert_array_equal(rep.mc_se, 0.0)
 
@@ -297,7 +337,7 @@ def test_run_scenario_worker_invariance():
     np.testing.assert_array_equal(one.coverage, two.coverage)
     np.testing.assert_array_equal(one.mc_se, two.mc_se)
     np.testing.assert_array_equal(one.mean_length, two.mean_length)
-    assert one.selection_freq == two.selection_freq
+    np.testing.assert_array_equal(one.selection_freq, two.selection_freq)
     assert one.max_kkt == two.max_kkt
     assert 0.0 <= one.coverage.min() and one.coverage.max() <= 1.0
     assert one.runtime > 0
