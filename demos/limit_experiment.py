@@ -46,8 +46,8 @@ for lam0 in (0.5, 1.0, 2.0):
 #    limitcheck`: calibrate each coordinate's level for 0.95 at its effective
 #    penalty lambda0 / (sigma0 * sqrt(C_jj)) (here lambda0 itself), then estimate
 #    every penalty's per-coordinate coverage in one nested Monte-Carlo pass
-#    (each outer draw is generated once and solved at every penalty) and
-#    set it against the analytic value
+#    (each outer draw is generated once, with one certified solve per outer
+#    draw for every penalty) and set it against the analytic value
 rows = limitcheck_rows(spec, lambdas=(0.5, 1.0, 2.0), target=0.95,
                        outer=500, inner=500, seed=3)
 print("\ncalibrated coverage in the limit (500 x 500 draws, target 0.95)")

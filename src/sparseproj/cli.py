@@ -26,7 +26,7 @@ from .errors import SparseProjError
 from .limits import LimitSpec, limitcheck_rows
 from .projection import cross_validate_lambda  # noqa: F401 (perfbench wraps this binding)
 from .regions import model_probabilities
-from .simulate import (Scenario, fit_dataset, report_to_csv, run_scenario,
+from .simulate import (Scenario, check_s_values, fit_dataset, report_to_csv, run_scenario,
                        signal_vector, sparsity_sweep, sweep_to_csv)
 from .types import PriorConfig
 
@@ -191,6 +191,8 @@ def cmd_simulate(args) -> int:
                 raise ValueError(f"signals must be 'default' or 'caption', got {variant!r}")
             cfg["theta0"] = signal_vector(cfg["p"], caption_variant=(variant == "caption"))
         scenario = Scenario(**cfg)
+        if sweep is not None:
+            check_s_values(s_values, scenario.p)
     except KeyError as exc:
         raise ValueError(f"scenario config {args.config}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:  # a missing, unknown or invalid field

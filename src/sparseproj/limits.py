@@ -17,11 +17,15 @@ limiting_coverage_mc estimates, for every coordinate j, the probability
 over Delta that the conditional T*-mass of the component interval
 |t_j - xi_j| <= |xi_j| reaches a given level, which is exactly the
 asymptotic coverage the calibrated level controls.  It makes one pass
-across penalties: Delta and W* do not depend on lambda0, so each outer draw
-is generated once; each penalty then solves xi and the T* draws in one
+across penalties, with one certified solve per outer draw for every
+penalty: Delta and W* do not depend on lambda0, so each outer draw is
+generated once, and its right-hand sides (xi's, then the T* draws') are
+stacked penalty-major into one batch with one penalty per row, which one
 shared-Q call of the projection solver _solve, a column-major
-coordinate-descent batch (row 0 is xi), and counts every coordinate's
-conditional mass in one comparison.  sample_t_star draws T* alone, for
+coordinate-descent batch, certifies whole (a zero penalty is a linear
+solve, outside the batch).  Every penalty's and coordinate's conditional
+mass is then counted in one comparison.  Contiguous chunks of outer draws
+each reuse one set of draw buffers.  sample_t_star draws T* alone, for
 zero_mass_probability.  A LimitSpec holds C, sigma0 and the signs, and every
 function takes the penalty lambda0 (or a list of them) beside it.
 limitcheck_rows calibrates each coordinate's level at its effective penalty
@@ -121,33 +125,87 @@ def sample_t_star(spec: LimitSpec, lambda0: float, delta: np.ndarray, seed: int,
     return _solve_limit_batch(spec, lambda0, W @ spec.C)
 
 
+def _draw_buffers(lambdas: tuple[float, ...], inner: int,
+                  p: int) -> tuple[np.ndarray, ...]:
+    """The work arrays of an outer draw, which every draw of a chunk reuses:
+    the per-row penalty of the one _solve call, then (B, U, G, S), each
+    F-ordered with one (inner + 1, p) block per positive penalty, and at
+    least one: the right-hand sides stacked penalty-major, and the solutions
+    and certificate work of _solve (G and S then hold the counting work).
+    At the default sizes each is over glibc's mmap threshold, so fresh ones
+    on every draw would fault their pages in again."""
+    positive = [lam for lam in lambdas if lam > 0.0]
+    rows = max(1, len(positive)) * (inner + 1)
+    return (np.repeat(positive, inner + 1),
+            *(np.empty((rows, p), order="F") for _ in range(4)))
+
+
+def _count_masses(T: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Counts #{k >= 1: |T[..., k] - T[..., 0]| <= |T[..., 0]|} along the last
+    axis, which holds xi at 0 and the T* draws after it; |T - xi| is formed
+    in work, shaped like T."""
+    xi = T[..., :1]
+    D = np.subtract(T, xi, out=work)
+    np.abs(D, out=D)
+    return np.count_nonzero(D[..., 1:] <= np.abs(xi), axis=-1)
+
+
 def _coverage_masses(spec: LimitSpec, lambdas: tuple[float, ...], outer_index: int,
-                     inner: int, seed: int,
-                     factors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+                     inner: int, seed: int, factors: tuple[np.ndarray, np.ndarray],
+                     buffers: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """(L, p) conditional masses of one outer draw, in counts: [l, j] is
     #{|T*_j - xi_j| <= |xi_j|} at penalty lambdas[l].  The right-hand sides
-    are drawn once for all penalties, row 0 xi's, rows 1.. the T* draws';
-    each penalty solves them in one batch."""
+    are drawn once for all penalties, row 0 xi's, rows 1.. the T* draws'.
+    Every positive penalty solves them in one certified _solve call, its
+    own block of the stacked batch at its own per-row penalty; a zero
+    penalty solves the first block directly.  buffers, from _draw_buffers,
+    are fresh by default."""
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(outer_index))))
     delta = rng.standard_normal(spec.p)
     Chalf, Cinvhalf = factors
-    B = np.empty((inner + 1, spec.p), order="F")
+    lam_rows, B, U, G, S = buffers or _draw_buffers(lambdas, inner, spec.p)
+    rows = inner + 1
     B[0] = spec.sigma0 * (Chalf @ delta)
-    np.matmul(spec.sigma0 * (delta + rng.standard_normal((inner, spec.p))) @ Cinvhalf,
-              spec.C, out=B[1:])
+    W = rng.standard_normal((inner, spec.p))
+    W += delta
+    W *= spec.sigma0
+    np.matmul(W @ Cinvhalf, spec.C, out=B[1:rows])
     masses = np.empty((len(lambdas), spec.p), dtype=np.int64)
-    for lam, row in zip(lambdas, masses):
+    zero = np.array(lambdas) == 0.0
+    if zero.any():
+        X = np.linalg.solve(spec.C, B[:rows].T)[:, None]  # [j, 0, row]
+        masses[zero] = _count_masses(X, S.T[:, None, :rows]).T
+    positive = [lam for lam in lambdas if lam > 0.0]
+    if positive:
+        for block in range(1, len(positive)):
+            B[block * rows:(block + 1) * rows] = B[:rows]
+
+        def name(i: int) -> str:
+            block, k = divmod(i, rows)
+            return f"lambda0={positive[block]:g}, " + (f"T* draw {k - 1}" if k else "xi")
+
         try:
-            U = _solve_limit_batch(spec, lam, B)
+            _solve(spec.C, B, lam_rows, spec.theta0_signs, np.broadcast_to(0.0, B.shape),
+                   (U, G, S), name)
         except SparseProjError as exc:
-            raise type(exc)(f"outer draw {outer_index} (lambda0={lam:g}, "
-                            f"seed={seed}): {exc}") from exc
-        D = U[1:]  # |T* - xi|, formed in place; freed before the next solve
-        D -= U[0]
-        np.abs(D, out=D)
-        row[:] = np.count_nonzero(D <= np.abs(U[0]), axis=0)
-        del U, D
+            listed = ",".join(f"{lam:g}" for lam in positive)
+            raise type(exc)(f"outer draw {outer_index} (lambda0={listed}, seed={seed}): "
+                            f"{exc}") from exc
+        np.abs(U, out=S)
+        U *= S >= _SNAP  # a negative |u| < _SNAP becomes -0.0, which counts as 0
+        T = U.T.reshape(spec.p, len(positive), rows)  # [j, block, row], a view
+        masses[~zero] = _count_masses(T, G.T.reshape(T.shape)).T
     return masses
+
+
+def _coverage_hits(spec: LimitSpec, lambdas: tuple[float, ...], bounds: np.ndarray,
+                   indices: range, inner: int, seed: int,
+                   factors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """(L, p) counts of the outer draws at indices whose mass is within
+    bounds, the draws in order and all in one set of draw buffers."""
+    buffers = _draw_buffers(lambdas, inner, spec.p)
+    return sum(_coverage_masses(spec, lambdas, i, inner, seed, factors, buffers) <= bounds
+               for i in indices)
 
 
 def limiting_coverage_mc(spec: LimitSpec, lambdas: Sequence[float], levels, outer: int,
@@ -162,7 +220,8 @@ def limiting_coverage_mc(spec: LimitSpec, lambdas: Sequence[float], levels, oute
     lambdas[l].  Every penalty reads the same Delta and W* draws, so the
     (L, p) result has in each row what a call with that penalty alone
     gives.  Outer draw i owns the RNG stream (seed, i), so the result is
-    identical for any worker count.
+    identical for any worker count.  Workers take contiguous chunks of
+    outer indices, about four per worker, each in its own draw buffers.
     """
     lambdas = tuple(_checked_lambda0(lam) for lam in lambdas)
     levels = np.array(levels, dtype=float)
@@ -174,16 +233,16 @@ def limiting_coverage_mc(spec: LimitSpec, lambdas: Sequence[float], levels, oute
         raise ValueError("outer and inner must each be at least 100")
     if not np.all((0.0 < levels) & (levels < 1.0)):
         raise ValueError("level must lie in (0, 1)")
-    draw = partial(_coverage_masses, spec, lambdas, inner=inner, seed=seed,
-                   factors=_sqrt_factors(spec.C))
-    bounds = levels * inner  # hit: mass <= level, in counts
+    chunk = partial(_coverage_hits, spec, lambdas, levels * inner,  # hit: mass <= level
+                    inner=inner, seed=seed, factors=_sqrt_factors(spec.C))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
+        chunks = min(outer, 4 * workers)
+        ends = [outer * k // chunks for k in range(chunks + 1)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunk = max(1, outer // (8 * workers))
-            hits = sum(q <= bounds for q in pool.map(draw, range(outer), chunksize=chunk))
+            hits = sum(pool.map(chunk, map(range, ends[:-1], ends[1:])))
     else:
-        hits = sum(draw(i) <= bounds for i in range(outer))
+        hits = chunk(range(outer))
     return hits / outer
 
 

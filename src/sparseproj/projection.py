@@ -17,10 +17,11 @@ the limit experiment calls _solve directly.  They read a dataset's
 sufficient statistics only: C_n and X'Y/n, and for CV its per-fold cross
 products and Y'Y.  A batch of right-hand sides sharing one Q (the LASSO
 center, b = X'Y/n, as row 0 beside the projected draws, b = C_n theta; the
-limit experiment's xi as row 0 beside its T* draws) runs one certified loop
-(_solve) around one cyclic coordinate-descent sweep (_sweep); its (m, p)
-solution and buffers are F-ordered, so an update touches one contiguous
-column, and are allocated once per call unless the caller passes its own.
+limit experiment's xi and T* draws, stacked across its penalties with one
+penalty per row) runs one certified loop (_solve) around one cyclic
+coordinate-descent sweep (_sweep); its (m, p) solution and buffers are
+F-ordered, so an update touches one contiguous column, and are allocated
+once per call unless the caller passes its own.
 The sweep reads Q with its diagonal zeroed: an update is b_j - u Qz_j,
 soft-thresholded and divided by Q_jj.  Rows certify together, so after a
 failed full certificate each sweep probes the worst row alone and runs the
@@ -88,12 +89,13 @@ def _worst_rows(kkt: np.ndarray, tol: float, name: Callable[[int], str] = "row {
     return f"{bad.size} of {kkt.size} rows above tol, worst: {listed}"
 
 
-def _sweep(Qz: np.ndarray, diag: np.ndarray, B: np.ndarray, U: np.ndarray, lam: float,
-           signs: np.ndarray) -> None:
+def _sweep(Qz: np.ndarray, diag: np.ndarray, B: np.ndarray, U: np.ndarray,
+           lam: float | np.ndarray, signs: np.ndarray) -> None:
     """One cyclic coordinate-descent sweep over the rows of U, in place.
 
     Every row shares one (p, p) Q, given as Qz, Q with its diagonal zeroed,
-    and diag, its diagonal; B and U are (m, p).  Each coordinate update is
+    and diag, its diagonal; B and U are (m, p).  lam is one penalty for
+    every row or an (m,) array of one per row.  Each coordinate update is
     exact minimization, so the objective is monotone along the sweep for
     every row.  The update r = B_j - U Qz_j, its soft threshold
     r - clip(r, -lam/2, lam/2) and the division by Q_jj run in two (m,)
@@ -101,6 +103,7 @@ def _sweep(Qz: np.ndarray, diag: np.ndarray, B: np.ndarray, U: np.ndarray, lam: 
     update reads and writes contiguous columns.
     """
     half = 0.5 * lam
+    lo = -half
     r = np.empty(U.shape[0])
     t = np.empty(U.shape[0])
     for j in range(U.shape[1]):
@@ -108,19 +111,22 @@ def _sweep(Qz: np.ndarray, diag: np.ndarray, B: np.ndarray, U: np.ndarray, lam: 
         np.subtract(B[:, j], r, out=r)
         if signs[j] == 0:
             np.minimum(r, half, out=t)
-            np.maximum(t, -half, out=t)
+            np.maximum(t, lo, out=t)
             r -= t
+        elif signs[j] > 0:
+            r -= half
         else:
-            r -= half * signs[j]
+            r += half
         np.divide(r, diag[j], out=U[:, j])
 
 
-def _solve(Q: np.ndarray, B: np.ndarray, lam: float, signs: np.ndarray,
+def _solve(Q: np.ndarray, B: np.ndarray, lam: float | np.ndarray, signs: np.ndarray,
            U0: np.ndarray, buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
            name: Callable[[int], str] = "row {}".format) -> tuple[np.ndarray, np.ndarray]:
     """Certified solutions of min u'Qu - 2u'b + lam*penalty(u) for every row
     b of the (m, p) B, all sharing the (p, p) Q, from the rows of U0;
-    returns (solutions, per-row KKT residual).  buffers, three F-ordered
+    returns (solutions, per-row KKT residual).  lam is one penalty for every
+    row or an (m,) array of one per row.  buffers, three F-ordered
     (m, p) arrays (U, G, S), hold the solutions (U itself is returned) and
     the certificate's work; by default all three are fresh.  name(i) is how
     an error names row i.
@@ -131,13 +137,19 @@ def _solve(Q: np.ndarray, B: np.ndarray, lam: float, signs: np.ndarray,
     that row fails beyond rounding; the last allowed sweep always runs it.
     So the stopping sweep, the solutions, the certificate and every error
     are those of certifying every sweep in full.  Raises ValueError for a
-    lam that is not finite (the certificate would be NaN),
-    DegenerateDiagonal for a nonpositive diagonal entry of Q and
+    penalty that is not finite (the certificate would be NaN), naming its
+    row, DegenerateDiagonal for a nonpositive diagonal entry of Q and
     NoConvergence, naming the worst rows, when MAX_SWEEPS sweeps leave a
     row above TOL.
     """
-    if not math.isfinite(lam):
+    per_row = np.ndim(lam) > 0
+    if per_row:
+        bad = np.flatnonzero(~np.isfinite(lam))
+        if bad.size:
+            raise ValueError(f"penalty must be finite, got {lam[bad[0]]} at {name(int(bad[0]))}")
+    elif not math.isfinite(lam):
         raise ValueError(f"penalty must be finite, got {lam}")
+    lam_col = lam[:, None] if per_row else lam  # the certificate's (m, 1) column
     diag = np.diagonal(Q)
     if (diag <= 0.0).any():
         raise DegenerateDiagonal("Q has a nonpositive diagonal entry")
@@ -154,13 +166,14 @@ def _solve(Q: np.ndarray, B: np.ndarray, lam: float, signs: np.ndarray,
             # one (Higham 2002, eq. 3.5), with 3 roundings after it; a failure
             # (or NaN) beyond twice both bounds fails the full pass as well
             u, b = U[worst:worst + 1], B[worst:worst + 1]
-            bound = (np.abs(u) @ np.abs(Q) + np.abs(b)).max() + lam
+            lam_u = lam[worst] if per_row else lam
+            bound = (np.abs(u) @ np.abs(Q) + np.abs(b)).max() + lam_u
             slack = 4.0 * (Q.shape[0] + 3) * np.finfo(float).eps * bound
-            if not _kkt_rows(u @ Q - b, u, lam, signs, np.empty_like(u))[0] <= TOL + slack:
+            if not _kkt_rows(u @ Q - b, u, lam_u, signs, np.empty_like(u))[0] <= TOL + slack:
                 continue
         np.matmul(U, Q, out=G)
         G -= B
-        kkt = _kkt_rows(G, U, lam, signs, S)
+        kkt = _kkt_rows(G, U, lam_col, signs, S)
         if kkt.max() <= TOL:
             return U, kkt
         worst = int(kkt.argmax())  # the first NaN row, if any

@@ -359,16 +359,22 @@ def _run_chunk(scenario: Scenario, indices: range) -> list[ReplicationRecord]:
     return [run_replication(scenario, i, buffers) for i in indices]
 
 
+def check_s_values(s_values: list[int], p: int) -> None:
+    """Raise ValueError, naming the first offender, unless every s of a
+    sparsity sweep is an integer in [0, p]."""
+    for s in s_values:
+        if not _is_number(s, numbers.Integral):
+            raise ValueError(f"s must be an integer, got {s!r}")
+        if not 0 <= s <= p:
+            raise ValueError(f"s = {s} lies outside [0, p = {p}]")
+
+
 def sparsity_sweep(base: Scenario, s_values: list[int],
                    workers: int = 1) -> list[CoverageReport]:
     """Coverage as sparsity grows: re-run the scenario with the first s
     coefficients set to 1 and the rest to 0, for each s.  Every s must be an
     integer in [0, p]; all are checked before the first run."""
-    for s in s_values:
-        if not _is_number(s, numbers.Integral):
-            raise ValueError(f"s must be an integer, got {s!r}")
-        if not 0 <= s <= base.p:
-            raise ValueError(f"s = {s} lies outside [0, p = {base.p}]")
+    check_s_values(s_values, base.p)
     reports = []
     for s in s_values:
         theta0 = np.zeros(base.p)

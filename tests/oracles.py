@@ -232,7 +232,7 @@ def cd_multi_reference(Qs: np.ndarray, Bs: np.ndarray, lam: float, U0: np.ndarra
                         f"{_worst_rows(kkt, tol, 'fold {}'.format)}")
 
 
-def certified_loop_reference(Q: np.ndarray, B: np.ndarray, lam: float, signs: np.ndarray,
+def certified_loop_reference(Q: np.ndarray, B: np.ndarray, lam, signs: np.ndarray,
                              U0: np.ndarray, tol: float, max_sweeps: int):
     """Coordinate descent on one shared Q, certified in full by
     kkt_batch_reference after every sweep; returns (solutions, per-row KKT
@@ -240,10 +240,12 @@ def certified_loop_reference(Q: np.ndarray, B: np.ndarray, lam: float, signs: np
     tol.  Each sweep is the plain zero-diagonal update
     U_j = soft(B_j - U Qz_j, lam/2) / Q_jj, Qz = Q - diag(Q), on an
     F-ordered copy of U0, so that its products round as the package's do.
+    lam is one penalty, or an (m,) array of one per row.
     """
     Qz = np.asfortranarray(Q - np.diag(np.diag(Q)))
     U = np.array(U0, dtype=float, order="F", copy=True)
-    half = 0.5 * lam
+    half = 0.5 * np.asarray(lam, dtype=float)
+    lam = np.reshape(lam, (-1, 1)) if np.ndim(lam) else lam  # the certificate's column
     for sweep in range(1, max_sweeps + 1):
         for j in range(Q.shape[0]):
             r = B[:, j] - U @ Qz[:, j]

@@ -700,6 +700,8 @@ def test_cli_simulate_rejects_bad_sweep(tmp_path, sweep, capsys):
      "give theta0 or signals, not both"),
     ({"n": 40, "p": 6, "lambda_n": "0.1"}, "lambda_n must be a number, got '0.1'"),
     ({"n": 40, "p": 6, "error_sd": True}, "error_sd must be a number, got True"),
+    ({"n": 40, "p": 6, "sweep": {"s_values": [True]}}, "s must be an integer, got True"),
+    ({"n": 40, "p": 6, "sweep": {"s_values": [2, 9]}}, "s = 9 lies outside [0, p = 6]"),
 ])
 def test_cli_simulate_names_config_file_and_missing_key(tmp_path, cfg, missing, capsys):
     cfg_path = tmp_path / "scenario.json"
@@ -833,6 +835,21 @@ def test_cli_limitcheck_bytes_pinned(tmp_path, threads):
                  "--signs", "1,-1,0", "--outer", "100", "--inner", "200",
                  "--seed", "3", "--out", str(out)]) == 0
     assert out.read_bytes() == LIMITCHECK_PINNED.encode("utf-8")
+
+
+def test_cli_limitcheck_zero_beside_one_positive_penalty_bytes_pinned(tmp_path):
+    # the zero penalty solves the first block of a one-block stacked batch
+    # directly; these are the bytes of solving every penalty on its own
+    out = tmp_path / "limit.csv"
+    assert main(["limitcheck", "--lambda0", "0,0.5", "--signs", "1,0", "--outer", "100",
+                 "--inner", "100", "--seed", "2", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == """\
+lambda0,coordinate,role,level,estimate,mc_se,analytic
+0,0,signal,0.95,0.93,0.02551470164,0.95
+0,1,noise,0.95,0.97,0.01705872211,0.95
+0.5,0,signal,0.9565868183,0.93,0.02551470164,0.95
+0.5,1,noise,0.9565868183,0.97,0.01705872211,0.9625785733
+"""
 
 
 # --- console-script entry point, in a fresh interpreter ----------------------

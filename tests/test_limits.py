@@ -19,8 +19,9 @@ from sparseproj.limits import (
     sample_t_star,
     zero_mass_probability,
 )
-from sparseproj import limits
+from sparseproj import limits, projection
 from sparseproj.errors import NoConvergence
+from sparseproj.projection import _worst_rows
 
 from oracles import kkt_batch_reference, random_spd, sample_xi
 
@@ -237,9 +238,10 @@ def test_coverage_deterministic():
     assert np.array_equal(a, b)
 
 
-def separate_solves_hits(spec, lambda0, level, outer_index, inner, seed):
-    """The per-coordinate hits of one outer draw, with xi and the T* batch
-    solved in two kernel calls and each coordinate counted on its own."""
+def separate_solves_masses(spec, lambda0, outer_index, inner, seed):
+    """The per-coordinate conditional masses of one outer draw, in counts,
+    with xi and the T* batch solved in two kernel calls at this penalty
+    alone and each coordinate counted on its own."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, outer_index)))
     delta = rng.standard_normal(spec.p)
     Chalf, Cinvhalf = limits._sqrt_factors(spec.C)
@@ -247,8 +249,14 @@ def separate_solves_hits(spec, lambda0, level, outer_index, inner, seed):
                                    (spec.sigma0 * (Chalf @ delta)).reshape(1, -1))[0]
     W = spec.sigma0 * (delta + rng.standard_normal((inner, spec.p))) @ Cinvhalf
     T = limits._solve_limit_batch(spec, lambda0, W @ spec.C)
-    return np.array([np.count_nonzero(np.abs(T[:, j] - xi[j]) <= abs(xi[j])) <= level * inner
+    return np.array([np.count_nonzero(np.abs(T[:, j] - xi[j]) <= abs(xi[j]))
                      for j in range(spec.p)], dtype=np.int64)
+
+
+def separate_solves_hits(spec, lambda0, level, outer_index, inner, seed):
+    """The per-coordinate hits of one outer draw from separate_solves_masses."""
+    masses = separate_solves_masses(spec, lambda0, outer_index, inner, seed)
+    return (masses <= level * inner).astype(np.int64)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -275,33 +283,61 @@ def test_merged_batch_hits_equal_separate_solves_at_identity(lambda0):
         assert np.array_equal(got, want), outer_index
 
 
+def ar1_spec(p=20, rho=0.7):
+    C = rho ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+    signs = np.zeros(p)
+    signs[:4] = (1.0, -1.0, 1.0, -1.0)
+    return LimitSpec(C=C, sigma0=1.0, theta0_signs=signs)
+
+
+def test_stacked_masses_equal_separate_solves_on_a_correlated_gram():
+    # an ar1 C needs many sweeps, and the stacked batch runs them until its
+    # slowest penalty certifies: every row stays within TOL of its own
+    # optimum, and the counted masses are those of solving each penalty alone
+    spec = ar1_spec()
+    factors = limits._sqrt_factors(spec.C)
+    for outer_index in range(20):
+        masses = limits._coverage_masses(spec, SWEEP, outer_index, 200, 6, factors)
+        for row, lambda0 in zip(masses, SWEEP):
+            want = separate_solves_masses(spec, lambda0, outer_index, 200, 6)
+            assert np.array_equal(row, want), (outer_index, lambda0)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_merged_batch_xi_certified_for_correlated_gram(seed, monkeypatch):
-    # one kernel call per outer draw: row 0 is xi, rows 1.. the T* draws
+    # one kernel call per outer draw for every positive penalty: the batch
+    # holds one block of the draw's right-hand sides per penalty, each with
+    # xi in its row 0 and the T* draws after it, at that penalty; a zero
+    # penalty is solved outside it
     rng = np.random.default_rng(seed)
     C = random_spd(rng, 4, cond_cap=20.0)
     signs = np.array([1.0, -1.0, 0.0, 0.0])
     spec = LimitSpec(C=C, sigma0=1.3, theta0_signs=signs)
     calls = []
-    solve = limits._solve_limit_batch
+    solve = limits._solve
 
-    def spy(spec, lambda0, B, *args, **kwargs):
-        U = solve(spec, lambda0, B, *args, **kwargs)
-        calls.append((B.copy(), U.copy()))
-        return U
+    def spy(Q, B, lam, *args):
+        U, kkt = solve(Q, B, lam, *args)
+        calls.append((B.copy(), np.array(lam), U.copy()))
+        return U, kkt
 
-    monkeypatch.setattr(limits, "_solve_limit_batch", spy)
-    masses = limits._coverage_masses(spec, (0.8,), 7, 200, seed,
+    monkeypatch.setattr(limits, "_solve", spy)
+    masses = limits._coverage_masses(spec, (0.8, 0.0, 1.6), 7, 200, seed,
                                      limits._sqrt_factors(spec.C))
     monkeypatch.undo()
-    assert masses.shape == (1, 4) and ((0 <= masses) & (masses <= 200)).all()
+    assert masses.shape == (3, 4) and ((0 <= masses) & (masses <= 200)).all()
     assert len(calls) == 1
-    B, U = calls[0]
-    assert B.shape == U.shape == (201, 4)
-    kkt = kkt_batch_reference(spec.C, B, 0.8, signs, U)
+    B, lam, U = calls[0]
+    assert B.shape == U.shape == (402, 4)
+    assert np.array_equal(lam, np.repeat([0.8, 1.6], 201))
+    assert np.array_equal(B[:201], B[201:])
+    kkt = kkt_batch_reference(spec.C, B, lam[:, None], signs, U)
     assert kkt.max() <= 1e-10
     delta = np.random.default_rng(np.random.SeedSequence((seed, 7))).standard_normal(4)
-    np.testing.assert_allclose(U[0], sample_xi(spec, 0.8, delta), rtol=0, atol=1e-9)
+    for block, lambda0 in enumerate((0.8, 1.6)):
+        np.testing.assert_allclose(U[201 * block], sample_xi(spec, lambda0, delta),
+                                   rtol=0, atol=1e-9)
+    np.testing.assert_array_equal(masses[1], separate_solves_masses(spec, 0.0, 7, 200, seed))
 
 
 def test_coverage_one_kernel_call_per_outer_draw(monkeypatch):
@@ -337,16 +373,18 @@ def test_sweep_draws_each_outer_stream_once(monkeypatch):
 
 
 def test_sweep_solves_every_penalty_per_outer_draw_in_order(monkeypatch):
+    # one call per outer draw, its rows stacked penalty-major in the order
+    # given, each block at its own penalty; the zero penalty stays outside
     calls = []
     solve = limits._solve
 
     def spy(Q, B, lam, *args):
-        calls.append((lam, B.shape))
+        calls.append((tuple(lam), B.shape))
         return solve(Q, B, lam, *args)
 
     monkeypatch.setattr(limits, "_solve", spy)
-    limiting_coverage_mc(SWEEP_SPEC, SWEEP, [0.9] * 3, outer=100, inner=150, seed=3)
-    assert calls == [(lam, (151, 3)) for _ in range(100) for lam in SWEEP]
+    limiting_coverage_mc(SWEEP_SPEC, (0.0,) + SWEEP, [0.9] * 4, outer=100, inner=150, seed=3)
+    assert calls == [(tuple(np.repeat(SWEEP, 151)), (453, 3))] * 100
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -379,17 +417,28 @@ def test_sweep_rejects_levels_that_do_not_match_the_penalties():
 
 
 def test_sweep_failure_names_penalty(monkeypatch):
-    solve = limits._solve
-
-    def fail_at_two(Q, B, lam, *args):
-        if lam == 2.0:
-            raise NoConvergence("residual 1.0e-03 > tol 1.0e-10")
-        return solve(Q, B, lam, *args)
+    # the kernel names the failing rows by penalty and role, and the outer
+    # draw, its penalties and the seed lead the message
+    def fail_at_two(Q, B, lam, signs, U0, buffers, name):
+        kkt = np.where(lam == 2.0, 1e-3, 0.0)
+        raise NoConvergence(f"residual 1.000e-03 > tol 1.0e-10; {_worst_rows(kkt, 1e-10, name)}")
 
     monkeypatch.setattr(limits, "_solve", fail_at_two)
-    with pytest.raises(NoConvergence,
-                       match=r"outer draw 0 \(lambda0=2, seed=21\): residual"):
+    message = (r"^outer draw 0 \(lambda0=0.5,1,2, seed=21\): residual 1.000e-03 > tol 1.0e-10; "
+               r"101 of 303 rows above tol, worst: lambda0=2, xi \(1.000e-03\), "
+               r"lambda0=2, T\* draw 0 \(1.000e-03\), lambda0=2, T\* draw 1 ")
+    with pytest.raises(NoConvergence, match=message):
         limiting_coverage_mc(SWEEP_SPEC, SWEEP, [0.9] * 3, outer=100, inner=100, seed=21)
+
+
+def test_sweep_failure_from_the_kernel_names_outer_draw_and_rows(monkeypatch):
+    # a real failure: one sweep cannot certify an ar1 C at p = 20
+    monkeypatch.setattr(projection, "MAX_SWEEPS", 1)
+    message = (r"^outer draw 0 \(lambda0=0.5,1, seed=4\): residual \S+ > tol 1.0e-10 after 1 "
+               r"sweeps; \d+ of 202 rows above tol, worst: lambda0=(0.5|1), (xi|T\* draw \d+) \(")
+    with pytest.raises(NoConvergence, match=message):
+        limiting_coverage_mc(ar1_spec(), (0.0, 0.5, 1.0), [0.9] * 3, outer=100, inner=100,
+                             seed=4)
 
 
 def test_coverage_failure_names_outer_draw(monkeypatch):

@@ -541,6 +541,79 @@ def test_kkt_rejects_infinite_penalty():
         solve_one(np.eye(2), np.ones(2), np.inf)
 
 
+# --- one penalty per row -------------------------------------------------------
+
+ROW_PENALTIES = (0.5, 1.0, 2.0)
+
+
+def stacked_problem(rng, Q, m, signed):
+    """One (m, p) block of right-hand sides stacked once per penalty of
+    ROW_PENALTIES, penalty-major, with the (3m,) per-row penalty."""
+    p = Q.shape[0]
+    signs = rng.choice([-1.0, 0.0, 1.0], size=p) if signed else np.zeros(p)
+    block = 2.0 * rng.standard_normal((m, p))
+    B = np.asfortranarray(np.tile(block, (len(ROW_PENALTIES), 1)))
+    return block, B, np.repeat(ROW_PENALTIES, m), signs
+
+
+@pytest.mark.parametrize("seed, p, m, signed", [(0, 3, 50, True), (1, 6, 7, False),
+                                                (2, 1, 1, True), (3, 8, 33, True)])
+def test_row_penalties_at_identity_equal_each_penalty_alone(seed, p, m, signed):
+    # on C = I every row is its own closed-form problem, so the mixed batch
+    # gives each penalty's own batch bit for bit
+    rng = np.random.default_rng(seed)
+    Q = np.eye(p)
+    block, B, lam, signs = stacked_problem(rng, Q, m, signed)
+    U, kkt = _solve(Q, B, lam, signs, np.zeros(B.shape))
+    for k, penalty in enumerate(ROW_PENALTIES):
+        alone, kkt_alone = _solve(Q, np.asfortranarray(block), penalty, signs, np.zeros(block.shape))
+        assert np.array_equal(U[k * m:(k + 1) * m], alone)
+        assert np.array_equal(kkt[k * m:(k + 1) * m], kkt_alone)
+
+
+@pytest.mark.parametrize("seed, p, m, signed", [(4, 4, 40, True), (5, 10, 25, False),
+                                                (6, 20, 60, True), (7, 2, 5, True)])
+def test_row_penalties_certify_every_row_and_match_each_penalty_alone(seed, p, m, signed):
+    # a correlated Q: the rows sweep together until every row certifies, so
+    # each stops no earlier than alone; every row is within TOL by the
+    # branch-wise reference at its own penalty, and its objective matches
+    # the per-penalty solve's to 1e-12 relative
+    rng = np.random.default_rng(seed)
+    Q = random_spd(rng, p, cond_cap=20.0)
+    block, B, lam, signs = stacked_problem(rng, Q, m, signed)
+    U, kkt = _solve(Q, B, lam, signs, np.zeros(B.shape))
+    assert kkt.max() <= projection.TOL
+    reference = kkt_batch_reference(Q, B, lam[:, None], signs, U)
+    np.testing.assert_allclose(kkt, reference, rtol=0, atol=1e-14)
+    for k, penalty in enumerate(ROW_PENALTIES):
+        alone, _ = _solve(Q, np.asfortranarray(block), penalty, signs, np.zeros(block.shape))
+        for i in range(m):
+            got = objective(Q, block[i], penalty, signs, U[k * m + i])
+            want = objective(Q, block[i], penalty, signs, alone[i])
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-12), (k, i)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_row_penalties_reject_a_non_finite_entry(bad):
+    lam = np.array([0.5, 1.0, bad, 2.0])
+    with pytest.raises(ValueError, match=re.escape(f"penalty must be finite, got {bad} at row 2")):
+        _solve(np.eye(2), np.ones((4, 2)), lam, np.zeros(2), np.zeros((4, 2)))
+
+
+def test_row_penalties_probe_reads_the_worst_rows_own_penalty(monkeypatch):
+    # the probe after a failed full certificate reads the worst row's own
+    # penalty, so the probed loop stops where certifying every sweep in
+    # full does, with the same solutions and certificate
+    rng = np.random.default_rng(8)
+    Q = random_spd(rng, 12, cond_cap=200.0)
+    _, B, lam, signs = stacked_problem(rng, Q, 30, True)
+    U, kkt = _solve(Q, B, lam, signs, np.zeros(B.shape))
+    want, kkt_want, sweeps = certified_loop_reference(Q, B, lam, signs, np.zeros(B.shape),
+                                                      projection.TOL, projection.MAX_SWEEPS)
+    assert sweeps > 2  # the probe ran
+    assert np.array_equal(U, want) and np.array_equal(kkt, kkt_want)
+
+
 def test_cd_shared_one_sweep_names_worst_rows(monkeypatch):
     rng = np.random.default_rng(5)
     Q = random_spd(rng, 4, cond_cap=200.0)
