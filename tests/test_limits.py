@@ -292,8 +292,8 @@ def ar1_spec(p=20, rho=0.7):
 
 def test_stacked_masses_equal_separate_solves_on_a_correlated_gram():
     # an ar1 C needs many sweeps, and the stacked batch runs them until its
-    # slowest penalty certifies: every row stays within TOL of its own
-    # optimum, and the counted masses are those of solving each penalty alone
+    # slowest penalty certifies; the counted masses are still those of
+    # solving each penalty alone
     spec = ar1_spec()
     factors = limits._sqrt_factors(spec.C)
     for outer_index in range(20):
