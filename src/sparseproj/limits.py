@@ -16,27 +16,26 @@ the LASSO estimate, same scaling) converges given the data to
 limiting_coverage_mc estimates, for every coordinate j, the probability
 over Delta that the conditional T*-mass of the component interval
 |t_j - xi_j| <= |xi_j| reaches a given level, which is exactly the
-asymptotic coverage the calibrated level controls.  It makes one pass
-across penalties, with one certified solve per outer draw for every
-penalty: Delta and W* do not depend on lambda0, so each outer draw is
-generated once, and its right-hand sides (xi's, then the T* draws') are
-stacked penalty-major into one batch with one penalty per row, which one
-shared-Q call of the projection solver _solve, a column-major
-coordinate-descent batch, certifies whole (a zero penalty is a linear
-solve, outside the batch).  Every penalty's and coordinate's conditional
-mass is then counted in one comparison.  Contiguous chunks of outer draws
-each reuse one set of draw buffers.  sample_t_star draws T* alone, for
-zero_mass_probability.  A LimitSpec holds C, sigma0 and the signs, and every
-function takes the penalty lambda0 (or a list of them) beside it.
-limitcheck_rows calibrates each coordinate's level at its effective penalty
-(calibration.effective_penalty) and sets the estimates beside psi and
-psi_zero there.
+asymptotic coverage the calibrated level controls.  Delta and W* do not
+depend on lambda0, so each outer draw is generated once, and its right-hand
+sides (xi's, then the T* draws') are stacked penalty-major into one batch
+with one penalty per row, which one call of the projection solver _solve
+certifies whole.  A zero penalty (the Bernstein-von Mises case) is one more
+row penalty: on C = I it certifies in one sweep with a linear solve's bits,
+and on an ill-conditioned C it needs coordinate descent to converge, as a
+positive penalty does.  Every penalty's and coordinate's conditional mass
+is then counted in one comparison.  sample_t_star draws T* alone, for
+zero_mass_probability, from the same W* builder and solve.  A LimitSpec
+holds C, sigma0 and the signs, and every function takes the penalty lambda0
+(or a list of them) beside it.  limitcheck_rows calibrates each
+coordinate's level at its effective penalty (calibration.effective_penalty)
+and sets the estimates beside psi and psi_zero there.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from functools import partial
 
@@ -45,7 +44,7 @@ import numpy as np
 from .calibration import effective_penalty, solve_gamma
 from .errors import SparseProjError
 from .projection import _solve
-from .types import frozen_copy
+from .types import frozen_copy, map_chunks
 
 _SNAP = 1e-12  # float dust below this is treated as an exact zero
 
@@ -102,41 +101,60 @@ def _sqrt_factors(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (V * root) @ V.T, (V / root) @ V.T
 
 
-def _solve_limit_batch(spec: LimitSpec, lambda0: float, B: np.ndarray) -> np.ndarray:
-    """Minimize u'Cu - 2u'B_i + lambda0*pen(u) for every row of B."""
-    B = np.atleast_2d(B)
-    if lambda0 == 0.0:
-        return np.linalg.solve(spec.C, B.T).T
-    U, _ = _solve(spec.C, B, lambda0, spec.theta0_signs, np.broadcast_to(0.0, B.shape))
-    U[np.abs(U) < _SNAP] = 0.0
+def _t_star_rhs(spec: LimitSpec, delta: np.ndarray, Z: np.ndarray, Cinvhalf: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """T*'s right-hand sides C W*, W* = sigma0 (delta + Z) C^{-1/2} given
+    delta, for the rows of standard normals Z, which it overwrites."""
+    Z += delta
+    Z *= spec.sigma0
+    return np.matmul(Z @ Cinvhalf, spec.C, out=out)
+
+
+def _limit_solve(spec: LimitSpec, B: np.ndarray, lam: float | np.ndarray,
+                 buffers: tuple[np.ndarray, ...], name: Callable[[int], str]) -> np.ndarray:
+    """Minimizers of u'Cu - 2u'B_i + lam*pen(u) for every row of B at the
+    penalty lam, one or one per row (zero included), by one certified
+    _solve call in buffers (U, G, S), which names row i as name(i); float
+    dust |u| < _SNAP then becomes an exact zero (a negative one -0.0)."""
+    U, _ = _solve(spec.C, B, lam, spec.theta0_signs, np.broadcast_to(0.0, B.shape), buffers, name)
+    U *= np.abs(U, out=buffers[2]) >= _SNAP
     return U
+
+
+def _checked_delta(spec: LimitSpec, delta: np.ndarray, count: int, count_name: str) -> np.ndarray:
+    delta = np.asarray(delta, dtype=float).ravel()
+    if delta.shape[0] != spec.p:
+        raise ValueError(f"delta has length {delta.shape[0]}, expected {spec.p}")
+    if not np.isfinite(delta).all():
+        j = int(np.flatnonzero(~np.isfinite(delta))[0])
+        raise ValueError(f"delta must be finite, got {delta[j]} at index {j}")
+    if not count >= 1:
+        raise ValueError(f"{count_name} must be at least 1, got {count}")
+    return delta
 
 
 def sample_t_star(spec: LimitSpec, lambda0: float, delta: np.ndarray, seed: int,
                   count: int = 1) -> np.ndarray:
-    """Draw T* at penalty lambda0 given delta: W* from its conditional normal
-    law, then the penalized quadratic with b = C W*.  Returns an array of
-    shape (count, p)."""
+    """Draw T* at penalty lambda0 given delta, a finite length-p vector:
+    W* from its conditional normal law, then the penalized quadratic with
+    b = C W*.  Returns an array of shape (count, p)."""
     lambda0 = _checked_lambda0(lambda0)
-    delta = np.asarray(delta, dtype=float).ravel()
+    delta = _checked_delta(spec, delta, count, "count")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x75)))
-    _, Cinvhalf = _sqrt_factors(spec.C)  # C^{-1/2} is symmetric
-    W = spec.sigma0 * (delta + rng.standard_normal((count, spec.p))) @ Cinvhalf
-    return _solve_limit_batch(spec, lambda0, W @ spec.C)
+    B = _t_star_rhs(spec, delta, rng.standard_normal((count, spec.p)), _sqrt_factors(spec.C)[1])
+    return _limit_solve(spec, B, lambda0, [np.empty(B.shape, order="F") for _ in range(3)],
+                        lambda k: f"lambda0={lambda0:g}, T* draw {k}")
 
 
-def _draw_buffers(lambdas: tuple[float, ...], inner: int,
-                  p: int) -> tuple[np.ndarray, ...]:
+def _draw_buffers(lambdas: tuple[float, ...], inner: int, p: int) -> tuple[np.ndarray, ...]:
     """The work arrays of an outer draw, which every draw of a chunk reuses:
-    the per-row penalty of the one _solve call, then (B, U, G, S), each
-    F-ordered with one (inner + 1, p) block per positive penalty, and at
-    least one: the right-hand sides stacked penalty-major, and the solutions
-    and certificate work of _solve (G and S then hold the counting work).
-    At the default sizes each is over glibc's mmap threshold, so fresh ones
-    on every draw would fault their pages in again."""
-    positive = [lam for lam in lambdas if lam > 0.0]
-    rows = max(1, len(positive)) * (inner + 1)
-    return (np.repeat(positive, inner + 1),
+    the per-row penalties of the one _solve call, then (B, U, G, S), each
+    F-ordered with one (inner + 1, p) block per penalty: the stacked
+    right-hand sides, and _solve's solutions and certificate work (G and S
+    then hold the counting work).  At the default sizes each is over glibc's
+    mmap threshold, so fresh ones on every draw would fault pages in again."""
+    rows = len(lambdas) * (inner + 1)
+    return (np.repeat(lambdas, inner + 1),
             *(np.empty((rows, p), order="F") for _ in range(4)))
 
 
@@ -155,47 +173,32 @@ def _coverage_masses(spec: LimitSpec, lambdas: tuple[float, ...], outer_index: i
                      buffers: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """(L, p) conditional masses of one outer draw, in counts: [l, j] is
     #{|T*_j - xi_j| <= |xi_j|} at penalty lambdas[l].  The right-hand sides
-    are drawn once for all penalties, row 0 xi's, rows 1.. the T* draws'.
-    Every positive penalty solves them in one certified _solve call, its
-    own block of the stacked batch at its own per-row penalty; a zero
-    penalty solves the first block directly.  buffers, from _draw_buffers,
-    are fresh by default."""
+    are drawn once for all penalties, row 0 xi's, rows 1.. the T* draws',
+    and every penalty, zero included, solves them in one certified _solve
+    call, its own block of the stacked batch at its own per-row penalty.
+    buffers, from _draw_buffers, are fresh by default."""
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(outer_index))))
     delta = rng.standard_normal(spec.p)
     Chalf, Cinvhalf = factors
     lam_rows, B, U, G, S = buffers or _draw_buffers(lambdas, inner, spec.p)
     rows = inner + 1
     B[0] = spec.sigma0 * (Chalf @ delta)
-    W = rng.standard_normal((inner, spec.p))
-    W += delta
-    W *= spec.sigma0
-    np.matmul(W @ Cinvhalf, spec.C, out=B[1:rows])
-    masses = np.empty((len(lambdas), spec.p), dtype=np.int64)
-    zero = np.array(lambdas) == 0.0
-    if zero.any():
-        X = np.linalg.solve(spec.C, B[:rows].T)[:, None]  # [j, 0, row]
-        masses[zero] = _count_masses(X, S.T[:, None, :rows]).T
-    positive = [lam for lam in lambdas if lam > 0.0]
-    if positive:
-        for block in range(1, len(positive)):
-            B[block * rows:(block + 1) * rows] = B[:rows]
+    _t_star_rhs(spec, delta, rng.standard_normal((inner, spec.p)), Cinvhalf, out=B[1:rows])
+    for block in range(1, len(lambdas)):
+        B[block * rows:(block + 1) * rows] = B[:rows]
 
-        def name(i: int) -> str:
-            block, k = divmod(i, rows)
-            return f"lambda0={positive[block]:g}, " + (f"T* draw {k - 1}" if k else "xi")
+    def name(i: int) -> str:
+        block, k = divmod(i, rows)
+        return f"lambda0={lambdas[block]:g}, " + (f"T* draw {k - 1}" if k else "xi")
 
-        try:
-            _solve(spec.C, B, lam_rows, spec.theta0_signs, np.broadcast_to(0.0, B.shape),
-                   (U, G, S), name)
-        except SparseProjError as exc:
-            listed = ",".join(f"{lam:g}" for lam in positive)
-            raise type(exc)(f"outer draw {outer_index} (lambda0={listed}, seed={seed}): "
-                            f"{exc}") from exc
-        np.abs(U, out=S)
-        U *= S >= _SNAP  # a negative |u| < _SNAP becomes -0.0, which counts as 0
-        T = U.T.reshape(spec.p, len(positive), rows)  # [j, block, row], a view
-        masses[~zero] = _count_masses(T, G.T.reshape(T.shape)).T
-    return masses
+    try:
+        U = _limit_solve(spec, B, lam_rows, (U, G, S), name)
+    except SparseProjError as exc:
+        listed = ",".join(f"{lam:g}" for lam in lambdas)
+        raise type(exc)(f"outer draw {outer_index} (lambda0={listed}, seed={seed}): "
+                        f"{exc}") from exc
+    T = U.T.reshape(spec.p, len(lambdas), rows)  # [j, block, row], a view
+    return _count_masses(T, G.T.reshape(T.shape)).T
 
 
 def _coverage_hits(spec: LimitSpec, lambdas: tuple[float, ...], bounds: np.ndarray,
@@ -221,7 +224,7 @@ def limiting_coverage_mc(spec: LimitSpec, lambdas: Sequence[float], levels, oute
     (L, p) result has in each row what a call with that penalty alone
     gives.  Outer draw i owns the RNG stream (seed, i), so the result is
     identical for any worker count.  Workers take contiguous chunks of
-    outer indices, about four per worker, each in its own draw buffers.
+    outer indices (types.map_chunks), each in its own draw buffers.
     """
     lambdas = tuple(_checked_lambda0(lam) for lam in lambdas)
     levels = np.array(levels, dtype=float)
@@ -235,15 +238,7 @@ def limiting_coverage_mc(spec: LimitSpec, lambdas: Sequence[float], levels, oute
         raise ValueError("level must lie in (0, 1)")
     chunk = partial(_coverage_hits, spec, lambdas, levels * inner,  # hit: mass <= level
                     inner=inner, seed=seed, factors=_sqrt_factors(spec.C))
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        chunks = min(outer, 4 * workers)
-        ends = [outer * k // chunks for k in range(chunks + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(chunk, map(range, ends[:-1], ends[1:])))
-    else:
-        hits = chunk(range(outer))
-    return hits / outer
+    return sum(map_chunks(chunk, outer, workers)) / outer
 
 
 def zero_mass_probability(spec: LimitSpec, lambda0: float, delta: np.ndarray, inner: int,
@@ -256,15 +251,14 @@ def zero_mass_probability(spec: LimitSpec, lambda0: float, delta: np.ndarray, in
     T* is continuous and the function short-circuits to 0.  Requires at
     least one noise coordinate.
     """
+    _checked_delta(spec, delta, inner, "inner")
     if _checked_lambda0(lambda0) == 0.0:
-        # continuous law; exact zeros have probability 0
         return 0.0
     noise = spec.theta0_signs == 0
     if not noise.any():
         raise ValueError("spec has no noise coordinate")
     T = sample_t_star(spec, lambda0, delta, seed, count=inner)
-    all_zero = (T[:, noise] == 0.0).all(axis=1)
-    return float(np.count_nonzero(all_zero) / inner)
+    return float(np.count_nonzero((T[:, noise] == 0.0).all(axis=1)) / inner)
 
 
 def limitcheck_rows(spec: LimitSpec, lambdas, target: float, outer: int, inner: int,

@@ -21,6 +21,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .errors import SparseProjError
 from .posterior import factorize, sample_posterior_arrays
 from .projection import cross_validate_lambda, project_draws
 from .regions import component_intervals
-from .types import Dataset, PriorConfig, frozen_copy, validate_dataset
+from .types import Dataset, PriorConfig, frozen_copy, map_chunks, validate_dataset
 
 DEFAULT_SIGNALS = (-2.0, -1.5, 0.5, 1.0, 2.0)
 # the variant quoted alongside the reference coverage table ends in 1.5
@@ -335,21 +336,11 @@ def run_scenario(scenario: Scenario, workers: int = 1) -> CoverageReport:
 
     Per-replication RNG streams make the report independent of the worker
     count; only the runtime field varies between runs.  Workers take
-    contiguous chunks of replication indices, about four per worker.
+    contiguous chunks of replication indices (types.map_chunks).
     """
     start = time.perf_counter()
-    reps = scenario.replications
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        chunks = min(reps, 4 * workers)
-        bounds = [reps * k // chunks for k in range(chunks + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            recs = [rec for part in pool.map(_run_chunk, [scenario] * chunks,
-                                             map(range, bounds[:-1], bounds[1:]))
-                    for rec in part]
-    else:
-        recs = _run_chunk(scenario, range(reps))
-    report = aggregate(recs)
+    parts = map_chunks(partial(_run_chunk, scenario), scenario.replications, workers)
+    report = aggregate([rec for part in parts for rec in part])
     return replace(report, runtime=time.perf_counter() - start)
 
 

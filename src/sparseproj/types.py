@@ -1,5 +1,5 @@
-"""Shared value types: datasets, the prior configuration, and the
-accumulator that builds a dataset from blocks of rows.
+"""Shared value types (datasets, the prior configuration and the accumulator
+that builds a dataset from blocks of rows) and the worker-chunk map.
 
 The value types are immutable after construction (frozen dataclasses with
 read-only arrays) and safe to share across workers.
@@ -7,6 +7,7 @@ read-only arrays) and safe to share across workers.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,18 @@ def frozen_copy(arr) -> np.ndarray:
     out = np.array(arr, dtype=float, copy=True)
     out.setflags(write=False)
     return out
+
+
+def map_chunks(task: Callable[[range], object], count: int, workers: int = 1) -> list:
+    """[task(r) for r in contiguous ranges covering range(count)]: range(count)
+    alone if workers <= 1, else about four per worker, in a process pool."""
+    if workers <= 1:
+        return [task(range(count))]
+    from concurrent.futures import ProcessPoolExecutor
+    chunks = min(count, 4 * workers)
+    ends = [count * k // chunks for k in range(chunks + 1)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(task, map(range, ends[:-1], ends[1:])))
 
 
 @dataclass(frozen=True)

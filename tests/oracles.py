@@ -17,11 +17,14 @@ exact LASSO path behind the CV folds and the center is judged against it by
 objective value and KKT residual.  certified_loop_reference is the shared-Q
 loop certified in full after every sweep, the schedule that the package's
 probed loop must reproduce.  Both certify with kkt_batch_reference and
-borrow nothing from the package but a message format.  sample_xi is
-different: it solves the limit experiment's xi for one draw alone through
-the package's limit solver, the reference for row 0 of the merged xi/T*
-batch.  level_by_bisection is the calibration oracle: a scalar bisection for
-the credibility level, checked against the package's one Newton level solve.
+borrow nothing from the package but a message format.
+limit_solve_reference solves the limit experiment's problem one penalty at
+a time: a zero penalty by a linear solve, which shares nothing with the
+package, a positive one by the package's certified kernel alone.  sample_xi
+solves xi for one draw through it, the reference for row 0 of each block of
+the stacked xi/T* batch.  level_by_bisection is the calibration oracle: a
+scalar bisection for the credibility level, checked against the package's
+one Newton level solve.
 model_probabilities_reference counts supports one row at a time, as frozensets,
 and then sorts and ranks them.
 """
@@ -32,8 +35,8 @@ import math
 import numpy as np
 
 from sparseproj.errors import DegenerateDiagonal, NoConvergence
-from sparseproj.limits import _solve_limit_batch, _sqrt_factors
-from sparseproj.projection import _worst_rows
+from sparseproj.limits import _sqrt_factors
+from sparseproj.projection import _solve, _worst_rows
 
 
 def _soft(x: np.ndarray, t: float) -> np.ndarray:
@@ -256,6 +259,18 @@ def certified_loop_reference(Q: np.ndarray, B: np.ndarray, lam, signs: np.ndarra
     return U, kkt, sweep
 
 
+def limit_solve_reference(spec, lambda0, B):
+    """Minimizers of u'Cu - 2u'B_i + lambda0*pen(u) for every row of B at
+    the one penalty lambda0: at zero the linear solve C u = B_i; otherwise
+    the package's _solve, with |u| < 1e-12 set to 0."""
+    B = np.atleast_2d(B)
+    if lambda0 == 0.0:
+        return np.linalg.solve(spec.C, B.T).T
+    U, _ = _solve(spec.C, B, lambda0, spec.theta0_signs, np.zeros(B.shape))
+    U[np.abs(U) < 1e-12] = 0.0
+    return U
+
+
 def sample_xi(spec, lambda0, delta):
     """The limiting LASSO fluctuation xi at penalty lambda0 for one
     standardized draw delta.
@@ -269,7 +284,7 @@ def sample_xi(spec, lambda0, delta):
         raise ValueError(f"delta has length {delta.shape[0]}, expected {spec.p}")
     Chalf, _ = _sqrt_factors(spec.C)
     b = spec.sigma0 * (Chalf @ delta)
-    return _solve_limit_batch(spec, lambda0, b.reshape(1, -1))[0]
+    return limit_solve_reference(spec, lambda0, b.reshape(1, -1))[0]
 
 
 def model_probabilities_reference(draws):

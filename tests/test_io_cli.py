@@ -948,7 +948,7 @@ DELETED_API = {
     "regions": ("ProjectedSample", "radius_quantile", "_distances", "_warn_degenerate",
                 "minkowski_norm", "rectangle_levels", "minkowski_norms"),
     "calibration": ("h_minus", "CalibrationQuery", "CalibrationResult", "_clipped_gamma"),
-    "limits": ("sample_xi", "_cd_shared"),
+    "limits": ("sample_xi", "_cd_shared", "_solve_limit_batch"),
     "types": ("NormSelector",),
     "simulate": ("simulate_rows", "_dataset", "_rep_streams", "_run_replication"),
 }

@@ -23,7 +23,7 @@ from sparseproj import limits, projection
 from sparseproj.errors import NoConvergence
 from sparseproj.projection import _worst_rows
 
-from oracles import kkt_batch_reference, random_spd, sample_xi
+from oracles import kkt_batch_reference, limit_solve_reference, random_spd, sample_xi
 
 
 def eye_spec(signs, sigma0=1.0):
@@ -154,6 +154,24 @@ def test_t_star_zero_penalty_is_w_star():
     np.testing.assert_allclose(T, W, atol=1e-9)
 
 
+@pytest.mark.parametrize("lambda0", [0.0, 1.0])
+@pytest.mark.parametrize("delta, count, message", [
+    ([0.3], 10, "delta has length 1, expected 2"),
+    ([0.3, -0.1, 0.2], 10, "delta has length 3, expected 2"),
+    ([float("nan"), 0.0], 10, "delta must be finite, got nan at index 0"),
+    ([0.3, float("inf")], 10, "delta must be finite, got inf at index 1"),
+    ([0.3, -0.1], 0, "{} must be at least 1, got 0"),
+])
+def test_t_star_and_zero_mass_check_their_input(delta, count, message, lambda0):
+    # a short delta would broadcast, a NaN one run every sweep, and no draw
+    # reduce an empty array; each is named before any draw, at every penalty
+    spec = eye_spec([1.0, 0.0])
+    with pytest.raises(ValueError, match=re.escape(message.format("count"))):
+        sample_t_star(spec, lambda0, delta, seed=0, count=count)
+    with pytest.raises(ValueError, match=re.escape(message.format("inner"))):
+        zero_mass_probability(spec, lambda0, delta, inner=count, seed=0)
+
+
 def test_t_star_deterministic_in_seed():
     spec = eye_spec([1.0, 0.0])
     delta = np.array([0.3, -0.1])
@@ -240,15 +258,15 @@ def test_coverage_deterministic():
 
 def separate_solves_masses(spec, lambda0, outer_index, inner, seed):
     """The per-coordinate conditional masses of one outer draw, in counts,
-    with xi and the T* batch solved in two kernel calls at this penalty
-    alone and each coordinate counted on its own."""
+    with xi and the T* batch solved in two calls at this penalty alone (a
+    zero penalty by the linear solve) and each coordinate counted on its
+    own."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, outer_index)))
     delta = rng.standard_normal(spec.p)
     Chalf, Cinvhalf = limits._sqrt_factors(spec.C)
-    xi = limits._solve_limit_batch(spec, lambda0,
-                                   (spec.sigma0 * (Chalf @ delta)).reshape(1, -1))[0]
+    xi = limit_solve_reference(spec, lambda0, spec.sigma0 * (Chalf @ delta))[0]
     W = spec.sigma0 * (delta + rng.standard_normal((inner, spec.p))) @ Cinvhalf
-    T = limits._solve_limit_batch(spec, lambda0, W @ spec.C)
+    T = limit_solve_reference(spec, lambda0, W @ spec.C)
     return np.array([np.count_nonzero(np.abs(T[:, j] - xi[j]) <= abs(xi[j]))
                      for j in range(spec.p)], dtype=np.int64)
 
@@ -293,22 +311,22 @@ def ar1_spec(p=20, rho=0.7):
 def test_stacked_masses_equal_separate_solves_on_a_correlated_gram():
     # an ar1 C needs many sweeps, and the stacked batch runs them until its
     # slowest penalty certifies; the counted masses are still those of
-    # solving each penalty alone
+    # solving each penalty alone, the zero penalty's those of the linear solve
     spec = ar1_spec()
     factors = limits._sqrt_factors(spec.C)
+    lambdas = (0.0,) + SWEEP
     for outer_index in range(20):
-        masses = limits._coverage_masses(spec, SWEEP, outer_index, 200, 6, factors)
-        for row, lambda0 in zip(masses, SWEEP):
+        masses = limits._coverage_masses(spec, lambdas, outer_index, 200, 6, factors)
+        for row, lambda0 in zip(masses, lambdas):
             want = separate_solves_masses(spec, lambda0, outer_index, 200, 6)
             assert np.array_equal(row, want), (outer_index, lambda0)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_merged_batch_xi_certified_for_correlated_gram(seed, monkeypatch):
-    # one kernel call per outer draw for every positive penalty: the batch
-    # holds one block of the draw's right-hand sides per penalty, each with
-    # xi in its row 0 and the T* draws after it, at that penalty; a zero
-    # penalty is solved outside it
+    # one kernel call per outer draw for every penalty, zero included: the
+    # batch holds one block of the draw's right-hand sides per penalty, each
+    # with xi in its row 0 and the T* draws after it, at that penalty
     rng = np.random.default_rng(seed)
     C = random_spd(rng, 4, cond_cap=20.0)
     signs = np.array([1.0, -1.0, 0.0, 0.0])
@@ -328,13 +346,13 @@ def test_merged_batch_xi_certified_for_correlated_gram(seed, monkeypatch):
     assert masses.shape == (3, 4) and ((0 <= masses) & (masses <= 200)).all()
     assert len(calls) == 1
     B, lam, U = calls[0]
-    assert B.shape == U.shape == (402, 4)
-    assert np.array_equal(lam, np.repeat([0.8, 1.6], 201))
-    assert np.array_equal(B[:201], B[201:])
+    assert B.shape == U.shape == (603, 4)
+    assert np.array_equal(lam, np.repeat([0.8, 0.0, 1.6], 201))
+    assert np.array_equal(B[:201], B[201:402]) and np.array_equal(B[:201], B[402:])
     kkt = kkt_batch_reference(spec.C, B, lam[:, None], signs, U)
     assert kkt.max() <= 1e-10
     delta = np.random.default_rng(np.random.SeedSequence((seed, 7))).standard_normal(4)
-    for block, lambda0 in enumerate((0.8, 1.6)):
+    for block, lambda0 in enumerate((0.8, 0.0, 1.6)):
         np.testing.assert_allclose(U[201 * block], sample_xi(spec, lambda0, delta),
                                    rtol=0, atol=1e-9)
     np.testing.assert_array_equal(masses[1], separate_solves_masses(spec, 0.0, 7, 200, seed))
@@ -374,7 +392,7 @@ def test_sweep_draws_each_outer_stream_once(monkeypatch):
 
 def test_sweep_solves_every_penalty_per_outer_draw_in_order(monkeypatch):
     # one call per outer draw, its rows stacked penalty-major in the order
-    # given, each block at its own penalty; the zero penalty stays outside
+    # given, each block at its own penalty, the zero penalty's too
     calls = []
     solve = limits._solve
 
@@ -384,7 +402,7 @@ def test_sweep_solves_every_penalty_per_outer_draw_in_order(monkeypatch):
 
     monkeypatch.setattr(limits, "_solve", spy)
     limiting_coverage_mc(SWEEP_SPEC, (0.0,) + SWEEP, [0.9] * 4, outer=100, inner=150, seed=3)
-    assert calls == [(tuple(np.repeat(SWEEP, 151)), (453, 3))] * 100
+    assert calls == [(tuple(np.repeat((0.0,) + SWEEP, 151)), (604, 3))] * 100
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -434,8 +452,9 @@ def test_sweep_failure_names_penalty(monkeypatch):
 def test_sweep_failure_from_the_kernel_names_outer_draw_and_rows(monkeypatch):
     # a real failure: one sweep cannot certify an ar1 C at p = 20
     monkeypatch.setattr(projection, "MAX_SWEEPS", 1)
-    message = (r"^outer draw 0 \(lambda0=0.5,1, seed=4\): residual \S+ > tol 1.0e-10 after 1 "
-               r"sweeps; \d+ of 202 rows above tol, worst: lambda0=(0.5|1), (xi|T\* draw \d+) \(")
+    message = (r"^outer draw 0 \(lambda0=0,0.5,1, seed=4\): residual \S+ > tol 1.0e-10 after 1 "
+               r"sweeps; \d+ of 303 rows above tol, worst: lambda0=(0|0.5|1), "
+               r"(xi|T\* draw \d+) \(")
     with pytest.raises(NoConvergence, match=message):
         limiting_coverage_mc(ar1_spec(), (0.0, 0.5, 1.0), [0.9] * 3, outer=100, inner=100,
                              seed=4)

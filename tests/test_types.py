@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sparseproj.errors import DimensionMismatch, NonFiniteInput, SparseProjError
-from sparseproj.types import Dataset, PriorConfig, validate_dataset
+from sparseproj.types import Dataset, PriorConfig, map_chunks, validate_dataset
 
 
 def test_validate_dataset_tiny_example():
@@ -86,3 +86,11 @@ def test_dataset_direct_construction_freezes():
     with pytest.raises(DimensionMismatch):
         Dataset(n=1, p=1, gram=np.array([[4.0]]), xty=np.array([2.0]), yty=1.0,
                 fold_gram=np.zeros((2, 1, 1)), fold_xty=np.zeros((3, 1)), fold_n=[1, 0])
+
+
+@pytest.mark.parametrize("workers, chunks", [(1, 1), (2, 8), (3, 10)])
+def test_map_chunks_covers_the_range_in_contiguous_ordered_chunks(workers, chunks):
+    # about four chunks per worker, at most one per index, results in order
+    parts = map_chunks(list, 10, workers)
+    assert len(parts) == chunks
+    assert sum(parts, []) == list(range(10))
