@@ -13,30 +13,36 @@ the LASSO estimate, same scaling) converges given the data to
     T* = argmin_t t'Ct - 2 t'CW* + lambda0 * pen(t),
     W* | Delta ~ N(sigma0 C^{-1/2} Delta, sigma0^2 C^{-1}).
 
+So CW* = sigma0 C^{1/2} (Delta + Z) with Z standard normal, and xi's
+right-hand side is the Z = 0 case: every right-hand side is one product
+with C^{1/2}, which the LimitSpec keeps from the eigendecomposition that
+checks C.
+
 limiting_coverage_mc estimates, for every coordinate j, the probability
 over Delta that the conditional T*-mass of the component interval
 |t_j - xi_j| <= |xi_j| reaches a given level, which is exactly the
 asymptotic coverage the calibrated level controls.  Delta and W* do not
-depend on lambda0, so each outer draw is generated once, and its right-hand
-sides (xi's, then the T* draws') are stacked penalty-major into one batch
-with one penalty per row, which one call of the projection solver _solve
-certifies whole.  A zero penalty (the Bernstein-von Mises case) is one more
-row penalty: on C = I it certifies in one sweep with a linear solve's bits,
-and on an ill-conditioned C it needs coordinate descent to converge, as a
-positive penalty does.  Every penalty's and coordinate's conditional mass
-is then counted in one comparison.  sample_t_star draws T* alone, for
-zero_mass_probability, from the same W* builder and solve.  A LimitSpec
-holds C, sigma0 and the signs, and every function takes the penalty lambda0
-(or a list of them) beside it.  limitcheck_rows calibrates each
-coordinate's level at its effective penalty (calibration.effective_penalty)
-and sets the estimates beside psi and psi_zero there.
+depend on lambda0, so each outer draw is generated once, and its
+right-hand sides (xi's, then the T* draws', from one product) are stacked
+penalty-major into one batch with one penalty per row, which one call of
+the projection solver _solve certifies whole.  A zero penalty (the
+Bernstein-von Mises case) is one more row penalty: on C = I it certifies
+in one sweep with a linear solve's bits, and on an ill-conditioned C it
+needs coordinate descent to converge, as a positive penalty does.  Every
+penalty's and coordinate's conditional mass is then counted in one
+comparison.  sample_t_star draws T* alone, for zero_mass_probability, from
+the same right-hand-side builder and solve.  A LimitSpec holds C, sigma0
+and the signs, and every function takes the penalty lambda0 (or a list of
+them) beside it.  limitcheck_rows calibrates each coordinate's level at
+its effective penalty (calibration.effective_penalty) and sets the
+estimates beside psi and psi_zero there.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -54,11 +60,14 @@ class LimitSpec:
     """Limit-experiment configuration: Gram limit C, noise scale sigma0 and
     the sign pattern of the true coefficients (0 entries mark noise
     coordinates).  The rescaled penalty lambda0 is an argument of each
-    function, so one spec serves a whole sweep of penalties."""
+    function, so one spec serves a whole sweep of penalties.  C_half is
+    C^{1/2}, from the eigendecomposition that checks C, its eigenvalues
+    floored at 1e-12 to absorb round-off."""
 
     C: np.ndarray
     sigma0: float
     theta0_signs: np.ndarray
+    C_half: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
         C = np.asarray(self.C, dtype=float)
@@ -74,11 +83,14 @@ class LimitSpec:
             raise ValueError("C must be symmetric")
         if not np.all(np.isin(signs, (-1.0, 0.0, 1.0))):
             raise ValueError("theta0_signs entries must be -1, 0, or +1")
-        if np.linalg.eigvalsh(0.5 * (C + C.T)).min() <= 0:
+        C = 0.5 * (C + C.T)
+        w, V = np.linalg.eigh(C)
+        if w.min() <= 0:
             raise ValueError("C must be positive definite")
         if not 0.0 < self.sigma0 < math.inf:
             raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
-        object.__setattr__(self, "C", frozen_copy(0.5 * (C + C.T)))
+        object.__setattr__(self, "C", frozen_copy(C))
+        object.__setattr__(self, "C_half", frozen_copy((V * np.sqrt(np.maximum(w, 1e-12))) @ V.T))
         object.__setattr__(self, "theta0_signs", signs)
 
     @property
@@ -92,22 +104,14 @@ def _checked_lambda0(lambda0: float) -> float:
     return float(lambda0)
 
 
-def _sqrt_factors(C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(C^{1/2}, C^{-1/2}) by symmetric eigendecomposition, eigenvalues
-    floored at 1e-12 to absorb round-off."""
-    w, V = np.linalg.eigh(C)
-    w = np.maximum(w, 1e-12)
-    root = np.sqrt(w)
-    return (V * root) @ V.T, (V / root) @ V.T
-
-
-def _t_star_rhs(spec: LimitSpec, delta: np.ndarray, Z: np.ndarray, Cinvhalf: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
-    """T*'s right-hand sides C W*, W* = sigma0 (delta + Z) C^{-1/2} given
-    delta, for the rows of standard normals Z, which it overwrites."""
+def _limit_rhs(spec: LimitSpec, delta: np.ndarray, Z: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """sigma0 (delta + Z_i) C^{1/2} for every row Z_i of Z, which it
+    overwrites: T*'s right-hand side C W* for a standard normal row, as
+    C W* = sigma0 C^{1/2} (delta + Z) by W*'s law, and xi's for a zero row."""
     Z += delta
     Z *= spec.sigma0
-    return np.matmul(Z @ Cinvhalf, spec.C, out=out)
+    return np.matmul(Z, spec.C_half, out=out)
 
 
 def _limit_solve(spec: LimitSpec, B: np.ndarray, lam: float | np.ndarray,
@@ -141,7 +145,7 @@ def sample_t_star(spec: LimitSpec, lambda0: float, delta: np.ndarray, seed: int,
     lambda0 = _checked_lambda0(lambda0)
     delta = _checked_delta(spec, delta, count, "count")
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x75)))
-    B = _t_star_rhs(spec, delta, rng.standard_normal((count, spec.p)), _sqrt_factors(spec.C)[1])
+    B = _limit_rhs(spec, delta, rng.standard_normal((count, spec.p)))
     return _limit_solve(spec, B, lambda0, [np.empty(B.shape, order="F") for _ in range(3)],
                         lambda k: f"lambda0={lambda0:g}, T* draw {k}")
 
@@ -169,21 +173,22 @@ def _count_masses(T: np.ndarray, work: np.ndarray) -> np.ndarray:
 
 
 def _coverage_masses(spec: LimitSpec, lambdas: tuple[float, ...], outer_index: int,
-                     inner: int, seed: int, factors: tuple[np.ndarray, np.ndarray],
+                     inner: int, seed: int,
                      buffers: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """(L, p) conditional masses of one outer draw, in counts: [l, j] is
     #{|T*_j - xi_j| <= |xi_j|} at penalty lambdas[l].  The right-hand sides
-    are drawn once for all penalties, row 0 xi's, rows 1.. the T* draws',
-    and every penalty, zero included, solves them in one certified _solve
-    call, its own block of the stacked batch at its own per-row penalty.
-    buffers, from _draw_buffers, are fresh by default."""
+    are formed once for all penalties by one _limit_rhs product, row 0
+    xi's, rows 1.. the T* draws', and every penalty, zero included, solves
+    them in one certified _solve call, its own block of the stacked batch
+    at its own per-row penalty.  buffers, from _draw_buffers, are fresh by
+    default."""
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(outer_index))))
     delta = rng.standard_normal(spec.p)
-    Chalf, Cinvhalf = factors
     lam_rows, B, U, G, S = buffers or _draw_buffers(lambdas, inner, spec.p)
     rows = inner + 1
-    B[0] = spec.sigma0 * (Chalf @ delta)
-    _t_star_rhs(spec, delta, rng.standard_normal((inner, spec.p)), Cinvhalf, out=B[1:rows])
+    Z = np.zeros((rows, spec.p))  # row 0 is xi's
+    rng.standard_normal(out=Z[1:])
+    _limit_rhs(spec, delta, Z, out=B[:rows])
     for block in range(1, len(lambdas)):
         B[block * rows:(block + 1) * rows] = B[:rows]
 
@@ -202,12 +207,11 @@ def _coverage_masses(spec: LimitSpec, lambdas: tuple[float, ...], outer_index: i
 
 
 def _coverage_hits(spec: LimitSpec, lambdas: tuple[float, ...], bounds: np.ndarray,
-                   indices: range, inner: int, seed: int,
-                   factors: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+                   indices: range, inner: int, seed: int) -> np.ndarray:
     """(L, p) counts of the outer draws at indices whose mass is within
     bounds, the draws in order and all in one set of draw buffers."""
     buffers = _draw_buffers(lambdas, inner, spec.p)
-    return sum(_coverage_masses(spec, lambdas, i, inner, seed, factors, buffers) <= bounds
+    return sum(_coverage_masses(spec, lambdas, i, inner, seed, buffers) <= bounds
                for i in indices)
 
 
@@ -237,7 +241,7 @@ def limiting_coverage_mc(spec: LimitSpec, lambdas: Sequence[float], levels, oute
     if not np.all((0.0 < levels) & (levels < 1.0)):
         raise ValueError("level must lie in (0, 1)")
     chunk = partial(_coverage_hits, spec, lambdas, levels * inner,  # hit: mass <= level
-                    inner=inner, seed=seed, factors=_sqrt_factors(spec.C))
+                    inner=inner, seed=seed)
     return sum(map_chunks(chunk, outer, workers)) / outer
 
 
@@ -252,11 +256,12 @@ def zero_mass_probability(spec: LimitSpec, lambda0: float, delta: np.ndarray, in
     least one noise coordinate.
     """
     _checked_delta(spec, delta, inner, "inner")
-    if _checked_lambda0(lambda0) == 0.0:
-        return 0.0
+    lambda0 = _checked_lambda0(lambda0)
     noise = spec.theta0_signs == 0
     if not noise.any():
         raise ValueError("spec has no noise coordinate")
+    if lambda0 == 0.0:
+        return 0.0
     T = sample_t_star(spec, lambda0, delta, seed, count=inner)
     return float(np.count_nonzero((T[:, noise] == 0.0).all(axis=1)) / inner)
 

@@ -13,7 +13,7 @@ precision matrix: theta = m + sigma * L^-T z.
 factorize forms L^-T once, as numpy.linalg.solve(L', I).  That solve runs
 an LU factorization first, but on an upper-triangular matrix (L' here) the
 LU does no row exchange and has zero multipliers, so each column is plain
-back substitution.  A shard of draws is then one matrix product of its
+back substitution.  A batch of draws is then one matrix product of its
 normals with L^-1, with no solve per call.  Each column of the computed
 inverse solves a slightly perturbed L', so the draws differ from a
 triangular solve per draw by a relative amount of order p eps cond(L')
@@ -81,52 +81,41 @@ def factorize(dataset: Dataset, prior: PriorConfig) -> PosteriorFactorization:
     )
 
 
-def _shard_sizes(count: int, shards: int) -> list[int]:
-    base, extra = divmod(count, shards)
-    return [base + (1 if s < extra else 0) for s in range(shards)]
-
-
 def sample_posterior_arrays(
-    fact: PosteriorFactorization, count: int, seed: int, shards: int = 1, *,
+    fact: PosteriorFactorization, count: int, seed: int, *,
     out: np.ndarray | None = None, normals: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw (thetas, sigmas) as arrays of shape (count, p) and (count,).
 
-    Each shard owns an RNG stream keyed by (seed, shard index), so the draw
-    sequence depends only on (seed, shards), never on scheduling.  Draws are
-    concatenated in shard order, i.e. canonical draw-index order.  Each
-    shard's normals Z are drawn into its rows of normals, and its rows of
-    thetas are Z L^-1, one matrix product, scaled and shifted in place.
+    The draws read one RNG stream keyed by (seed, 0): the count gamma draws
+    of sigma^-2 first, then the normals Z, drawn into normals, so they
+    depend on the seed alone.  thetas is Z L^-1, one matrix product, scaled
+    and shifted in place.
 
-    out and normals are C-ordered (count, p) arrays that a caller reuses
-    across calls; thetas is then out, and normals is overwritten.  Each
-    defaults to a fresh array.
+    out and normals are C-contiguous float64 (count, p) arrays that a caller
+    reuses across calls; thetas is then out, and normals is overwritten.
+    Each defaults to a fresh array.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
-    if shards < 1:
-        raise ValueError(f"shards must be at least 1, got {shards}")
     if fact.gamma_shape <= 0 or fact.gamma_rate <= 0:
         raise SingularSystem(
             "sigma posterior is degenerate (gamma_shape and gamma_rate must be positive)"
         )
     inv = fact.chol_inv_t.T  # L^-1: a row z of normals maps to (L^-T z')'
     p = inv.shape[0]
+    for name, buf in (("out", out), ("normals", normals)):
+        if buf is not None and not (isinstance(buf, np.ndarray) and buf.dtype == np.float64
+                                    and buf.shape == (count, p) and buf.flags.c_contiguous):
+            raise ValueError(f"{name} must be a C-contiguous float64 ({count}, {p}) array")
     thetas = np.empty((count, p)) if out is None else out
     Z = np.empty((count, p)) if normals is None else normals
     sigmas = np.empty(count)
-    start = 0
-    for s, size in enumerate(_shard_sizes(count, shards)):
-        if size == 0:
-            continue
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), s)))
-        tau = rng.gamma(fact.gamma_shape, 1.0 / fact.gamma_rate, size=size)
-        rows = slice(start, start + size)
-        rng.standard_normal(out=Z[rows])
-        sigma = tau ** -0.5
-        block = np.matmul(Z[rows], inv, out=thetas[rows])
-        block *= sigma[:, None]
-        block += fact.ridge_mean
-        sigmas[rows] = sigma
-        start += size
+    rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0)))
+    tau = rng.gamma(fact.gamma_shape, 1.0 / fact.gamma_rate, size=count)
+    rng.standard_normal(out=Z)
+    np.power(tau, -0.5, out=sigmas)
+    np.matmul(Z, inv, out=thetas)
+    thetas *= sigmas[:, None]
+    thetas += fact.ridge_mean
     return thetas, sigmas

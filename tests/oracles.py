@@ -22,7 +22,10 @@ limit_solve_reference solves the limit experiment's problem one penalty at
 a time: a zero penalty by a linear solve, which shares nothing with the
 package, a positive one by the package's certified kernel alone.  sample_xi
 solves xi for one draw through it, the reference for row 0 of each block of
-the stacked xi/T* batch.  level_by_bisection is the calibration oracle: a
+the stacked xi/T* batch.  sqrt_factors_reference gives (C^{1/2}, C^{-1/2})
+from an eigendecomposition of its own, so the oracles build W* literally,
+as sigma0 (delta + Z) C^{-1/2}, where the package forms C W* from
+LimitSpec.C_half alone.  level_by_bisection is the calibration oracle: a
 scalar bisection for the credibility level, checked against the package's
 one Newton level solve.
 model_probabilities_reference counts supports one row at a time, as frozensets,
@@ -35,7 +38,6 @@ import math
 import numpy as np
 
 from sparseproj.errors import DegenerateDiagonal, NoConvergence
-from sparseproj.limits import _sqrt_factors
 from sparseproj.projection import _solve, _worst_rows
 
 
@@ -271,6 +273,14 @@ def limit_solve_reference(spec, lambda0, B):
     return U
 
 
+def sqrt_factors_reference(C):
+    """(C^{1/2}, C^{-1/2}) by symmetric eigendecomposition, eigenvalues
+    floored at 1e-12 to absorb round-off."""
+    w, V = np.linalg.eigh(C)
+    root = np.sqrt(np.maximum(w, 1e-12))
+    return (V * root) @ V.T, (V / root) @ V.T
+
+
 def sample_xi(spec, lambda0, delta):
     """The limiting LASSO fluctuation xi at penalty lambda0 for one
     standardized draw delta.
@@ -282,7 +292,7 @@ def sample_xi(spec, lambda0, delta):
     delta = np.asarray(delta, dtype=float).ravel()
     if delta.shape[0] != spec.p:
         raise ValueError(f"delta has length {delta.shape[0]}, expected {spec.p}")
-    Chalf, _ = _sqrt_factors(spec.C)
+    Chalf, _ = sqrt_factors_reference(spec.C)
     b = spec.sigma0 * (Chalf @ delta)
     return limit_solve_reference(spec, lambda0, b.reshape(1, -1))[0]
 

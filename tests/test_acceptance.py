@@ -382,7 +382,7 @@ def test_criterion_8_posterior_moments():
         Y = X @ rng.standard_normal(p) + rng.standard_normal(n)
         ds = validate_dataset(X, Y)
         fact = factorize(ds, PriorConfig(a_n=1.0))
-        thetas, sigmas = sample_posterior_arrays(fact, count, seed=draw_seed, shards=4)
+        thetas, sigmas = sample_posterior_arrays(fact, count, seed=draw_seed)
 
         tau = sigmas ** -2.0
         tau_se = math.sqrt(fact.gamma_shape) / fact.gamma_rate / math.sqrt(count)

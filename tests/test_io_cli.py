@@ -828,8 +828,9 @@ lambda0,coordinate,role,level,estimate,mc_se,analytic
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_cli_limitcheck_bytes_pinned(tmp_path, threads):
-    # The whole CSV of a three-penalty sweep, lambda0 = 0 (the linear-solve
-    # branch) included: restructuring the Monte-Carlo pass must not move a byte.
+    # The whole CSV of a three-penalty sweep, lambda0 = 0 (one more row
+    # penalty of the stacked batch) included: restructuring the Monte-Carlo
+    # pass must not move a byte.
     out = tmp_path / "limit.csv"
     assert main(["--threads", threads, "limitcheck", "--lambda0", "0,0.5,2",
                  "--signs", "1,-1,0", "--outer", "100", "--inner", "200",
@@ -838,8 +839,8 @@ def test_cli_limitcheck_bytes_pinned(tmp_path, threads):
 
 
 def test_cli_limitcheck_zero_beside_one_positive_penalty_bytes_pinned(tmp_path):
-    # the zero penalty solves the first block of a one-block stacked batch
-    # directly; these are the bytes of solving every penalty on its own
+    # the zero penalty is the first block of the stacked batch, at row
+    # penalty 0; these are the bytes of solving every penalty on its own
     out = tmp_path / "limit.csv"
     assert main(["limitcheck", "--lambda0", "0,0.5", "--signs", "1,0", "--outer", "100",
                  "--inner", "100", "--seed", "2", "--out", str(out)]) == 0
@@ -948,7 +949,9 @@ DELETED_API = {
     "regions": ("ProjectedSample", "radius_quantile", "_distances", "_warn_degenerate",
                 "minkowski_norm", "rectangle_levels", "minkowski_norms"),
     "calibration": ("h_minus", "CalibrationQuery", "CalibrationResult", "_clipped_gamma"),
-    "limits": ("sample_xi", "_cd_shared", "_solve_limit_batch"),
+    "limits": ("sample_xi", "_cd_shared", "_solve_limit_batch", "_sqrt_factors",
+               "_t_star_rhs"),
+    "posterior": ("_shard_sizes",),
     "types": ("NormSelector",),
     "simulate": ("simulate_rows", "_dataset", "_rep_streams", "_run_replication"),
 }

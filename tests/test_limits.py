@@ -23,7 +23,13 @@ from sparseproj import limits, projection
 from sparseproj.errors import NoConvergence
 from sparseproj.projection import _worst_rows
 
-from oracles import kkt_batch_reference, limit_solve_reference, random_spd, sample_xi
+from oracles import (
+    kkt_batch_reference,
+    limit_solve_reference,
+    random_spd,
+    sample_xi,
+    sqrt_factors_reference,
+)
 
 
 def eye_spec(signs, sigma0=1.0):
@@ -35,8 +41,7 @@ def w_star_reference(spec, delta, seed, count):
     """White-box reconstruction of the conditional W* draws."""
     rng = np.random.default_rng(np.random.SeedSequence((int(seed), 0x75)))
     Z = rng.standard_normal((count, spec.p))
-    w, V = np.linalg.eigh(spec.C)
-    inv_half = (V / np.sqrt(w)) @ V.T
+    _, inv_half = sqrt_factors_reference(spec.C)
     return spec.sigma0 * (np.asarray(delta, dtype=float) + Z) @ inv_half
 
 
@@ -85,6 +90,27 @@ def test_spec_properties():
     spec = eye_spec([1.0, -1.0, 0.0, 0.0])
     assert spec.p == 4
     assert not spec.C.flags.writeable
+
+
+def correlated_specs():
+    rng = np.random.default_rng(3)
+    signs = np.array([1.0, -1.0, 0.0, 0.0])
+    return [ar1_spec(), ar1_spec(rho=0.95)] + [
+        LimitSpec(C=random_spd(rng, 4, cond_cap=20.0), sigma0=1.3, theta0_signs=signs)
+        for _ in range(3)]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_spec_c_half_squares_to_c(case):
+    # C^{1/2} comes from the eigendecomposition that checks C, and is the
+    # spec's own read-only field, never an argument
+    spec = correlated_specs()[case]
+    assert not spec.C_half.flags.writeable
+    scale = np.abs(spec.C).max()
+    assert np.abs(spec.C_half @ spec.C_half - spec.C).max() <= 1e-12 * scale
+    assert np.abs(spec.C_half - sqrt_factors_reference(spec.C)[0]).max() <= 1e-12 * scale
+    with pytest.raises(TypeError):
+        LimitSpec(C=spec.C, sigma0=1.0, theta0_signs=spec.theta0_signs, C_half=spec.C)
 
 
 # --- sample_xi ---------------------------------------------------------------
@@ -243,10 +269,12 @@ def test_coverage_validation():
 
 
 def test_coverage_worker_count_invariant():
-    spec = eye_spec([1.0, 0.0])
-    one = limiting_coverage_mc(spec, [0.5], [0.93], outer=100, inner=100, seed=7)
-    two = limiting_coverage_mc(spec, [0.5], [0.93], outer=100, inner=100, seed=7, workers=2)
-    assert np.array_equal(one, two)
+    # each worker reads C^{1/2} from the spec it was sent; ar1's is not I
+    for spec in (eye_spec([1.0, 0.0]), ar1_spec(p=6)):
+        one = limiting_coverage_mc(spec, [0.5], [0.93], outer=100, inner=100, seed=7)
+        two = limiting_coverage_mc(spec, [0.5], [0.93], outer=100, inner=100, seed=7,
+                                   workers=2)
+        assert np.array_equal(one, two)
 
 
 def test_coverage_deterministic():
@@ -263,7 +291,7 @@ def separate_solves_masses(spec, lambda0, outer_index, inner, seed):
     own."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, outer_index)))
     delta = rng.standard_normal(spec.p)
-    Chalf, Cinvhalf = limits._sqrt_factors(spec.C)
+    Chalf, Cinvhalf = sqrt_factors_reference(spec.C)
     xi = limit_solve_reference(spec, lambda0, spec.sigma0 * (Chalf @ delta))[0]
     W = spec.sigma0 * (delta + rng.standard_normal((inner, spec.p))) @ Cinvhalf
     T = limit_solve_reference(spec, lambda0, W @ spec.C)
@@ -293,9 +321,8 @@ def test_coverage_shared_pass_equals_single_selector_calls(workers):
 def test_merged_batch_hits_equal_separate_solves_at_identity(lambda0):
     spec = eye_spec([1.0, -1.0, 0.0])
     level = solve_gamma(lambda0, 0.95)[0]
-    factors = limits._sqrt_factors(spec.C)
     for outer_index in range(40):
-        masses = limits._coverage_masses(spec, (lambda0,), outer_index, 300, 5, factors)
+        masses = limits._coverage_masses(spec, (lambda0,), outer_index, 300, 5)
         got = (masses[0] <= level * 300).astype(np.int64)
         want = separate_solves_hits(spec, lambda0, level, outer_index, 300, 5)
         assert np.array_equal(got, want), outer_index
@@ -313,10 +340,9 @@ def test_stacked_masses_equal_separate_solves_on_a_correlated_gram():
     # slowest penalty certifies; the counted masses are still those of
     # solving each penalty alone, the zero penalty's those of the linear solve
     spec = ar1_spec()
-    factors = limits._sqrt_factors(spec.C)
     lambdas = (0.0,) + SWEEP
     for outer_index in range(20):
-        masses = limits._coverage_masses(spec, lambdas, outer_index, 200, 6, factors)
+        masses = limits._coverage_masses(spec, lambdas, outer_index, 200, 6)
         for row, lambda0 in zip(masses, lambdas):
             want = separate_solves_masses(spec, lambda0, outer_index, 200, 6)
             assert np.array_equal(row, want), (outer_index, lambda0)
@@ -340,8 +366,7 @@ def test_merged_batch_xi_certified_for_correlated_gram(seed, monkeypatch):
         return U, kkt
 
     monkeypatch.setattr(limits, "_solve", spy)
-    masses = limits._coverage_masses(spec, (0.8, 0.0, 1.6), 7, 200, seed,
-                                     limits._sqrt_factors(spec.C))
+    masses = limits._coverage_masses(spec, (0.8, 0.0, 1.6), 7, 200, seed)
     monkeypatch.undo()
     assert masses.shape == (3, 4) and ((0 <= masses) & (masses <= 200)).all()
     assert len(calls) == 1
@@ -356,6 +381,31 @@ def test_merged_batch_xi_certified_for_correlated_gram(seed, monkeypatch):
         np.testing.assert_allclose(U[201 * block], sample_xi(spec, lambda0, delta),
                                    rtol=0, atol=1e-9)
     np.testing.assert_array_equal(masses[1], separate_solves_masses(spec, 0.0, 7, 200, seed))
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_stacked_rhs_equal_the_oracle_w_star_times_c(case, monkeypatch):
+    # the package forms C W* as sigma0 (delta + Z) C^{1/2}; the oracle builds
+    # W* = sigma0 (delta + Z) C^{-1/2} and then W* C, from the same stream
+    spec = correlated_specs()[case]
+    calls = []
+    solve = limits._solve
+
+    def spy(Q, B, *args):
+        calls.append(B.copy())
+        return solve(Q, B, *args)
+
+    monkeypatch.setattr(limits, "_solve", spy)
+    limits._coverage_masses(spec, (0.5, 1.0), 4, 150, 11)
+    monkeypatch.undo()
+    (B,) = calls
+    rng = np.random.default_rng(np.random.SeedSequence((11, 4)))
+    delta = rng.standard_normal(spec.p)
+    Chalf, Cinvhalf = sqrt_factors_reference(spec.C)
+    W = spec.sigma0 * (delta + rng.standard_normal((150, spec.p))) @ Cinvhalf
+    want = np.vstack([spec.sigma0 * (Chalf @ delta), W @ spec.C])
+    for block in (B[:151], B[151:]):
+        assert np.abs(block - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_coverage_one_kernel_call_per_outer_draw(monkeypatch):
@@ -533,9 +583,11 @@ def test_zero_mass_strictly_positive_with_any_positive_penalty():
 
 
 def test_zero_mass_requires_noise_coordinate():
+    # checked at every penalty: a zero one used to return 0.0 unchecked
     spec = eye_spec([1.0, -1.0])
-    with pytest.raises(ValueError):
-        zero_mass_probability(spec, 1.0, np.zeros(2), inner=1000, seed=0)
+    for lambda0 in (0.0, 1.0):
+        with pytest.raises(ValueError, match="spec has no noise coordinate"):
+            zero_mass_probability(spec, lambda0, np.zeros(2), inner=1000, seed=0)
 
 
 # --- limitcheck_rows ---------------------------------------------------------

@@ -7,6 +7,8 @@ which is algebraically equal to the Y'Y - Y'X m form used in the code but
 computed along a different path.
 """
 
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
@@ -112,12 +114,19 @@ def test_sampling_rejects_bad_count():
         sample_posterior_arrays(fact, 0, seed=0)
 
 
-def test_sampling_rejects_bad_shard_count():
-    # shards=-1 used to return uninitialised rows; shards=0 divided by zero
+@pytest.mark.parametrize("name", ["out", "normals"])
+@pytest.mark.parametrize("buf", [
+    np.empty((10, 4)),  # wrong shape: numpy's matmul named no argument
+    np.empty((3, 10)).T,  # (10, 3) but F-ordered
+    np.empty((10, 3), dtype=np.float32),  # out rounded the draws to float32
+    np.empty((10, 6))[:, ::2],  # (10, 3) but strided
+    [[0.0] * 3] * 10,  # not an array
+])
+def test_sampling_rejects_bad_buffers(name, buf):
     fact = factorize(make_dataset(), PriorConfig())
-    for shards in (-1, 0):
-        with pytest.raises(ValueError, match=f"shards must be at least 1, got {shards}"):
-            sample_posterior_arrays(fact, 10, seed=0, shards=shards)
+    message = f"{name} must be a C-contiguous float64 (10, 3) array"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sample_posterior_arrays(fact, 10, seed=0, **{name: buf})
 
 
 def test_sampling_deterministic():
@@ -130,20 +139,11 @@ def test_sampling_deterministic():
     assert not np.array_equal(t1, t3)
 
 
-def test_sharded_sampling_deterministic_given_shard_count():
-    fact = factorize(make_dataset(seed=2), PriorConfig())
-    t1, s1 = sample_posterior_arrays(fact, 101, seed=4, shards=7)
-    t2, s2 = sample_posterior_arrays(fact, 101, seed=4, shards=7)
-    np.testing.assert_array_equal(t1, t2)
-    np.testing.assert_array_equal(s1, s2)
-    assert t1.shape == (101, 3) and s1.shape == (101,)
-
-
 def test_moments_large_sample():
     ds = make_dataset(n=60, p=3, seed=7)
     fact = factorize(ds, PriorConfig(a_n=1.0))
     count = 100_000
-    thetas, sigmas = sample_posterior_arrays(fact, count, seed=42, shards=4)
+    thetas, sigmas = sample_posterior_arrays(fact, count, seed=42)
 
     shape, rate = fact.gamma_shape, fact.gamma_rate
     # tau = sigma^-2 is Gamma(shape, rate): mean shape/rate, sd sqrt(shape)/rate
@@ -195,7 +195,7 @@ def test_whitening_matches_triangular_solve():
 
 
 def test_sampling_batch_matches_triangular_solve_oracle():
-    # a whole 2000-draw shard against theta = m + sigma * L^-T z built from
+    # a whole 2000-draw batch against theta = m + sigma * L^-T z built from
     # the same stream with a triangular solver; the draws must be C-ordered,
     # since a product with a Fortran-ordered batch can round differently
     fact = factorize(make_dataset(n=200, p=20, seed=21), PriorConfig(a_n=1.0))
