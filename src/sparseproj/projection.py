@@ -26,11 +26,13 @@ The sweep reads Q with its diagonal zeroed: an update is b_j - u Qz_j,
 soft-thresholded and divided by Q_jj.  Rows certify together, so after a
 failed full certificate each sweep probes the worst row alone and runs the
 full pass only once that row passes, or at the last allowed sweep; no
-result changes.  fit_lasso (the exact reference for the batch's center) and
-each CV fold instead walk the exact piecewise-linear solution path
-(_lasso_path, the Gram-form LARS-lasso homotopy of Efron, Hastie, Johnstone
-& Tibshirani 2004 and Osborne, Presnell & Turlach 2000) and read each
-penalty off its segment.
+result changes.  CV and fit_lasso (the exact reference for the batch's
+center) instead walk the exact piecewise-linear solution path (_lasso_paths,
+the Gram-form LARS-lasso homotopy of Efron, Hastie, Johnstone & Tibshirani
+2004 and Osborne, Presnell & Turlach 2000) and read each penalty off its
+segment.  All K CV folds walk together, one kink of every fold per step,
+each with its own Gram and the inverse of its active block, which a join
+borders and a leave shrinks; fit_lasso is the same walk with K = 1.
 
 Every solution is certified by its KKT residual (max subgradient violation,
 one branch-free formula for every coordinate kind; see _kkt_rows), not by
@@ -182,76 +184,113 @@ def _solve(Q: np.ndarray, B: np.ndarray, lam: float | np.ndarray, signs: np.ndar
                         f"after {MAX_SWEEPS} sweeps{listed}")
 
 
-def _lasso_path(Q: np.ndarray, b: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """Solutions of min u'Qu - 2u'b + lam*||u||_1 at the descending penalties
-    lams, as rows, read off the exact path from lam_max = 2 max|b_j| down.
+def _lasso_paths(Qs: np.ndarray, Bs: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Solutions of min u'Q_k u - 2u'b_k + lam*||u||_1 for every fold k of
+    the (K, p, p) Qs and (K, p) Bs at the descending penalties lams, as a
+    (K, L, p) stack of rows, read off each fold's exact path from
+    lam_max = 2 max|b_kj| down.  The K paths are walked together, one kink
+    of every fold per step.
 
     In mu = lam/2 and c = b - Qu, u is optimal when c_A = mu s_A on its
     active set A, s_A the signs of u_A, and |c_j| <= mu elsewhere.  From a
     kink at mu_k the path is u_A = y + (mu_k - mu) d, with Q_AA [y, d] =
-    [b_A - mu_k s_A, s_A], and c moves by -(mu_k - mu) Q_:A d, until the
+    [b_A - mu_k s_A, s_A], and c moves by -(mu_k - mu) Q d, until the
     nearest mu at which an inactive c_j reaches +-mu (j joins; a rate 1 -+
     a_j within 1e-10 of 0 keeps j on its boundary) or an active u_j reaches
-    0 (j leaves); one past its boundary by rounding changes at once.  The
-    walk stops early on a singular Q_AA or after 10(p + 1) kinks, leaving
-    the unread rows at its last point; the caller certifies every row.
-    Raises DegenerateDiagonal for a nonpositive diagonal entry of Q.
+    0 (j leaves); one past its boundary by rounding changes at once.
+
+    Each fold keeps M, the inverse of its Q_AA, as a (p, p) array that is
+    zero outside A, so one batched product gives [y - u, d] = M [c - mu_k s,
+    s] for every fold: y is the current point corrected by its own
+    residual, so the rounding that M gathers over its updates enters only
+    the correction.  A join borders M with w = M Q_:j and its Schur
+    complement Q_jj - Q_j:w; a leave takes M - M_:j M_j:/M_jj and zeroes
+    row and column j.  A fold stops on a non-finite y or d, a join whose
+    Schur complement is not positive, its last grid point, mu = 0 or after
+    10(p + 1) kinks, leaving its unread rows at its last point; the caller
+    certifies every row.
     """
-    if (np.diagonal(Q) <= 0.0).any():
-        raise DegenerateDiagonal("Q has a nonpositive diagonal entry")
+    K, p = Bs.shape
     mus = 0.5 * lams
-    U = np.zeros((mus.size, b.size))
-    s, u, c = np.zeros_like(b), np.zeros_like(b), b.copy()
-    mu, i = float(np.abs(b).max()), 0  # the first kink joins the largest |b_j|
-    sides = np.array([[1.0], [-1.0]])  # c_j reaching +mu, then -mu
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(10 * (b.size + 1)):
-            A = np.flatnonzero(s)
-            sA, QA = s[A], Q[:, A]
-            try:
-                yd = np.linalg.solve(QA[A], np.array([b[A] - mu * sA, sA]).T)
-            except np.linalg.LinAlgError:
+    U = np.zeros((K, mus.size, p))
+    read = np.zeros((K, mus.size), dtype=bool)  # the grid points read off so far
+    M = np.zeros((K, p, p))
+    s, u, c = np.zeros((K, p)), np.zeros((K, p)), Bs.copy()
+    mu = np.abs(Bs).max(axis=1)  # the first kink joins the largest |b_kj|
+    live = np.ones(K, dtype=bool)
+    folds = np.arange(K)
+    sides = np.array([1.0, -1.0])[:, None, None]  # c_j reaching +mu, then -mu
+    rhs = np.empty((K, p, 2))
+    with np.errstate(all="ignore"):
+        for _ in range(10 * (p + 1)):
+            rhs[:, :, 0] = c - mu[:, None] * s
+            rhs[:, :, 1] = s
+            yd = M @ rhs
+            yd[:, :, 0] += u
+            live &= np.isfinite(yd).all(axis=(1, 2))
+            if not live.any():
                 break
-            if not np.isfinite(yd).all():
-                break
-            y, d = yd.T
-            a = QA @ d
+            y, d = yd[:, :, 0], yd[:, :, 1]
+            a = (Qs @ d[:, :, None])[:, :, 0]
             # the step mu_k - mu to each coordinate's next event, inf for none
             rate = 1.0 - sides * a
-            join = np.where(rate > 1e-10, np.maximum(mu - sides * c, 0.0) / rate, np.inf)
-            step = join.min(axis=0)
-            step[A] = np.where(d * sA < 0.0, np.maximum(-y / d, 0.0), np.inf)
-            last = int(np.argmin(step))
-            delta = min(float(step[last]), mu)
-            while i < mus.size and mus[i] >= mu - delta:
-                v = y + (mu - mus[i]) * d
-                U[i, A] = np.where(v * sA > 0.0, v, 0.0)  # a wrong sign is rounding around 0
-                i += 1
-            u[A] = y + delta * d
+            join = np.where(rate > 1e-10, np.maximum(mu[:, None] - sides * c, 0.0) / rate,
+                            np.inf).min(axis=0)
+            step = np.where(s != 0.0, np.where(d * s < 0.0, np.maximum(-y / d, 0.0), np.inf),
+                            join)
+            last = step.argmin(axis=1)
+            delta = np.where(live, np.minimum(step[folds, last], mu), 0.0)
+            new = live[:, None] & ~read & (mus >= (mu - delta)[:, None])
+            k, g = np.nonzero(new)
+            v = y[k] + (mu[k] - mus[g])[:, None] * d[k]
+            U[k, g] = np.where(v * s[k] > 0.0, v, 0.0)  # a wrong sign is rounding around 0
+            read |= new
+            u = np.where(live[:, None], y + delta[:, None] * d, u)
             mu -= delta
-            if i == mus.size or mu == 0.0:
-                break
-            # a coordinate joins at the sign of its c_j and leaves at u_j = 0
-            s[last] = 0.0 if s[last] else np.sign(c[last] - delta * a[last])
-            u[last] = 0.0
-            c = b - QA @ u[A]
-    U[i:] = u
-    return U
+            live &= (mu != 0.0) & ~read[:, -1]
+            # a coordinate joins at the sign of its c_j and leaves at u_j = 0;
+            # M changes by coef z z', with z = w - e_j and coef = 1/schur for
+            # a join, z = M_:j and coef = -1/M_jj for a leave
+            leave = s[folds, last] != 0.0
+            sign = np.where(c[folds, last] - delta * a[folds, last] < 0.0, -1.0, 1.0)
+            q = Qs[folds, :, last]
+            w = (M @ q[:, :, None])[:, :, 0]
+            schur = Qs[folds, last, last] - np.einsum("kp,kp->k", q, w)
+            live &= leave | (schur > 0.0)
+            z = np.where(leave[:, None], M[folds, :, last], w)
+            z[folds, last] = np.where(leave, z[folds, last], -1.0)
+            coef = np.where(live, np.where(leave, -1.0 / M[folds, last, last], 1.0 / schur), 0.0)
+            M += np.einsum("ki,kj->kij", z, coef[:, None] * z)
+            out, r = folds[live & leave], last[live & leave]
+            M[out, r, :] = 0.0
+            M[out, :, r] = 0.0
+            s[folds[live], last[live]] = np.where(leave, 0.0, sign)[live]
+            u[folds[live], last[live]] = 0.0
+            c = Bs - (Qs @ u[:, :, None])[:, :, 0]
+    return np.where(read[:, :, None], U, u[:, None, :])
 
 
-def _certified_path(Q: np.ndarray, b: np.ndarray, lams: np.ndarray, where) -> np.ndarray:
-    """_lasso_path's solutions at the descending lams, each certified by its
-    KKT residual; a row above TOL is polished by _solve from its path point.
-    Errors are prefixed with where(i), i the row (0 for the diagonal check)."""
-    zero = np.zeros(b.size)
-    i = 0
-    try:
-        U = _lasso_path(Q, b, lams)
-        kkt = _kkt_rows(U @ Q - b, U, lams[:, None], zero, np.empty_like(U))
-        for i in np.flatnonzero(~(kkt <= TOL)):  # NaN counts as uncertified
-            U[i] = _solve(Q, b[None], float(lams[i]), zero, U[i:i + 1])[0][0]
-    except SparseProjError as exc:
-        raise type(exc)(f"{where(i)}: {exc}") from exc
+def _certified_path(Qs: np.ndarray, Bs: np.ndarray, lams: np.ndarray, where) -> np.ndarray:
+    """_lasso_paths' (K, L, p) solutions at the descending lams, each row
+    certified by its KKT residual; a row above TOL is polished by _solve
+    from its path point.  Errors are prefixed with where(k, g), for fold k
+    and grid index g (0 for the diagonal check).  Raises DegenerateDiagonal
+    for the first fold whose Q has a nonpositive diagonal entry."""
+    K, p = Bs.shape
+    bad = np.flatnonzero((np.diagonal(Qs, axis1=1, axis2=2) <= 0.0).any(axis=1))
+    if bad.size:
+        raise DegenerateDiagonal(f"{where(int(bad[0]), 0)}: Q has a nonpositive diagonal entry")
+    zero = np.zeros(p)
+    U = _lasso_paths(Qs, Bs, lams)
+    flat = U.reshape(-1, p)  # row k*L + g is fold k at lams[g]
+    kkt = _kkt_rows((U @ Qs - Bs[:, None]).reshape(-1, p), flat, np.tile(lams, K)[:, None],
+                    zero, np.empty_like(flat))
+    for i in np.flatnonzero(~(kkt <= TOL)):  # NaN counts as uncertified
+        k, g = divmod(int(i), lams.size)
+        try:
+            flat[i] = _solve(Qs[k], Bs[k:k + 1], float(lams[g]), zero, flat[i:i + 1])[0][0]
+        except SparseProjError as exc:
+            raise type(exc)(f"{where(k, g)}: {exc}") from exc
     return U
 
 
@@ -300,15 +339,16 @@ def fit_lasso(dataset: Dataset, lambda_n: float) -> np.ndarray:
     The problem project_draws solves as its row 0 (b = X'Y/n, the projection
     of the least-squares solution), here alone and exactly, as the reference
     for the fit pipeline's center: read off the exact solution path
-    (_lasso_path) and certified by its KKT residual; a solution above TOL is
-    polished by coordinate descent.  Raises DegenerateDiagonal if a Gram
-    diagonal entry is <= 0 and NoConvergence if the polish leaves the
-    residual above TOL after MAX_SWEEPS sweeps; both name the center.
+    (_lasso_paths, as one fold) and certified by its KKT residual; a
+    solution above TOL is polished by coordinate descent.  Raises
+    DegenerateDiagonal if a Gram diagonal entry is <= 0 and NoConvergence
+    if the polish leaves the residual above TOL after MAX_SWEEPS sweeps;
+    both name the center.
     """
     if lambda_n <= 0:
         raise ValueError("lambda_n must be positive")
-    return _certified_path(dataset.gram, dataset.xty, np.array([float(lambda_n)]),
-                           lambda i: f"LASSO center at lambda_n={lambda_n:.3e}")[0]
+    return _certified_path(dataset.gram[None], dataset.xty[None], np.array([float(lambda_n)]),
+                           lambda k, g: f"LASSO center at lambda_n={lambda_n:.3e}")[0, 0]
 
 
 def default_lambda_grid(dataset: Dataset, num: int = 100) -> np.ndarray:
@@ -320,9 +360,10 @@ def default_lambda_grid(dataset: Dataset, num: int = 100) -> np.ndarray:
 
 
 def _held_out_error(U: np.ndarray, G: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Held-out squared error ||Y_k - X_k u||^2 - Y_k'Y_k of each row u of U,
-    from fold k's G = X_k'X_k and c = X_k'Y_k alone, in O(p^2) per row."""
-    return np.einsum("gp,gp->g", U, U @ G - 2.0 * c)
+    """Held-out squared error sum_k ||Y_k - X_k u_kg||^2 - Y_k'Y_k, pooled
+    over the folds k, of each grid row g of the (K, L, p) U, from the folds'
+    G_k = X_k'X_k and c_k = X_k'Y_k alone, in O(K p^2) per row."""
+    return np.einsum("kgp,kgp->g", U, U @ G - 2.0 * c[:, None, :])
 
 
 def cross_validate_lambda(dataset: Dataset, grid: np.ndarray | None = None) -> float:
@@ -342,10 +383,12 @@ def cross_validate_lambda(dataset: Dataset, grid: np.ndarray | None = None) -> f
 
     so scoring a grid value costs O(K p^2) rather than a pass over the rows.
 
-    Each fold walks one exact solution path down the grid and reads every
-    grid value off it, certified as fit_lasso's center is.  Errors name the
-    fold and the grid value, by its index in the descending grid (the first
-    for a degenerate fold Gram).
+    All folds walk their exact solution paths down the grid together, one
+    kink of every fold per step, and read every grid value off them; each
+    (fold, grid value) row is certified as fit_lasso's center is, and the
+    held-out errors of every fold and grid value come from one product.
+    Errors name the fold and the grid value, by its index in the descending
+    grid (the first for a degenerate fold Gram).
     """
     folds = dataset.fold_n.size
     if folds == 0:
@@ -368,9 +411,7 @@ def cross_validate_lambda(dataset: Dataset, grid: np.ndarray | None = None) -> f
     Qs = (dataset.gram * dataset.n - G) / n_tr[:, None, None]
     Bs = (dataset.xty * dataset.n - c) / n_tr[:, None]
 
-    errs = np.full(lam_desc.size, dataset.yty)  # pooled over the folds
-    for k in range(folds):
-        U = _certified_path(Qs[k], Bs[k], lam_desc,
-                            lambda g: f"CV path at lambda[{g}]={lam_desc[g]:.3e}, fold {k}")
-        errs += _held_out_error(U, G[k], c[k])
+    U = _certified_path(Qs, Bs, lam_desc,
+                        lambda k, g: f"CV path at lambda[{g}]={lam_desc[g]:.3e}, fold {k}")
+    errs = dataset.yty + _held_out_error(U, G, c)
     return float(lam_desc[errs <= errs.min()].max())

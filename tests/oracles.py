@@ -14,7 +14,9 @@ branch-per-case KKT certificate that the package's fused one must match bit
 for bit.
 cd_multi_reference is plain batched coordinate descent, one Q per row; the
 exact LASSO path behind the CV folds and the center is judged against it by
-objective value and KKT residual.  certified_loop_reference is the shared-Q
+objective value and KKT residual.  lasso_path_reference walks one fold's
+exact path with a fresh linear solve at every kink, the per-fold reference
+for the package's joint walk of all folds.  certified_loop_reference is the shared-Q
 loop certified in full after every sweep, the schedule that the package's
 probed loop must reproduce.  Both certify with kkt_batch_reference and
 borrow nothing from the package but a message format.
@@ -235,6 +237,66 @@ def cd_multi_reference(Qs: np.ndarray, Bs: np.ndarray, lam: float, U0: np.ndarra
             return U
     raise NoConvergence(f"CV path: residual {kkt.max():.3e} > tol {tol:.1e}; "
                         f"{_worst_rows(kkt, tol, 'fold {}'.format)}")
+
+
+def lasso_path_reference(Q: np.ndarray, b: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Solutions of min u'Qu - 2u'b + lam*||u||_1 at the descending penalties
+    lams, as rows, read off the exact path from lam_max = 2 max|b_j| down.
+
+    In mu = lam/2 and c = b - Qu, u is optimal when c_A = mu s_A on its
+    active set A, s_A the signs of u_A, and |c_j| <= mu elsewhere.  From a
+    kink at mu_k the path is u_A = y + (mu_k - mu) d, with Q_AA [y, d] =
+    [b_A - mu_k s_A, s_A], and c moves by -(mu_k - mu) Q_:A d, until the
+    nearest mu at which an inactive c_j reaches +-mu (j joins; a rate 1 -+
+    a_j within 1e-10 of 0 keeps j on its boundary) or an active u_j reaches
+    0 (j leaves); one past its boundary by rounding changes at once.  The
+    walk stops early on a singular Q_AA or after 10(p + 1) kinks, leaving
+    the unread rows at its last point.  One fold at a time, with one
+    np.linalg.solve on Q_AA per kink: the reference for the package's walk
+    of all folds together, which updates each fold's inverse of Q_AA
+    instead.  Raises DegenerateDiagonal for a nonpositive diagonal entry of
+    Q.
+    """
+    if (np.diagonal(Q) <= 0.0).any():
+        raise DegenerateDiagonal("Q has a nonpositive diagonal entry")
+    mus = 0.5 * lams
+    U = np.zeros((mus.size, b.size))
+    s, u, c = np.zeros_like(b), np.zeros_like(b), b.copy()
+    mu, i = float(np.abs(b).max()), 0  # the first kink joins the largest |b_j|
+    sides = np.array([[1.0], [-1.0]])  # c_j reaching +mu, then -mu
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(10 * (b.size + 1)):
+            A = np.flatnonzero(s)
+            sA, QA = s[A], Q[:, A]
+            try:
+                yd = np.linalg.solve(QA[A], np.array([b[A] - mu * sA, sA]).T)
+            except np.linalg.LinAlgError:
+                break
+            if not np.isfinite(yd).all():
+                break
+            y, d = yd.T
+            a = QA @ d
+            # the step mu_k - mu to each coordinate's next event, inf for none
+            rate = 1.0 - sides * a
+            join = np.where(rate > 1e-10, np.maximum(mu - sides * c, 0.0) / rate, np.inf)
+            step = join.min(axis=0)
+            step[A] = np.where(d * sA < 0.0, np.maximum(-y / d, 0.0), np.inf)
+            last = int(np.argmin(step))
+            delta = min(float(step[last]), mu)
+            while i < mus.size and mus[i] >= mu - delta:
+                v = y + (mu - mus[i]) * d
+                U[i, A] = np.where(v * sA > 0.0, v, 0.0)  # a wrong sign is rounding around 0
+                i += 1
+            u[A] = y + delta * d
+            mu -= delta
+            if i == mus.size or mu == 0.0:
+                break
+            # a coordinate joins at the sign of its c_j and leaves at u_j = 0
+            s[last] = 0.0 if s[last] else np.sign(c[last] - delta * a[last])
+            u[last] = 0.0
+            c = b - QA @ u[A]
+    U[i:] = u
+    return U
 
 
 def certified_loop_reference(Q: np.ndarray, B: np.ndarray, lam, signs: np.ndarray,

@@ -15,12 +15,12 @@ from hypothesis import example, given, settings as hyp_settings, strategies as s
 
 from oracles import (cd_multi_reference, certified_loop_reference, cv_errors_reference,
                      enumerate_min, fold_labels_reference, grid_min_2d, kkt_batch_reference,
-                     objective, prox_gradient_min, random_spd)
+                     lasso_path_reference, objective, prox_gradient_min, random_spd)
 from sparseproj import projection
 from sparseproj.errors import DegenerateDiagonal, InsufficientData, NoConvergence
 from sparseproj.projection import (
     _held_out_error,
-    _lasso_path,
+    _lasso_paths,
     _solve,
     cross_validate_lambda,
     default_lambda_grid,
@@ -833,10 +833,10 @@ def test_cv_gram_errors_match_direct_residuals(case, seed):
     Qs = (ds.gram * ds.n - G) / (ds.n - sizes)[:, None, None]
     Bs = (ds.xty * ds.n - c) / (ds.n - sizes)[:, None]
     lam = 0.1 * float(np.abs(Bs).max()) + 1e-3  # leaves some coordinates active
-    fitted = np.array([_lasso_path(Qs[k], Bs[k], np.array([lam]))[0] for k in range(folds)])
+    fitted = _lasso_paths(Qs, Bs, np.array([lam]))[:, 0]
     for U in (fitted, rng.standard_normal((folds, ds.p)), np.zeros((folds, ds.p))):
         direct = cv_errors_reference(X, Y, chunks, U)
-        pooled = yy + sum(float(_held_out_error(U[k:k + 1], G[k], c[k])[0]) for k in range(folds))
+        pooled = yy + float(_held_out_error(U[:, None], G, c)[0])
         # rounding scales with the larger of the cancelling terms
         assert abs(pooled - direct) <= 1e-10 * max(total, direct)
 
@@ -879,7 +879,7 @@ def test_cv_path_step_matches_cd_reference(seed, folds, p, shape, frac, warm):
     U0 = cd_multi_reference(Qs, Bs, 1.5 * lam, np.zeros((folds, p)), tol, 100_000) \
         if warm else np.zeros((folds, p))
     ref = cd_multi_reference(Qs, Bs, lam, U0, tol, 100_000)
-    U = np.array([_lasso_path(Qs[k], Bs[k], lams)[-1] for k in range(folds)])
+    U = _lasso_paths(Qs, Bs, lams)[:, -1]
     zero = np.zeros(p)
     for k in range(folds):
         assert kkt_batch_reference(Qs[k], Bs[k:k + 1], lam, zero, U[k:k + 1])[0] <= tol
@@ -889,6 +889,50 @@ def test_cv_path_step_matches_cd_reference(seed, folds, p, shape, frac, warm):
         scale = max(abs(u @ Qs[k] @ u) + 2.0 * abs(u @ Bs[k]) + lam * np.abs(u).sum()
                     for u in (U[k], ref[k]))
         assert abs(f_new - f_ref) <= 1e-12 * scale
+
+
+@hyp_settings(max_examples=150, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       folds=st.integers(min_value=1, max_value=4),
+       p=st.integers(min_value=1, max_value=6),
+       shape=st.sampled_from(["tall", "short", "duplicate"]),
+       frac=st.floats(min_value=0.01, max_value=1.2))
+@example(seed=224561, folds=3, p=4, shape="short", frac=0.03125)
+def test_joint_fold_walk_matches_per_fold_reference(seed, folds, p, shape, frac):
+    # every row of the joint walk of all folds against the same fold's own
+    # walk, with one linear solve per kink, on a grid from above the
+    # full-shrinkage threshold down to frac times it
+    rng = np.random.default_rng(seed)
+    n_tr = int(rng.integers(1, p)) if shape == "short" and p > 1 else p + 5
+    Qs, Bs = random_fold_problems(rng, folds, p, n_tr, shape == "duplicate" and p > 1)
+    lams = 2.0 * float(np.abs(Bs).max()) * np.geomspace(1.2, frac, num=6)
+    U = _lasso_paths(Qs, Bs, lams)
+    assert U.shape == (folds, lams.size, p)
+    zero = np.zeros(p)
+    for k in range(folds):
+        ref = lasso_path_reference(Qs[k], Bs[k], lams)
+        for g, lam in enumerate(lams):
+            u, v = U[k, g], ref[g]
+            assert kkt_batch_reference(Qs[k], Bs[k:k + 1], lam, zero, u[None])[0] <= 1e-12
+            # rounding scales with the larger of the cancelling terms
+            scale = max(abs(w @ Qs[k] @ w) + 2.0 * abs(w @ Bs[k]) + lam * np.abs(w).sum()
+                        for w in (u, v))
+            f_joint, f_ref = (objective(Qs[k], Bs[k], lam, zero, w) for w in (u, v))
+            assert abs(f_joint - f_ref) <= 1e-12 * scale
+
+
+def test_cv_degenerate_fold_gram_names_its_fold():
+    # the last column is nonzero only on fold 3's held-out rows, so fold 3's
+    # training Gram has a zero diagonal entry; no other fold's has
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((50, 4))
+    X[fold_labels_reference(50, 5, 7) != 3, 3] = 0.0
+    ds = validate_dataset(X, X @ np.array([1.0, -0.5, 0.0, 0.0]) + rng.standard_normal(50),
+                          folds=5, fold_seed=7)
+    with pytest.raises(DegenerateDiagonal,
+                       match=re.escape("CV path at lambda[0]=9.311e-01, fold 3: "
+                                       "Q has a nonpositive diagonal entry")):
+        cross_validate_lambda(ds)
 
 
 def test_cv_no_convergence_names_grid_point_and_folds(monkeypatch):
@@ -931,27 +975,28 @@ def test_cv_and_center_certified_when_n_below_p(monkeypatch, n, p):
     X, Y = short_wide_dataset(n, p, seed=n)
     ds = validate_dataset(X, Y, folds=10, fold_seed=n)
     paths = []
-    lasso_path = projection._lasso_path
+    lasso_paths = projection._lasso_paths
 
-    def recording_path(Q, b, lams):
-        U = lasso_path(Q, b, lams)
-        paths.append((Q, b, lams, U.copy()))
+    def recording_paths(Qs, Bs, lams):
+        U = lasso_paths(Qs, Bs, lams)
+        paths.append((Qs, Bs, lams, U.copy()))
         return U
 
     def no_polish(*args):
         raise AssertionError("a path solution needed coordinate descent")
 
-    monkeypatch.setattr(projection, "_lasso_path", recording_path)
+    monkeypatch.setattr(projection, "_lasso_paths", recording_paths)
     monkeypatch.setattr(projection, "_solve", no_polish)
     lam = cross_validate_lambda(ds)
     center = fit_lasso(ds, 0.5 * lam)
-    assert len(paths) == 11  # ten folds and the center
+    # one joint walk of the ten folds, then the center's walk alone
+    assert [Bs.shape[0] for _, Bs, _, _ in paths] == [10, 1]
     zero = np.zeros(p)
-    for Q, b, lams, U in paths:
-        worst = max(kkt_batch_reference(Q, b[None], lam_i, zero, U[i:i + 1])[0]
-                    for i, lam_i in enumerate(lams))
+    for Qs, Bs, lams, U in paths:
+        worst = max(kkt_batch_reference(Qs[k], Bs[k:k + 1], lam_i, zero, U[k, i:i + 1])[0]
+                    for k in range(Bs.shape[0]) for i, lam_i in enumerate(lams))
         assert worst <= projection.TOL
-    np.testing.assert_array_equal(center, paths[-1][3][0])
+    np.testing.assert_array_equal(center, paths[-1][3][0, 0])
     assert np.count_nonzero(center) <= n
 
 
